@@ -1,11 +1,10 @@
 """Sampled disassembly spaces and their symbolic mobility classification.
 
 The unit sphere is sampled once per run; every admissible-direction set is a
-boolean mask over that shared sample.  Per-contact sets are computed through a
-sort-and-compare path: directions are ranked by their score against the
-contact direction (argsort), the admissible score range is located with binary
-search, and multi-contact intersections merge the resulting index sets.  That
-keeps the whole pipeline O(n log n) in the number of sampled directions.
+boolean mask over that shared sample.  A per-contact set is one comparison of
+each direction's score against the contact direction, and multi-contact
+intersections AND the masks together, so the whole pipeline is O(n) in the
+number of sampled directions.
 """
 
 from __future__ import annotations
@@ -108,37 +107,23 @@ def oriented_direction(relation: SpatialRelation, component_id: str) -> np.ndarr
     raise UnknownComponent(component_id)
 
 
-def _sorted_indices_at_least(scores: np.ndarray, threshold: float) -> np.ndarray:
-    """Indices with scores >= threshold, found by sort + binary search."""
-    order = np.argsort(scores, kind="stable")
-    pos = np.searchsorted(scores[order], threshold, side="left")
-    return order[pos:]
-
-
-def _sorted_indices_at_most(scores: np.ndarray, threshold: float) -> np.ndarray:
-    order = np.argsort(scores, kind="stable")
-    pos = np.searchsorted(scores[order], threshold, side="right")
-    return order[:pos]
-
-
 def admissible_indices(kind: RelationKind, direction: np.ndarray,
                        dirs: DirectionSet) -> np.ndarray:
-    """Sample indices admissible under a single contact of the given kind.
+    """Boolean ``(n,)`` mask of the samples admissible under one contact.
 
     plane_contact / congruent: the half space on the separation side of the
-    contact plane.  concentric: translation only along the joint axis, either
-    way, within EPS_CONE.  screwed: nothing; the thread blocks translation
-    until a twist converts the joint.
+    contact plane, boundary included.  concentric: translation only along the
+    joint axis, either way, within EPS_CONE.  screwed: nothing; the thread
+    blocks translation until a twist converts the joint.  The mask is a fresh
+    writable array and ignores ``dirs.mask``; numpy accepts it as an index.
     """
     if kind is RelationKind.SCREWED:
-        return np.empty(0, dtype=np.intp)
+        return np.zeros(dirs.n, dtype=bool)
     scores = dirs.directions @ np.asarray(direction, dtype=float)
     if kind in (RelationKind.PLANE_CONTACT, RelationKind.CONGRUENT):
-        return _sorted_indices_at_least(scores, -EPS_ANG)
+        return scores >= -EPS_ANG
     if kind is RelationKind.CONCENTRIC:
-        hi = _sorted_indices_at_least(scores, np.cos(EPS_CONE))
-        lo = _sorted_indices_at_most(scores, -np.cos(EPS_CONE))
-        return np.concatenate([lo, hi])
+        return np.abs(scores) >= np.cos(EPS_CONE)
     raise ValueError(f"unhandled relation kind: {kind}")
 
 
@@ -152,23 +137,19 @@ def contact_space(relation: SpatialRelation, dirs: DirectionSet,
     if component_id is None:
         component_id = relation.components[0]
     direction = oriented_direction(relation, component_id)
-    idx = admissible_indices(relation.kind, direction, dirs)
-    mask = np.zeros(dirs.n, dtype=bool)
-    mask[idx] = True
+    mask = admissible_indices(relation.kind, direction, dirs)
     mask &= dirs.mask
     return dirs.with_mask(mask)
 
 
 def intersect_spaces(index_sets: list[np.ndarray], dirs: DirectionSet) -> DirectionSet:
-    """Intersection of admissible index sets with the initial direction set."""
-    base = np.flatnonzero(dirs.mask)
-    result = base
+    """AND of per-contact admissible masks with the initial direction set.
+
+    The inputs and ``dirs.mask`` are left unmodified.
+    """
+    mask = dirs.mask.copy()
     for idx in index_sets:
-        result = np.intersect1d(result, idx, assume_unique=True)
-        if result.size == 0:
-            break
-    mask = np.zeros(dirs.n, dtype=bool)
-    mask[result] = True
+        mask &= idx
     return dirs.with_mask(mask)
 
 

@@ -63,10 +63,10 @@ def valve_model():
 
 def brute_force_space(model: AssemblyModel, component_id: str,
                       dirs: DirectionSet) -> np.ndarray:
-    """Independent per-direction evaluation of every contact predicate.
+    """Per-direction evaluation of every contact predicate.
 
-    Plain boolean predicates ANDed together; no sorting, no searching.  This
-    is the oracle the production sorted-set path must match bit for bit.
+    Plain boolean predicates ANDed together; no sorting, no searching.  The
+    production mask path must match it bit for bit.
     """
     mask = dirs.mask.copy()
     for rel in contacts_of(model, component_id):
@@ -80,6 +80,44 @@ def brute_force_space(model: AssemblyModel, component_id: str,
             mask &= np.abs(scores) >= np.cos(EPS_CONE)
         else:  # pragma: no cover
             raise AssertionError(rel.kind)
+    return mask
+
+
+def _indices_at_least(scores: np.ndarray, threshold: float) -> np.ndarray:
+    order = np.argsort(scores, kind="stable")
+    return order[np.searchsorted(scores[order], threshold, side="left"):]
+
+
+def _indices_at_most(scores: np.ndarray, threshold: float) -> np.ndarray:
+    order = np.argsort(scores, kind="stable")
+    return order[:np.searchsorted(scores[order], threshold, side="right")]
+
+
+def sorted_set_space(model: AssemblyModel, component_id: str,
+                     dirs: DirectionSet) -> np.ndarray:
+    """Index-set evaluation of the same predicates, independent of any mask.
+
+    Each contact ranks the directions by score (stable argsort) and finds its
+    admissible range by binary search; a concentric contact is the union of
+    two one-sided ranges.  The index sets are merged with ``intersect1d`` and
+    scattered into a mask only at the end.
+    """
+    result = np.flatnonzero(dirs.mask)
+    for rel in contacts_of(model, component_id):
+        d = rel.direction if component_id == rel.components[0] else -rel.direction
+        scores = dirs.directions @ d
+        if rel.kind is RelationKind.SCREWED:
+            idx = np.empty(0, dtype=np.intp)
+        elif rel.kind in (RelationKind.PLANE_CONTACT, RelationKind.CONGRUENT):
+            idx = _indices_at_least(scores, -EPS_ANG)
+        elif rel.kind is RelationKind.CONCENTRIC:
+            idx = np.concatenate([_indices_at_most(scores, -np.cos(EPS_CONE)),
+                                  _indices_at_least(scores, np.cos(EPS_CONE))])
+        else:  # pragma: no cover
+            raise AssertionError(rel.kind)
+        result = np.intersect1d(result, idx, assume_unique=True)
+    mask = np.zeros(dirs.n, dtype=bool)
+    mask[result] = True
     return mask
 
 

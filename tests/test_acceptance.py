@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from conftest import (FEATURE_SQUARE, STATIONS, brute_force_space,
-                      random_contact_model, random_feasible_model)
+                      random_contact_model, random_feasible_model,
+                      sorted_set_space)
 
 from dismantle.camera import DEFAULT_CAMERA
 from dismantle.cli import main
@@ -38,6 +39,8 @@ def _ok(n, text):
 # ------------------------------------------------------------ criterion 1
 
 def test_criterion_1_oracle_equivalence():
+    """The mask path is bit-exact against two independent oracles: the
+    per-direction predicates and the sort-and-search index sets."""
     dirs = sample_sphere(10_000, seed=0)
     rng = np.random.default_rng(2024)
     t0 = time.perf_counter()
@@ -46,12 +49,14 @@ def test_criterion_1_oracle_equivalence():
         model = random_contact_model(rng, max_components=6, max_contacts=4)
         for comp in model.components:
             got = disassembly_space(model, comp.id, dirs)
-            want = brute_force_space(model, comp.id, dirs)
-            assert np.array_equal(got.mask, want), comp.id
+            assert np.array_equal(got.mask,
+                                  brute_force_space(model, comp.id, dirs)), comp.id
+            assert np.array_equal(got.mask,
+                                  sorted_set_space(model, comp.id, dirs)), comp.id
             checked += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"equivalence check took {elapsed:.1f}s"
-    _ok(1, f"sorted-set path bit-exact vs brute force on 100 models "
+    _ok(1, f"mask path bit-exact vs brute force and sorted sets on 100 models "
            f"({checked} spaces, {elapsed:.1f}s)")
 
 

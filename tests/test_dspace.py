@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import brute_force_space, random_contact_model, random_unit
+from conftest import (brute_force_space, random_contact_model, random_unit,
+                      sorted_set_space)
 
-from dismantle.dspace import (EPS_CONE, Mobility, build_graph, classify_sdof,
+from dismantle.dspace import (EPS_ANG, EPS_CONE, DirectionSet, Mobility,
+                              admissible_indices, build_graph, classify_sdof,
                               contact_space, disassembly_space, dump_directions,
-                              sample_sphere)
+                              intersect_spaces, sample_sphere)
 from dismantle.errors import DegenerateSpace, UnknownComponent
 from dismantle.model import (FeatureGeometry, GeometryKind, RelationKind,
                              SpatialRelation)
@@ -86,6 +88,49 @@ def test_contact_space_orientation_flips_for_second_component(dirs10k):
     assert overlap <= 0.01
 
 
+def _boundary_dirs():
+    """Rows whose score against +z sits on, and one ulp either side of, each
+    admissible boundary; the mask excludes the last row."""
+    c = np.cos(EPS_CONE)
+    z = np.array([-EPS_ANG, np.nextafter(-EPS_ANG, -1.0), np.nextafter(-EPS_ANG, 1.0),
+                  c, np.nextafter(c, 0.0), np.nextafter(c, 2.0),
+                  -c, np.nextafter(-c, 0.0), np.nextafter(-c, -2.0)])
+    rows = np.column_stack([np.sqrt(1.0 - z * z), np.zeros_like(z), z])
+    mask = np.ones(len(z), dtype=bool)
+    mask[-1] = False
+    return DirectionSet(rows, mask)
+
+
+def test_admissible_boundaries_inclusive_and_mask_contract():
+    dirs = _boundary_dirs()
+    up = np.array([0.0, 0.0, 1.0])
+    assert np.array_equal(dirs.directions @ up, dirs.directions[:, 2])
+    half = [True, False, True, True, True, True, False, False, False]
+    cone = [False, False, False, True, False, True, True, False, True]
+    expected = {RelationKind.PLANE_CONTACT: half, RelationKind.CONGRUENT: half,
+                RelationKind.CONCENTRIC: cone, RelationKind.SCREWED: [False] * dirs.n}
+    for kind, want in expected.items():
+        got = admissible_indices(kind, up, dirs)
+        assert got.dtype == bool and got.shape == (dirs.n,), kind
+        assert got.flags.writeable, kind
+        assert got.tolist() == want, kind
+
+
+def test_intersect_spaces_leaves_inputs_unmodified():
+    dirs = _boundary_dirs()
+    up = np.array([0.0, 0.0, 1.0])
+    sets = [admissible_indices(RelationKind.PLANE_CONTACT, up, dirs),
+            admissible_indices(RelationKind.CONCENTRIC, up, dirs)]
+    before = [m.copy() for m in sets]
+    base = dirs.mask.copy()
+    space = intersect_spaces(sets, dirs)
+    assert space.mask.tolist() == [False] * 3 + [True, False, True] + [False] * 3
+    for m, b in zip(sets, before):
+        assert np.array_equal(m, b)
+    assert np.array_equal(dirs.mask, base)
+    assert np.array_equal(intersect_spaces([], dirs).mask, base)
+
+
 # ---------------------------------------------------------------- spaces
 
 def test_no_contacts_full_sphere(dirs10k):
@@ -118,13 +163,16 @@ def test_unknown_component_raises(valve_model, dirs10k):
 
 
 def test_sorted_path_matches_brute_force(dirs2k):
+    """The mask path matches both the brute-force and the sorted-set oracle."""
     rng = np.random.default_rng(7)
     for _ in range(25):
         model = random_contact_model(rng)
         for comp in model.components:
             got = disassembly_space(model, comp.id, dirs2k)
-            want = brute_force_space(model, comp.id, dirs2k)
-            assert np.array_equal(got.mask, want), comp.id
+            assert np.array_equal(got.mask,
+                                  brute_force_space(model, comp.id, dirs2k)), comp.id
+            assert np.array_equal(got.mask,
+                                  sorted_set_space(model, comp.id, dirs2k)), comp.id
 
 
 def test_monotonicity_adding_contact_never_adds_directions(dirs2k):
