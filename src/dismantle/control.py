@@ -22,14 +22,14 @@ from .camera import DEFAULT_CAMERA, CameraModel
 from .errors import SingularJacobian, SkillTimeout
 from .geometry import Pose, pose_step
 from .skills import (GRIP_ACTION_S, TOOL_SWAP_S, ControlMode, SkillName,
-                     SkillPrimitive, StopKind)
+                     SkillPrimitive, StopKind, pose_error)
 
 CLOCK_UNIT_S = 0.01          # one clock unit = 10 ms
 UNITS_PER_POS_TICK = 2       # 50 Hz position / force loop
 UNITS_PER_VSC_TICK = 5       # 20 Hz visual-servoing loop
 
-RATE_POS_HZ = 50.0
-RATE_VSC_HZ = 20.0
+RATE_POS_HZ = 1.0 / (UNITS_PER_POS_TICK * CLOCK_UNIT_S)
+RATE_VSC_HZ = 1.0 / (UNITS_PER_VSC_TICK * CLOCK_UNIT_S)
 
 V_MAX_LIN = 0.1              # m/s
 V_MAX_ANG = 0.5              # rad/s
@@ -60,7 +60,7 @@ class AdmittanceParams:
 
     def __post_init__(self):
         for name in ("mass", "damping", "stiffness"):
-            v = np.asarray(getattr(self, name), dtype=float)
+            v = np.array(getattr(self, name), dtype=float)
             if v.shape != (6,) or np.any(v <= 0.0):
                 raise ValueError(f"{name} must be 6 positive diagonal entries")
             v.flags.writeable = False
@@ -75,8 +75,8 @@ class Wrench:
     torque: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        f = np.asarray(self.force, dtype=float)
-        t = np.asarray(self.torque, dtype=float)
+        f = np.array(self.force, dtype=float)
+        t = np.array(self.torque, dtype=float)
         if not (np.all(np.isfinite(f)) and np.all(np.isfinite(t))):
             raise ValueError("wrench entries must be finite")
         f.flags.writeable = False
@@ -108,8 +108,8 @@ class FeatureVector:
     depths: np.ndarray  # (k,) meters
 
     def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=float)
-        z = np.asarray(self.depths, dtype=float)
+        px = np.array(self.pixels, dtype=float)
+        z = np.array(self.depths, dtype=float)
         if px.size != 2 * z.size or z.size < 3:
             raise ValueError("need at least 3 features with matching pixel pairs")
         if np.any(z <= 0.0):
@@ -307,12 +307,6 @@ def _primary_controller(ap: SkillPrimitive) -> str:
     return BUCKET_PATH
 
 
-def _pose_err(goal_vec: np.ndarray, pose: Pose) -> float:
-    goal = Pose.from_rotvec(goal_vec[:3], goal_vec[3:])
-    d, ang = pose.distance(goal)
-    return max(d, 0.1 * ang)
-
-
 def _tool_units(ap: SkillPrimitive) -> int:
     """Non-motion actuation time booked for the tool command, if any."""
     if ap.stop.kind is StopKind.TOOL_DONE and ControlMode.FTC not in ap.hm.control:
@@ -366,7 +360,8 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
     while motion_needed:
         # stop-condition check against the latest observations
         if ap.stop.kind is StopKind.POSE_REACHED:
-            if _pose_err(ap.stop.target, state.pose) <= ap.stop.tolerance:
+            goal = Pose.from_rotvec(ap.stop.target[:3], ap.stop.target[3:])
+            if pose_error(state.pose, goal) <= ap.stop.tolerance:
                 break
         elif ap.stop.kind is StopKind.FEATURE_REACHED:
             if state.tracked_points is not None and not fault.feature_dropout:
@@ -406,8 +401,9 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
                 feats = FeatureVector(px, z)
                 target = FeatureVector(ap.stop.target, z)
                 u_cam = ibvs_step(ibvs, target, feats)
-                rot = camera.camera_pose(state.pose).rotation
-                u = np.concatenate([rot.apply(u_cam[:3]), rot.apply(u_cam[3:])])
+                cam_pose = camera.camera_pose(state.pose)
+                u = np.concatenate([cam_pose.rotate(u_cam[:3]),
+                                    cam_pose.rotate(u_cam[3:])])
         elif controller == BUCKET_FTC:
             axis = ap.hm.contact_axis
             measured = -wrench.force @ axis

@@ -57,7 +57,7 @@ class DirectionSet:
         return bool(self.mask.all())
 
     def with_mask(self, mask: np.ndarray) -> "DirectionSet":
-        mask = np.asarray(mask, dtype=bool)
+        mask = np.array(mask, dtype=bool)
         mask.flags.writeable = False
         return DirectionSet(self.directions, mask)
 
@@ -204,7 +204,7 @@ class MobilityLabel:
         for name in ("axis", "rot_axis"):
             v = getattr(self, name)
             if v is not None:
-                v = np.asarray(v, dtype=float)
+                v = np.array(v, dtype=float)
                 v.flags.writeable = False
                 object.__setattr__(self, name, v)
 

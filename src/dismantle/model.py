@@ -139,7 +139,7 @@ class Component:
 
     def __post_init__(self):
         if self.visual_features is not None:
-            pts = np.asarray(self.visual_features, dtype=float)
+            pts = np.array(self.visual_features, dtype=float)
             if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 3:
                 raise ValidationError(
                     "visual_features must be at least 3 three-dimensional points",

@@ -107,7 +107,7 @@ class HybridMove:
     contact_axis: np.ndarray | None = None
 
     def __post_init__(self):
-        sp = np.asarray(self.setpoint, dtype=float)
+        sp = np.array(self.setpoint, dtype=float)
         if len(self.control) != sp.size:
             raise ValueError("control length must match setpoint length")
         if ControlMode.VSC in self.control and self.task_frame is not TaskFrame.RGBD:
@@ -149,7 +149,7 @@ class StopCondition:
             raise ValueError("tolerance must be positive")
         if self.timeout_s <= 0.0:
             raise ValueError("timeout must be positive")
-        t = np.asarray(self.target, dtype=float)
+        t = np.array(self.target, dtype=float)
         t.flags.writeable = False
         object.__setattr__(self, "target", t)
 
@@ -263,7 +263,7 @@ def rule_put_tool(held: Tool, mp_next: ManipulationPrimitive | None) -> bool:
 
 def rule_rough_pos(goal: Pose, robot: Pose, tol: float = TOL_POS) -> bool:
     """Position-controlled approach needed while the goal is not reached."""
-    return _pose_error(goal, robot) > tol
+    return pose_error(goal, robot) > tol
 
 
 def rule_fine_pos(has_features: bool, expected_residual_px: float) -> bool:
@@ -285,7 +285,9 @@ def rule_get_obj(assembly: bool, carried: str | None, component: str) -> bool:
     return assembly and carried != component
 
 
-def _pose_error(a: Pose, b: Pose) -> float:
+def pose_error(a: Pose, b: Pose) -> float:
+    """Scalar pose error: the larger of the distance in meters and 0.1 m per
+    radian of rotation."""
     d, ang = a.distance(b)
     return max(d, 0.1 * ang)
 
@@ -493,7 +495,6 @@ def rule_set(state: ExecState, mp: ManipulationPrimitive,
 
 
 def decompose(mp: ManipulationPrimitive,
-              mp_prev: ManipulationPrimitive | None,
               mp_next: ManipulationPrimitive | None,
               state: ExecState, model: AssemblyModel,
               assembly: bool = False,
@@ -697,9 +698,8 @@ def interpret(plans: Plan | list[Plan], state: ExecState, model: AssemblyModel,
     trace = ExecTrace()
     flat = flatten_plans(plans)
     for k, (plan, i, mp) in enumerate(flat):
-        mp_prev = flat[k - 1][2] if k > 0 else None
         mp_next = flat[k + 1][2] if k + 1 < len(flat) else None
-        aps = decompose(mp, mp_prev, mp_next, state, model,
+        aps = decompose(mp, mp_next, state, model,
                         assembly=plan.assembly,
                         direction_hint=plan.direction_hints.get(i),
                         camera=camera)

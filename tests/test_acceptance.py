@@ -121,7 +121,7 @@ def test_criterion_4_gold_decomposition(single_screw_model, dirs2k):
     streams = []
     for _ in range(2):
         state = ExecState.initial(single_screw_model, detection_noise=offsets)
-        aps = decompose(plans[0].steps[0], None, None, state,
+        aps = decompose(plans[0].steps[0], None, state,
                         single_screw_model,
                         direction_hint=plans[0].direction_hints[0])
         streams.append("\n".join(ap.to_json_line() for ap in aps))
@@ -209,7 +209,7 @@ def test_criterion_5_rule_truth_table():
         exp_put_obj = (mp_next is None) or (mp_next.component != "part")
         exp_put_tool = (mp_next is None) or (mp_next.tool is not Tool.GRIPPER)
 
-        aps = decompose(mp, None, mp_next, state, model, assembly=assembly,
+        aps = decompose(mp, mp_next, state, model, assembly=assembly,
                         direction_hint=np.array([0.0, 0.0, 1.0]))
         names = [ap.name.value for ap in aps]
         got_get_tool = "getTool" in names

@@ -49,6 +49,17 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == 1 and "error" in err
 
 
+def test_non_finite_pose_is_parse_error(tmp_path, capsys):
+    doc = json.loads((SCENARIOS / "single_screw.json").read_text())
+    doc["components"][1]["pose"]["position"][0] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(doc))
+    assert "NaN" in bad.read_text()
+    code, out, err = _run(capsys, "plan", bad, "--samples", 500)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "finite" in err and "screw_1" in err
+
+
 def test_validation_error_exit_code(tmp_path, capsys):
     doc = json.loads((SCENARIOS / "single_screw.json").read_text())
     doc["relations"][0]["components"] = ["screw_1", "missing"]

@@ -1,7 +1,21 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from dismantle.geometry import IDENTITY, Pose, normalize, pose_step
+from dismantle.control import AdmittanceParams, FeatureVector, Wrench
+from dismantle.dspace import DirectionSet, Mobility, MobilityLabel
+from dismantle.geometry import (IDENTITY, Pose, normalize, pose_step, quat_apply,
+                                quat_conjugate, quat_from_rotvec, quat_matrix,
+                                quat_multiply, quat_to_rotvec)
+from dismantle.model import Component, Semantic
+from dismantle.skills import (ControlMode, HybridMove, StopCondition, StopKind,
+                              TaskFrame)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_pose_compose_inverse_round_trip():
@@ -79,3 +93,115 @@ def test_read_only_arrays_accepted_and_left_unchanged():
 
     np.testing.assert_array_equal(v, v_before)
     np.testing.assert_array_equal(pts, pts_before)
+
+
+# ------------------------------------------------------------- quaternion core
+
+def test_quarter_turn_about_z_maps_x_to_y():
+    q = quat_from_rotvec(np.array([0.0, 0.0, np.pi / 2]))
+    np.testing.assert_allclose(q, [np.sqrt(0.5), 0.0, 0.0, np.sqrt(0.5)], atol=1e-15)
+    np.testing.assert_allclose(quat_apply(q, np.array([1.0, 0.0, 0.0])), [0.0, 1.0, 0.0],
+                               atol=1e-15)
+    np.testing.assert_allclose(quat_matrix(q), [[0, -1, 0], [1, 0, 0], [0, 0, 1]],
+                               atol=1e-15)
+
+
+@pytest.mark.parametrize("angle", [
+    0.0, 1e-4, np.nextafter(1e-3, 0.0), 1e-3, np.nextafter(1e-3, 1.0), 1.0, np.pi - 1e-6])
+@pytest.mark.parametrize("axis", [np.array([0.0, 0.0, 1.0]),
+                                  normalize(np.array([0.3, -0.5, 0.8]))])
+def test_rotvec_quaternion_round_trip(angle, axis):
+    rotvec = angle * axis
+    q = quat_from_rotvec(rotvec)
+    expected = np.concatenate([[np.cos(angle / 2)], np.sin(angle / 2) * axis])
+    np.testing.assert_allclose(q, expected, rtol=0.0, atol=1e-16)
+    np.testing.assert_allclose(quat_to_rotvec(q), rotvec, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(quat_to_rotvec(-q), rotvec, rtol=1e-15, atol=0.0)
+
+
+def test_product_with_inverse_is_identity_and_matches_matrices():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        a, b = (normalize(rng.normal(size=4)) for _ in range(2))
+        np.testing.assert_allclose(quat_multiply(a, quat_conjugate(a)), [1, 0, 0, 0],
+                                   atol=1e-15)
+        np.testing.assert_allclose(quat_matrix(quat_multiply(a, b)),
+                                   quat_matrix(a) @ quat_matrix(b), atol=1e-15)
+        pa = Pose(rng.uniform(-1, 1, 3), a)
+        pb = Pose(rng.uniform(-1, 1, 3), b)
+        ab = pa.compose(pb)
+        np.testing.assert_allclose(ab.position, pa.apply(pb.position), atol=1e-15)
+        np.testing.assert_allclose(ab.rotvec(), (pa.rotation * pb.rotation).as_rotvec(),
+                                   atol=1e-15)
+        assert pa.compose(pa.inverse()).approx_equal(IDENTITY, tol=1e-15)
+        np.testing.assert_allclose(pa.inverse().rotvec(), -pa.rotvec(), atol=1e-15)
+        np.testing.assert_allclose(pa.inverse().rotvec(), pa.rotation.inv().as_rotvec(),
+                                   atol=1e-15)
+
+
+def test_apply_to_rows_matches_per_row_and_is_column_major():
+    rng = np.random.default_rng(6)
+    q = normalize(rng.normal(size=4))
+    pts = rng.normal(size=(50, 3))
+    out = quat_apply(q, pts)
+    assert out.shape == (50, 3)
+    assert out.flags.f_contiguous
+    for row, got in zip(pts, out):
+        np.testing.assert_allclose(got, quat_apply(q, row), rtol=0.0, atol=1e-15)
+
+
+def test_import_cli_loads_no_scipy():
+    code = ("import sys, dismantle.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+# ------------------------------------------------------------- input checks
+
+@pytest.mark.parametrize("position, orientation", [
+    ([np.nan, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]),
+    ([0.0, np.inf, 0.0], [1.0, 0.0, 0.0, 0.0]),
+    ([0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0]),
+    ([0.0, 0.0, 0.0], [1.0, 0.0, -np.inf, 0.0]),
+])
+def test_non_finite_pose_rejected(position, orientation):
+    with pytest.raises(ValueError, match="finite"):
+        Pose(np.array(position), np.array(orientation))
+
+
+def _with_mask(arr):
+    DirectionSet(np.eye(3), np.ones(3, dtype=bool)).with_mask(arr)
+
+
+def _hybrid_move(arr):
+    HybridMove(TaskFrame.WORLD, (ControlMode.POS,) * 6, arr)
+
+
+def _stop_condition(arr):
+    StopCondition(StopKind.POSE_REACHED, arr, 1e-3)
+
+
+@pytest.mark.parametrize("build, arr", [
+    (lambda a: Pose(a), np.array([0.1, 0.2, 0.3])),
+    (lambda a: Pose(np.zeros(3), a), np.array([1.0, 0.0, 0.0, 0.0])),
+    (_with_mask, np.array([True, False, True])),
+    (_hybrid_move, np.array([0.1, 0.2, 0.3, 0.0, 0.0, 0.1])),
+    (_stop_condition, np.array([0.1, 0.2, 0.3, 0.0, 0.0, 0.1])),
+    (lambda a: Wrench(a), np.array([1.0, 2.0, 3.0])),
+    (lambda a: FeatureVector(a, np.ones(3)), np.arange(6, dtype=float)),
+    (lambda a: AdmittanceParams(mass=a), np.full(6, 2.0)),
+    (lambda a: MobilityLabel(Mobility.LIN, axis=a), np.array([0.0, 0.0, 1.0])),
+    (lambda a: Component(id="c", semantic=Semantic.GENERIC_GRASPABLE, visual_features=a),
+     np.array([[0.0, 0.0, 0.0], [0.01, 0.0, 0.0], [0.0, 0.01, 0.0]])),
+], ids=["pose.position", "pose.orientation", "with_mask", "hybrid_move",
+        "stop_condition", "wrench", "feature_vector", "admittance", "mobility_label",
+        "component.visual_features"])
+def test_constructors_leave_caller_arrays_writeable(build, arr):
+    before = arr.copy()
+    build(arr)
+    assert arr.flags.writeable
+    np.testing.assert_array_equal(arr, before)

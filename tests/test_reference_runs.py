@@ -1,0 +1,76 @@
+"""Pinned behavioural reference: per-repetition bucket units, outcomes and
+error classes, plus the valve decompose stream, compared exactly.
+
+Bucket units are integer 10 ms clock units, so a faithful rewrite of the
+geometry, control or skill layers reproduces them exactly; a last-ulp change
+that moves a stop condition by one tick shows up here.  The expected data in
+``data/reference_runs.json`` is regenerated only on purpose, with
+
+    PYTHONPATH=src python tests/test_reference_runs.py
+
+and the reason recorded in CHANGES.md.  Never compare with a tolerance.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+from dismantle.cli import _dry_executor
+from dismantle.dspace import sample_sphere
+from dismantle.metrics import FaultSpec, detection_offsets, execute_once
+from dismantle.model import load_model
+from dismantle.planner import plan_task
+from dismantle.skills import ExecState, interpret
+
+HERE = Path(__file__).resolve().parent
+SCENARIOS = HERE.parent / "scenarios"
+REFERENCE = HERE / "data" / "reference_runs.json"
+SEED = 0
+SAMPLES = 2000
+
+
+def _task(name: str):
+    model = load_model(SCENARIOS / f"{name}.json")
+    return plan_task(model, sample_sphere(SAMPLES, SEED)), model
+
+
+def _runs(name: str, reps: int, faults=None) -> list[dict]:
+    plans, model = _task(name)
+    out = []
+    for rep in range(reps):
+        res = execute_once(plans, model, seed=SEED, repetition=rep, faults=faults)
+        out.append({"buckets": dict(res.buckets), "outcome": res.outcome,
+                    "error": None if res.error is None else res.error.value})
+    return out
+
+
+def _decompose_names(name: str) -> list[str]:
+    plans, model = _task(name)
+    state = ExecState.initial(model, detection_noise=detection_offsets(model, SEED, 0))
+    trace = interpret(plans, state, model, _dry_executor)
+    return [record.ap.name.value for record in trace.records]
+
+
+def collect() -> dict:
+    return {
+        "seed": SEED,
+        "samples": SAMPLES,
+        "single_screw": _runs("single_screw", 5),
+        "valve": _runs("valve", 2),
+        "single_screw_faults": {
+            kind: _runs("single_screw", 1, [FaultSpec(kind, 0, sigma=6.0)])
+            for kind in ("tool_slip", "force_noise", "feature_dropout")},
+        "valve_decompose": _decompose_names("valve"),
+    }
+
+
+def test_reference_runs_unchanged():
+    expected = json.loads(REFERENCE.read_text(encoding="utf-8"))
+    assert collect() == expected
+
+
+if __name__ == "__main__":
+    REFERENCE.parent.mkdir(exist_ok=True)
+    REFERENCE.write_text(json.dumps(collect(), indent=1, sort_keys=True) + "\n",
+                         encoding="utf-8")

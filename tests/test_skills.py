@@ -170,7 +170,7 @@ def test_gold_sequence_single_screw(single_screw_model, dirs2k):
     offs = detection_offsets(single_screw_model, 0, 0)
     state = ExecState.initial(single_screw_model, detection_noise=offs)
     mp = plans[0].steps[0]
-    aps = decompose(mp, None, None, state, single_screw_model,
+    aps = decompose(mp, None, state, single_screw_model,
                     direction_hint=plans[0].direction_hints[0])
     assert [ap.name.value for ap in aps] == [
         "getTool", "roughPos", "finePos", "processObj",
@@ -185,7 +185,7 @@ def test_move_at_goal_without_features_expands_empty():
     state = _state(model, noise=0.0)
     state.robot_pose = model.component("part").grasp_pose()
     mp = ManipulationPrimitive(MPKind.MOVE, "part", Tool.GRIPPER)
-    assert decompose(mp, None, None, state, model) == []
+    assert decompose(mp, None, state, model) == []
 
 
 def test_pull_mid_plan_releases_before_next_component():
@@ -193,7 +193,7 @@ def test_pull_mid_plan_releases_before_next_component():
     state = _state(model, held_tool=Tool.GRIPPER)
     mp = ManipulationPrimitive(MPKind.PULL, "part", Tool.GRIPPER)
     nxt = ManipulationPrimitive(MPKind.MOVE, "other", Tool.GRIPPER)
-    aps = decompose(mp, None, nxt, state, model)
+    aps = decompose(mp, nxt, state, model)
     names = [ap.name.value for ap in aps]
     assert "putObj" in names
 
@@ -203,7 +203,7 @@ def test_pull_followed_by_put_keeps_holding():
     state = _state(model, held_tool=Tool.GRIPPER)
     mp = ManipulationPrimitive(MPKind.PULL, "part", Tool.GRIPPER)
     nxt = ManipulationPrimitive(MPKind.PUT, "part", Tool.GRIPPER)
-    aps = decompose(mp, None, nxt, state, model)
+    aps = decompose(mp, nxt, state, model)
     assert "putObj" not in [ap.name.value for ap in aps]
 
 
@@ -211,7 +211,7 @@ def test_put_in_assembly_places_at_installed_pose():
     model = _mk_model()
     state = _state(model, held_tool=Tool.GRIPPER, held_object="part")
     mp = ManipulationPrimitive(MPKind.PUT, "part", Tool.GRIPPER)
-    aps = decompose(mp, None, None, state, model, assembly=True)
+    aps = decompose(mp, None, state, model, assembly=True)
     assert aps[0].name is SkillName.PUT_OBJ
     assert aps[0].place_pose.approx_equal(model.component("part").pose)
 
@@ -220,7 +220,7 @@ def test_put_without_carried_object_expands_empty():
     model = _mk_model()
     state = _state(model, held_tool=Tool.GRIPPER)
     mp = ManipulationPrimitive(MPKind.PUT, "part", Tool.GRIPPER)
-    assert decompose(mp, None, None, state, model) == []
+    assert decompose(mp, None, state, model) == []
 
 
 def test_decompose_idempotent(single_screw_model, dirs2k):
@@ -228,8 +228,8 @@ def test_decompose_idempotent(single_screw_model, dirs2k):
     offs = detection_offsets(single_screw_model, 0, 0)
     state = ExecState.initial(single_screw_model, detection_noise=offs)
     mp = plans[0].steps[0]
-    a = decompose(mp, None, None, state, single_screw_model)
-    b = decompose(mp, None, None, state, single_screw_model)
+    a = decompose(mp, None, state, single_screw_model)
+    b = decompose(mp, None, state, single_screw_model)
     assert [x.to_json_line() for x in a] == [x.to_json_line() for x in b]
 
 
@@ -239,7 +239,7 @@ def test_missing_tool_station_unresolvable():
     state = _state(model)
     mp = ManipulationPrimitive(MPKind.PULL, "part", Tool.GRIPPER)
     with pytest.raises(UnresolvableGoal):
-        decompose(mp, None, None, state, model)
+        decompose(mp, None, state, model)
 
 
 def test_tool_change_stows_current_tool_first():
@@ -251,7 +251,7 @@ def test_tool_change_stows_current_tool_first():
     object.__setattr__(model, "relations", (rel,))
     state = _state(model, held_tool=Tool.GRIPPER)
     mp = ManipulationPrimitive(MPKind.TWIST, "part", Tool.SCREWDRIVER)
-    aps = decompose(mp, None, None, state, model)
+    aps = decompose(mp, None, state, model)
     assert aps[0].name is SkillName.PUT_TOOL and aps[0].tool.tool is Tool.GRIPPER
     assert aps[1].name is SkillName.GET_TOOL and aps[1].tool.tool is Tool.SCREWDRIVER
 
@@ -338,9 +338,8 @@ def test_effects_of_individual_aps(valve_model, dirs2k):
     from dismantle.skills import apply_effect, flatten_plans, decompose
     flat = flatten_plans(plans)
     for k, (plan, i, mp) in enumerate(flat):
-        mp_prev = flat[k - 1][2] if k > 0 else None
         mp_next = flat[k + 1][2] if k + 1 < len(flat) else None
-        for ap in decompose(mp, mp_prev, mp_next, state, valve_model,
+        for ap in decompose(mp, mp_next, state, valve_model,
                             assembly=plan.assembly,
                             direction_hint=plan.direction_hints.get(i)):
             res = _dry_executor(ap, state)
