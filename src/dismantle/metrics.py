@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import DEFAULT_CAMERA
 from .control import (BUCKET_FTC, BUCKET_N, BUCKET_PATH, BUCKET_VSC,
                       CLOCK_UNIT_S, RELEASE_DIST, ContactPlane, FaultHook,
-                      PlantState, Retention, run_skill)
+                      PlantState, Retention, TickRow, run_skill)
 from .errors import (ErrorType, InapplicablePrimitive, SingularJacobian,
                      SkillTimeout, UnresolvableGoal)
 from .model import AssemblyModel
@@ -48,12 +47,19 @@ class FaultSpec:
     def __post_init__(self):
         if self.kind not in ("tool_slip", "force_noise", "feature_dropout"):
             raise ValueError(f"unknown fault kind: {self.kind}")
+        if type(self.repetition) is not int or self.repetition < 0:
+            raise ValueError(f"repetition must be an int >= 0: {self.repetition!r}")
+        if self.ap_index is not None and (type(self.ap_index) is not int
+                                          or self.ap_index < 0):
+            raise ValueError(f"ap_index must be null or an int >= 0: {self.ap_index!r}")
+        if not 0.0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and positive: {self.sigma!r}")
 
 
 def load_fault_specs(path) -> list[FaultSpec]:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    return [FaultSpec(kind=f["kind"], repetition=int(f["repetition"]),
+    return [FaultSpec(kind=f["kind"], repetition=f["repetition"],
                       ap_index=f.get("ap_index"),
                       sigma=float(f.get("sigma", 6.0)))
             for f in doc.get("faults", [])]
@@ -86,14 +92,13 @@ class _Executor:
     def __init__(self, model: AssemblyModel, seed: int, repetition: int,
                  faults: list[FaultSpec], collect_rows: bool = False):
         self.model = model
-        self.camera = DEFAULT_CAMERA
         self.plant = PlantState(pose=model.robot_start)
         self.clock_units = 0
         self.faults = [f for f in faults if f.repetition == repetition]
         self.noise_rng = np.random.default_rng(
             np.random.SeedSequence([seed, repetition, 7]))
         self.collect_rows = collect_rows
-        self.rows: list[tuple] = []
+        self.rows: list[TickRow] = []
         self._eligible_seen: dict[str, int] = {}
 
     def _fault_for(self, kinds: tuple[str, ...], ap: SkillPrimitive) -> FaultSpec | None:
@@ -158,7 +163,7 @@ class _Executor:
 
         try:
             plant, log = run_skill(ap, plant, start_units=self.clock_units,
-                                   camera=self.camera, fault=hook)
+                                   fault=hook)
         except SkillTimeout as exc:
             self._absorb(exc.log)
             self.plant = PlantState(pose=exc.state.pose)
@@ -196,9 +201,7 @@ class _Executor:
     def _absorb(self, log) -> None:
         self.clock_units += log.total_units()
         if self.collect_rows:
-            for row in log.rows:
-                self.rows.append((row.t_units, row.controller, row.u,
-                                  row.wrench, row.feat_err_px))
+            self.rows.extend(log.rows)
 
 
 @dataclass
@@ -359,14 +362,14 @@ def run_experiment(plans: Plan | list[Plan], model: AssemblyModel,
     return aggregate(results, mp_count), results
 
 
-def write_tick_csv(rows: list[tuple], path) -> None:
+def write_tick_csv(rows: list[TickRow], path) -> None:
     """Per-tick log: t, controller, commanded twist, wrench, feature error."""
     header = ("t,controller,ux,uy,uz,wx,wy,wz,Fx,Fy,Fz,Tx,Ty,Tz,feat_err_px")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for t_units, controller, u, wrench, feat_err in rows:
-            vals = [f"{t_units * CLOCK_UNIT_S:.2f}", controller]
-            vals += [f"{x:.9f}" for x in u]
-            vals += [f"{x:.6f}" for x in wrench]
-            vals.append(f"{feat_err:.6f}")
+        for row in rows:
+            vals = [f"{row.t_units * CLOCK_UNIT_S:.2f}", row.controller]
+            vals += [f"{x:.9f}" for x in row.u]
+            vals += [f"{x:.6f}" for x in row.wrench]
+            vals.append(f"{row.feat_err_px:.6f}")
             fh.write(",".join(vals) + "\n")

@@ -82,8 +82,8 @@ class FeatureGeometry:
         d = np.asarray(self.direction, dtype=float)
         if d.shape != (3,):
             raise ValueError(f"direction must be a 3-vector, got {d.shape}")
-        if abs(np.linalg.norm(d) - 1.0) > 1e-6:
-            raise ValueError(f"direction not unit norm: {d}")
+        if not abs(np.linalg.norm(d) - 1.0) <= 1e-6:  # also rejects NaN and inf
+            raise ValueError(f"direction must be a finite unit vector: {d}")
         d = d / np.linalg.norm(d)
         d.flags.writeable = False
         object.__setattr__(self, "direction", d)
@@ -290,8 +290,9 @@ def _parse_relation(obj: dict, components: dict[str, Component], path: str) -> S
     if "frame" in geo_obj:
         frame_local = _parse_pose(geo_obj["frame"], path, "relations[].geometry.frame")
     direction_local = np.asarray(_require(geo_obj, "direction", path), dtype=float)
-    if direction_local.shape != (3,):
-        raise ParseError("geometry direction must be a 3-vector",
+    if (direction_local.shape != (3,)
+            or not 0.0 < np.linalg.norm(direction_local) < np.inf):
+        raise ParseError("geometry direction must be a finite nonzero 3-vector",
                          path=path, field="relations[].geometry.direction")
 
     first = pair[0]

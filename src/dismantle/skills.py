@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .camera import DEFAULT_CAMERA, CameraModel
+from .camera import DEFAULT_CAMERA
 from .errors import ErrorType, UnresolvableGoal
 from .geometry import IDENTITY, Pose
 from .model import AssemblyModel, Component, Semantic, Tool
@@ -357,16 +357,16 @@ def _feature_points_world(source: Component, state: ExecState,
 
 
 def _expected_residual_px(noise: np.ndarray | None, source: Component | None,
-                          engage: Pose, state: ExecState, model: AssemblyModel,
-                          camera: CameraModel) -> float:
+                          engage: Pose, state: ExecState,
+                          model: AssemblyModel) -> float:
     if noise is None or source is None:
         return 0.0
     pts = _feature_points_world(source, state, model)
-    _, depths = camera.project(pts, engage)
+    _, depths = DEFAULT_CAMERA.project(pts, engage)
     depth = float(np.mean(np.abs(depths)))
     if depth < 1e-6:
         return float("inf")
-    return float(np.linalg.norm(noise)) * camera.focal / depth
+    return float(np.linalg.norm(noise)) * DEFAULT_CAMERA.focal / depth
 
 
 # ------------------------------------------------------------ AP constructors
@@ -383,9 +383,9 @@ def _pos_move(name: SkillName, goal: Pose, tool_cmd: ToolCommand = IDLE_TOOL,
 
 
 def _fine_pos(source: Component, engage: Pose, state: ExecState,
-              model: AssemblyModel, camera: CameraModel) -> SkillPrimitive:
+              model: AssemblyModel) -> SkillPrimitive:
     pts = _feature_points_world(source, state, model)
-    f_des, depths = camera.project(pts, engage)
+    f_des, depths = DEFAULT_CAMERA.project(pts, engage)
     if np.any(depths <= 0.0):
         raise UnresolvableGoal(
             f"features of '{source.id}' lie behind the camera at the goal pose")
@@ -470,8 +470,7 @@ def _process_aps(mp: ManipulationPrimitive, comp: Component, engage: Pose,
 
 def rule_set(state: ExecState, mp: ManipulationPrimitive,
              mp_next: ManipulationPrimitive | None, model: AssemblyModel,
-             assembly: bool = False,
-             camera: CameraModel = DEFAULT_CAMERA) -> set[str]:
+             assembly: bool = False) -> set[str]:
     """Snapshot evaluation of all six decision rules for one primitive."""
     comp = model.component(mp.component)
     enabled: set[str] = set()
@@ -484,7 +483,7 @@ def rule_set(state: ExecState, mp: ManipulationPrimitive,
     if rule_rough_pos(_noisy(engage, noise), state.robot_pose):
         enabled.add("roughPos")
     source = _feature_source(comp, model, assembly, state)
-    residual = _expected_residual_px(noise, source, engage, state, model, camera)
+    residual = _expected_residual_px(noise, source, engage, state, model)
     if rule_fine_pos(source is not None, residual):
         enabled.add("finePos")
     if rule_put_obj(state.carried(), mp, mp_next):
@@ -498,8 +497,7 @@ def decompose(mp: ManipulationPrimitive,
               mp_next: ManipulationPrimitive | None,
               state: ExecState, model: AssemblyModel,
               assembly: bool = False,
-              direction_hint: np.ndarray | None = None,
-              camera: CameraModel = DEFAULT_CAMERA) -> list[SkillPrimitive]:
+              direction_hint: np.ndarray | None = None) -> list[SkillPrimitive]:
     """Expand one manipulation primitive against the current state.
 
     The expansion is static: the state evolution through the primitive
@@ -538,9 +536,9 @@ def decompose(mp: ManipulationPrimitive,
             aps.append(_pos_move(SkillName.ROUGH_POS, estimate))
             cursor = estimate
         source = _feature_source(comp, model, assembly, state)
-        residual = _expected_residual_px(noise, source, engage, state, model, camera)
+        residual = _expected_residual_px(noise, source, engage, state, model)
         if rule_fine_pos(source is not None, residual):
-            aps.append(_fine_pos(source, engage, state, model, camera))
+            aps.append(_fine_pos(source, engage, state, model))
             cursor = engage
 
         process = _process_aps(mp, comp, engage, assembly, direction_hint)
@@ -583,9 +581,9 @@ def decompose(mp: ManipulationPrimitive,
             cursor = estimate
         source = (_feature_source(comp, model, assembly=False, state=state)
                   if not assembly else None)
-        residual = _expected_residual_px(noise, source, goal, state, model, camera)
+        residual = _expected_residual_px(noise, source, goal, state, model)
         if rule_fine_pos(source is not None, residual):
-            aps.append(_fine_pos(source, goal, state, model, camera))
+            aps.append(_fine_pos(source, goal, state, model))
         return aps
 
     if mp.kind is MPKind.PUT:
@@ -630,9 +628,6 @@ class ExecTrace:
     outcome: str = "success"
     error: ErrorType | None = None
     message: str = ""
-
-    def ap_names(self) -> list[str]:
-        return [r.ap.name.value for r in self.records]
 
 
 def apply_effect(ap: SkillPrimitive, state: ExecState, result: StepResult,
@@ -686,7 +681,7 @@ def flatten_plans(plans: Plan | list[Plan]) -> list[tuple[Plan, int, Manipulatio
 
 
 def interpret(plans: Plan | list[Plan], state: ExecState, model: AssemblyModel,
-              executor, camera: CameraModel = DEFAULT_CAMERA) -> ExecTrace:
+              executor) -> ExecTrace:
     """Run the plan: decompose each primitive against the live state and feed
     the resulting skill primitives to the executor callback.
 
@@ -701,8 +696,7 @@ def interpret(plans: Plan | list[Plan], state: ExecState, model: AssemblyModel,
         mp_next = flat[k + 1][2] if k + 1 < len(flat) else None
         aps = decompose(mp, mp_next, state, model,
                         assembly=plan.assembly,
-                        direction_hint=plan.direction_hints.get(i),
-                        camera=camera)
+                        direction_hint=plan.direction_hints.get(i))
         for ap in aps:
             result = executor(ap, state)
             apply_effect(ap, state, result, model)

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from dismantle.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -58,6 +60,38 @@ def test_non_finite_pose_is_parse_error(tmp_path, capsys):
     code, out, err = _run(capsys, "plan", bad, "--samples", 500)
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "finite" in err and "screw_1" in err
+
+
+@pytest.mark.parametrize("direction", [[0, 0, 0], [float("nan"), 0, 1]],
+                         ids=["zero", "nan"])
+def test_bad_relation_direction_is_parse_error(tmp_path, capsys, direction):
+    doc = json.loads((SCENARIOS / "single_screw.json").read_text())
+    doc["relations"][0]["geometry"]["direction"] = direction
+    bad = tmp_path / "dir.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "plan", bad, "--samples", 500)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert "finite nonzero" in err and "geometry.direction" in err
+
+
+@pytest.mark.parametrize("fault", [
+    {"kind": "force_noise", "repetition": 0, "sigma": float("nan")},
+    {"kind": "force_noise", "repetition": 0, "sigma": -1},
+    {"kind": "tool_slip", "repetition": -3},
+    {"kind": "tool_slip", "repetition": 2.7},
+    {"kind": "tool_slip", "repetition": 0, "ap_index": "x"},
+], ids=["sigma_nan", "sigma_negative", "repetition_negative", "repetition_float",
+        "ap_index_str"])
+def test_bad_fault_field_exits_one(tmp_path, capsys, fault):
+    faults = tmp_path / "faults.json"
+    faults.write_text(json.dumps({"faults": [fault]}))
+    code, out, err = _run(capsys, "simulate", SCENARIOS / "single_screw.json",
+                          "--samples", 500, "--faults", faults,
+                          "--out", tmp_path / "run")
+    assert code == 1 and out == ""
+    assert err.startswith("error: bad fault specification") and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
 
 
 def test_validation_error_exit_code(tmp_path, capsys):

@@ -299,6 +299,31 @@ def test_run_skill_force_approach_band():
     assert log.buckets["ftc"] > 0 and log.buckets["path"] == 0
 
 
+def test_run_skill_force_spin_returns_to_hold_orientation():
+    # a 4 s force-held spin that starts 0.2 rad off its hold orientation
+    press = np.array([0.0, 0.0, -1.0])
+    hold_rv = np.array([0.0, 0.0, 0.5])
+    hold = Pose.from_rotvec(np.zeros(3), hold_rv)
+    tilt = Pose.from_rotvec(np.zeros(3), np.array([0.2, 0.0, 0.0]))
+    start = Pose(np.array([0.3, 0.0, -0.00095]),  # 9.5 N into the wall
+                 tilt.compose(hold).orientation)
+    wall = ContactPlane(point=np.array([0.3, 0.0, 0.0]),
+                        normal=np.array([0.0, 0.0, 1.0]))
+    hm = HybridMove(TaskFrame.TCP, (ControlMode.FTC,) * 3 + (ControlMode.POS,) * 3,
+                    np.concatenate([[10.0, 0.0, 0.0], hold_rv]), contact_axis=press)
+    ap = SkillPrimitive(SkillName.PROCESS_OBJ, hm,
+                        ToolCommand(Tool.SCREWDRIVER, ToolCmd.SPIN_CCW),
+                        StopCondition(StopKind.TOOL_DONE, np.array([4.0]), 1e-9),
+                        component="c", process="unscrew")
+    new, log = run_skill(ap, PlantState(pose=start, contacts=(wall,)))
+    assert log.buckets == {"path": 0, "vsc": 0, "ftc": units(4.0), "n": 0}
+    assert np.linalg.norm(log.rows[0].u[3:]) == pytest.approx(0.5)  # saturated
+    assert new.pose.rotation_to(hold) == pytest.approx(np.zeros(3), abs=1e-6)
+    np.testing.assert_array_equal(new.pose.position[:2], start.position[:2])
+    forces = np.array([-row.wrench[:3] @ press for row in log.rows])
+    assert np.all(np.abs(forces - 10.0) <= 0.5)
+
+
 def test_run_skill_fine_pos_accuracy():
     cam = DEFAULT_CAMERA
     goal = Pose(np.array([0.3, 0.0, 0.20]))

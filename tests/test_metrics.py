@@ -140,6 +140,16 @@ def test_fault_spec_loading(tmp_path):
 def test_unknown_fault_kind_rejected():
     with pytest.raises(ValueError):
         FaultSpec("gremlins", 0)
+    bad = [dict(repetition=-3), dict(repetition=1.0), dict(repetition=True),
+           dict(ap_index=-1), dict(ap_index="x"), dict(ap_index=0.0),
+           dict(sigma=float("nan")), dict(sigma=float("inf")),
+           dict(sigma=-1.0), dict(sigma=0.0)]
+    for fields in bad:
+        spec = dict(kind="force_noise", repetition=0) | fields
+        with pytest.raises(ValueError):
+            FaultSpec(**spec)
+    ok = FaultSpec("tool_slip", 0, ap_index=0, sigma=0.5)
+    assert (ok.repetition, ok.ap_index, ok.sigma) == (0, 0, 0.5)
 
 
 def test_table_formatting_labels(screw_task):

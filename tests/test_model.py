@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dismantle.errors import ParseError, UnknownComponent, ValidationError
-from dismantle.model import (AssemblyModel, Component, RelationKind, Semantic,
+from dismantle.model import (AssemblyModel, Component, FeatureGeometry,
+                             GeometryKind, RelationKind, Semantic,
                              Tool, contacts_of, load_model, load_model_dict,
                              model_to_dict, models_equal, write_model)
 
@@ -90,6 +91,12 @@ def test_relation_direction_transformed_to_world(tmp_path, single_screw_path):
     path.write_text(json.dumps(doc))
     m = load_model(path)
     assert np.allclose(m.relations[0].direction, [0.0, -1.0, 0.0], atol=1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_feature_geometry_rejects_non_finite_direction(bad):
+    with pytest.raises(ValueError, match="finite"):
+        FeatureGeometry(GeometryKind.LINE, direction=np.array([bad, 0.0, 1.0]))
 
 
 def test_contacts_of_valve(valve_model):
