@@ -7,7 +7,8 @@ error to velocity, run at 50 Hz) and an image-based visual-servoing controller
 inverse, run at 20 Hz; the lower rate models feature-extraction cost).
 
 The plant is a velocity-integrating Cartesian robot over a contact-spring
-environment observed by the flange camera.  Time is simulated, not measured:
+environment; it reports the contact wrench.  The flange camera is read by the
+skill loop, once per visual-servoing tick.  Time is simulated, not measured:
 the clock advances in integer units of 10 ms, so 50 Hz and 20 Hz ticks are
 exact (2 and 5 units) and per-bucket time sums are exact integer arithmetic.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .camera import DEFAULT_CAMERA, CameraModel
+from .camera import CX, CY, FOCAL_PX, camera_pose, project
 from .errors import SingularJacobian, SkillTimeout
 from .geometry import Pose, pose_step
 from .skills import (GRIP_ACTION_S, TOOL_SWAP_S, ControlMode, SkillName,
@@ -30,6 +31,8 @@ UNITS_PER_VSC_TICK = 5       # 20 Hz visual-servoing loop
 
 RATE_POS_HZ = 1.0 / (UNITS_PER_POS_TICK * CLOCK_UNIT_S)
 RATE_VSC_HZ = 1.0 / (UNITS_PER_VSC_TICK * CLOCK_UNIT_S)
+
+IBVS_GAIN = 0.125            # 1/s feature-error decay rate
 
 V_MAX_LIN = 0.1              # m/s
 V_MAX_ANG = 0.5              # rad/s
@@ -86,16 +89,6 @@ class Wrench:
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.force, self.torque])
-
-
-@dataclass(frozen=True)
-class IbvsParams:
-    gain: float = 0.125
-    rate_hz: float = RATE_VSC_HZ
-
-    def __post_init__(self):
-        if self.gain <= 0.0 or self.rate_hz <= 0.0:
-            raise ValueError("gain and rate_hz must be positive")
 
 
 @dataclass(frozen=True)
@@ -168,42 +161,42 @@ def admittance_step(params: AdmittanceParams, f_des: Wrench, f_act: Wrench,
     return u_new, (u_new, ud_new)
 
 
-def feature_jacobian(features: FeatureVector,
-                     camera: CameraModel = DEFAULT_CAMERA) -> np.ndarray:
+def feature_jacobian(features: FeatureVector) -> np.ndarray:
     """Stacked 2x6 point-feature interaction matrices in pixel units.
 
-    Rows follow the standard convention for a point at pixel offset (u, v)
-    from the principal point and depth Z with focal length f:
+    Rows follow the standard convention (Chaumette & Hutchinson, "Visual
+    servo control I", IEEE RAM 2006) for a point at pixel offset (u, v) from
+    the principal point and depth Z with focal length f:
 
         [-f/Z   0    u/Z   u*v/f     -(f^2+u^2)/f   v ]
         [ 0   -f/Z   v/Z   (f^2+v^2)/f   -u*v/f    -u ]
     """
-    f = camera.focal
+    f = FOCAL_PX
     px = features.pixels.reshape(-1, 2)
-    rows = []
-    for (u, v), z in zip(px, features.depths):
-        du = u - camera.cx
-        dv = v - camera.cy
-        rows.append([-f / z, 0.0, du / z, du * dv / f,
-                     -(f * f + du * du) / f, dv])
-        rows.append([0.0, -f / z, dv / z, (f * f + dv * dv) / f,
-                     -du * dv / f, -du])
-    return np.asarray(rows)
+    z = features.depths
+    du = px[:, 0] - CX
+    dv = px[:, 1] - CY
+    zero = np.zeros_like(z)
+    row_u = np.stack([-f / z, zero, du / z, du * dv / f,
+                      -(f * f + du * du) / f, dv], axis=1)
+    row_v = np.stack([zero, -f / z, dv / z, (f * f + dv * dv) / f,
+                      -du * dv / f, -du], axis=1)
+    return np.stack([row_u, row_v], axis=1).reshape(-1, 6)
 
 
-def ibvs_step(params: IbvsParams, f_des: FeatureVector,
-              f_act: FeatureVector) -> np.ndarray:
+def ibvs_step(target_px: np.ndarray, f_act: FeatureVector) -> np.ndarray:
     """P-control on the feature error through the left pseudo-inverse.
 
-    u = gain * (J^T J)^-1 J^T (f_des - f_act), expressed in the camera frame.
+    u = IBVS_GAIN * (J^T J)^-1 J^T (target_px - f_act.pixels), expressed in
+    the camera frame.
     """
     jac = feature_jacobian(f_act)
     jtj = jac.T @ jac
     eigvals = np.linalg.eigvalsh(jtj)
     if eigvals[0] <= 1e-9 * max(eigvals[-1], 1.0):
         raise SingularJacobian("feature set is degenerate for servoing")
-    err = f_des.pixels - f_act.pixels
-    return params.gain * np.linalg.solve(jtj, jac.T @ err)
+    err = target_px - f_act.pixels
+    return IBVS_GAIN * np.linalg.solve(jtj, jac.T @ err)
 
 
 def position_step(goal: Pose, current: Pose, v_max: float = V_MAX_LIN,
@@ -240,19 +233,14 @@ def contact_wrench(pose: Pose, contacts: tuple[ContactPlane, ...],
 
 
 def plant_step(state: PlantState, u: np.ndarray, dt: float,
-               ) -> tuple[PlantState, tuple[Wrench, FeatureVector | None]]:
-    """Integrate the commanded twist and report contact wrench and features."""
+               ) -> tuple[PlantState, Wrench]:
+    """Integrate the commanded twist and report the contact wrench there."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     u = np.asarray(u, dtype=float)
     pose = pose_step(state.pose, u[:3], u[3:], dt)
     wrench = contact_wrench(pose, state.contacts, state.retentions)
-    feats = None
-    if state.tracked_points is not None:
-        px, z = DEFAULT_CAMERA.project(state.tracked_points, pose)
-        if np.all(z > 0.0):
-            feats = FeatureVector(px, z)
-    return replace(state, pose=pose), (wrench, feats)
+    return replace(state, pose=pose), wrench
 
 
 # ------------------------------------------------------------- skill loop
@@ -314,7 +302,17 @@ def _tool_units(ap: SkillPrimitive) -> int:
 
 
 _ADMITTANCE = AdmittanceParams()
-_IBVS = IbvsParams()
+
+
+def _abort(exc: Exception, stopped_by: str, state: PlantState, log: StepLog,
+           wrench: Wrench, feat_err: float) -> Exception:
+    """Attach the partial plant state and accounting to a skill failure."""
+    log.stopped_by = stopped_by
+    log.final_wrench = wrench.as_vector()
+    log.final_feat_err = feat_err
+    exc.state = state
+    exc.log = log
+    return exc
 
 
 def run_skill(ap: SkillPrimitive, state: PlantState,
@@ -325,8 +323,10 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
     The controller is selected per the hybrid move's per-axis modes; position
     and force loops run at 50 Hz, visual servoing at 20 Hz.  Tool actuation
     consumes fixed non-motion time booked as non-productive.  Raises
-    SkillTimeout (with the partial log attached) if the stop condition never
-    fires within the skill's time budget.
+    SkillTimeout if the stop condition never fires within the skill's time
+    budget, and SingularJacobian if a tracked point is not in front of the
+    camera or the features are degenerate; both carry the partial plant state
+    and log.
     """
     fault = fault or FaultHook()
     controller = _primary_controller(ap)
@@ -365,7 +365,12 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
     feat_err = 0.0
     while motion_needed:
         if sighted:
-            px, z = DEFAULT_CAMERA.project(state.tracked_points, state.pose)
+            cam = camera_pose(state.pose)
+            px, z = project(state.tracked_points, cam)
+            if not np.all(z > 0.0):
+                raise _abort(SingularJacobian(
+                    f"{ap.name.value}: a tracked feature is not in front of "
+                    "the camera"), "singular", state, log, wrench, feat_err)
 
         # stop-condition check against the latest observations
         if ap.stop.kind is StopKind.POSE_REACHED:
@@ -389,26 +394,23 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
                 break
 
         if elapsed >= budget:
-            log.stopped_by = "timeout"
-            log.final_wrench = wrench.as_vector()
-            log.final_feat_err = feat_err
-            exc = SkillTimeout(
+            raise _abort(SkillTimeout(
                 f"{ap.name.value} stop condition {ap.stop.kind.value} "
-                f"not met within {ap.stop.timeout_s:.0f} s")
-            exc.state = state  # partial plant state and accounting for the caller
-            exc.log = log
-            raise exc from None
+                f"not met within {ap.stop.timeout_s:.0f} s"),
+                "timeout", state, log, wrench, feat_err)
 
         # controller command
         if controller == BUCKET_VSC:
             if not sighted:
                 u = np.zeros(6)
             else:
-                feats = FeatureVector(px, z)
-                u_cam = ibvs_step(_IBVS, FeatureVector(ap.stop.target, z), feats)
-                cam_pose = DEFAULT_CAMERA.camera_pose(state.pose)
-                u = np.concatenate([cam_pose.rotate(u_cam[:3]),
-                                    cam_pose.rotate(u_cam[3:])])
+                try:
+                    u_cam = ibvs_step(ap.stop.target, FeatureVector(px, z))
+                except SingularJacobian as exc:
+                    _abort(exc, "singular", state, log, wrench, feat_err)
+                    raise
+                u = np.concatenate([cam.rotate(u_cam[:3]),
+                                    cam.rotate(u_cam[3:])])
         elif controller == BUCKET_FTC:
             measured = -wrench.force @ axis
             f_act = Wrench(np.array([measured, 0.0, 0.0]))
@@ -418,7 +420,7 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
         else:
             u = position_step(goal, state.pose)
 
-        state, (wrench, _) = plant_step(state, u, dt)
+        state, wrench = plant_step(state, u, dt)
         wrench = fault.disturb_wrench(wrench)
         elapsed += tick_units
         log.buckets[controller] += tick_units

@@ -22,8 +22,10 @@ from .model import (AXIAL_KINDS, AssemblyModel, RelationKind, SpatialRelation,
 # Boundary tolerance for half-space membership (inclusive boundary) and the
 # half-angle of the admissible cone around a joint axis.  The cone must stay
 # wider than the lattice spacing at the default sample count (n = 10_000,
-# spacing about 2 degrees).
-EPS_ANG = 1e-6
+# spacing about 2 degrees).  EPS_ANG only absorbs float rounding: sampled
+# spaces can represent only sets of positive solid angle, so the zero-measure
+# band between opposing half spaces stays empty at every sample count.
+EPS_ANG = 1e-12
 EPS_CONE = np.deg2rad(5.0)
 CONE_SLACK = np.deg2rad(2.0)  # classification slack on top of EPS_CONE
 

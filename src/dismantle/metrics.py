@@ -164,15 +164,11 @@ class _Executor:
         try:
             plant, log = run_skill(ap, plant, start_units=self.clock_units,
                                    fault=hook)
-        except SkillTimeout as exc:
+        except (SkillTimeout, SingularJacobian) as exc:
             self._absorb(exc.log)
             self.plant = PlantState(pose=exc.state.pose)
             return StepResult(ok=False, end_pose=exc.state.pose,
                               buckets=dict(exc.log.buckets),
-                              error=ErrorType.SENSE_AND_CONTROL,
-                              message=str(exc))
-        except SingularJacobian as exc:
-            return StepResult(ok=False, end_pose=self.plant.pose, buckets={},
                               error=ErrorType.SENSE_AND_CONTROL,
                               message=str(exc))
 

@@ -13,7 +13,7 @@ coordinates.  See ``docs/scenario_format.md`` for the full schema.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -242,6 +242,16 @@ def _require(obj: dict, key: str, path: str):
     return obj[key]
 
 
+def _number(value, path: str, field_name: str) -> float:
+    """A JSON number (not a bool) as a float, else a ParseError naming the field."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ParseError(f"{value!r:.40} is not a number", path=path, field=field_name)
+
+
 def _parse_pose(obj, path, field_name) -> Pose:
     try:
         return Pose.from_json(obj)
@@ -289,11 +299,16 @@ def _parse_relation(obj: dict, components: dict[str, Component], path: str) -> S
     frame_local = IDENTITY
     if "frame" in geo_obj:
         frame_local = _parse_pose(geo_obj["frame"], path, "relations[].geometry.frame")
-    direction_local = np.asarray(_require(geo_obj, "direction", path), dtype=float)
+    dir_field = "relations[].geometry.direction"
+    raw = _require(geo_obj, "direction", path)
+    if not isinstance(raw, list):
+        raise ParseError("geometry direction must be a list of numbers",
+                         path=path, field=dir_field)
+    direction_local = np.array([_number(x, path, dir_field) for x in raw])
     if (direction_local.shape != (3,)
             or not 0.0 < np.linalg.norm(direction_local) < np.inf):
         raise ParseError("geometry direction must be a finite nonzero 3-vector",
-                         path=path, field="relations[].geometry.direction")
+                         path=path, field=dir_field)
 
     first = pair[0]
     if first not in components:
@@ -341,6 +356,11 @@ def load_model_dict(doc: dict, path: str = "<dict>") -> AssemblyModel:
         except ValueError as exc:
             raise ParseError(str(exc), path=path, field="tool_map") from None
 
+    vision_noise = _number(doc.get("vision_noise", 0.005), path, "vision_noise")
+    if not 0.0 <= vision_noise < np.inf:
+        raise ParseError("vision_noise must be finite and >= 0", path=path,
+                         field="vision_noise")
+
     robot_start = IDENTITY
     if "robot_start" in doc:
         robot_start = _parse_pose(doc["robot_start"], path, "robot_start")
@@ -353,7 +373,7 @@ def load_model_dict(doc: dict, path: str = "<dict>") -> AssemblyModel:
         robot_start=robot_start,
         reassemble=bool(doc.get("reassemble", False)),
         tool_map=tool_map,
-        vision_noise=float(doc.get("vision_noise", 0.005)),
+        vision_noise=vision_noise,
     )
     model.validate()
     return model
@@ -459,11 +479,3 @@ def models_equal(a: AssemblyModel, b: AssemblyModel, tol: float = 1e-9) -> bool:
             return False
     return (a.target == b.target and a.reassemble == b.reassemble
             and a.tool_map == b.tool_map)
-
-
-def without_relations(model: AssemblyModel,
-                      drop: set[int]) -> AssemblyModel:
-    """Copy of the model minus the relations at the given indices (test helper
-    for partially dismantled states)."""
-    kept = tuple(r for i, r in enumerate(model.relations) if i not in drop)
-    return replace(model, relations=kept)

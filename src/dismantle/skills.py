@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .camera import DEFAULT_CAMERA
+from .camera import FOCAL_PX, camera_pose, project
 from .errors import ErrorType, UnresolvableGoal
 from .geometry import IDENTITY, Pose
 from .model import AssemblyModel, Component, Semantic, Tool
@@ -229,9 +229,7 @@ class ExecState:
     held_object: str | None = None
     retained_on_tool: str | None = None
     robot_pose: Pose = IDENTITY
-    vision_pose_estimate: Pose | None = None
     object_poses: dict[str, Pose] = field(default_factory=dict)
-    current_goal: Pose | None = None
     detection_noise: dict[str, np.ndarray] = field(default_factory=dict)
 
     def carried(self) -> str | None:
@@ -362,11 +360,11 @@ def _expected_residual_px(noise: np.ndarray | None, source: Component | None,
     if noise is None or source is None:
         return 0.0
     pts = _feature_points_world(source, state, model)
-    _, depths = DEFAULT_CAMERA.project(pts, engage)
+    _, depths = project(pts, camera_pose(engage))
     depth = float(np.mean(np.abs(depths)))
     if depth < 1e-6:
         return float("inf")
-    return float(np.linalg.norm(noise)) * DEFAULT_CAMERA.focal / depth
+    return float(np.linalg.norm(noise)) * FOCAL_PX / depth
 
 
 # ------------------------------------------------------------ AP constructors
@@ -385,7 +383,7 @@ def _pos_move(name: SkillName, goal: Pose, tool_cmd: ToolCommand = IDLE_TOOL,
 def _fine_pos(source: Component, engage: Pose, state: ExecState,
               model: AssemblyModel) -> SkillPrimitive:
     pts = _feature_points_world(source, state, model)
-    f_des, depths = DEFAULT_CAMERA.project(pts, engage)
+    f_des, depths = project(pts, camera_pose(engage))
     if np.any(depths <= 0.0):
         raise UnresolvableGoal(
             f"features of '{source.id}' lie behind the camera at the goal pose")
@@ -634,8 +632,6 @@ def apply_effect(ap: SkillPrimitive, state: ExecState, result: StepResult,
                  model: AssemblyModel) -> None:
     """State update after one skill-primitive execution."""
     state.robot_pose = result.end_pose
-    if ap.name is SkillName.ROUGH_POS:
-        state.current_goal = Pose.from_rotvec(ap.hm.setpoint[:3], ap.hm.setpoint[3:])
     if not result.ok:
         return
     if ap.name is SkillName.GET_TOOL:
@@ -661,8 +657,6 @@ def apply_effect(ap: SkillPrimitive, state: ExecState, result: StepResult,
             state.held_object = None
         if state.retained_on_tool == cid:
             state.retained_on_tool = None
-    elif ap.name is SkillName.FINE_POS:
-        state.vision_pose_estimate = state.robot_pose
 
     carried = state.carried()
     if carried is not None and carried in state.object_poses:

@@ -15,11 +15,11 @@ from conftest import (FEATURE_SQUARE, STATIONS, brute_force_space,
                       random_contact_model, random_feasible_model,
                       sorted_set_space)
 
-from dismantle.camera import DEFAULT_CAMERA
+from dismantle.camera import camera_pose, project
 from dismantle.cli import main
-from dismantle.control import (AdmittanceParams, FeatureVector, IbvsParams,
-                               Wrench, admittance_step, feature_jacobian,
-                               ibvs_step)
+from dismantle.control import (IBVS_GAIN, RATE_VSC_HZ, AdmittanceParams,
+                               FeatureVector, Wrench, admittance_step,
+                               feature_jacobian, ibvs_step)
 from dismantle.dspace import disassembly_space, sample_sphere, space_from_contacts
 from dismantle.errors import ErrorType
 from dismantle.geometry import Pose, pose_step
@@ -277,11 +277,9 @@ IBVS_POINTS = np.array([[0.35, 0.05, 0.02], [0.25, 0.05, 0.02],
 
 
 def test_criterion_7_ibvs_convergence():
-    cam = DEFAULT_CAMERA
-    params = IbvsParams()
     goal = Pose(np.array([0.3, 0.0, 0.20]))
-    f_des, _ = cam.project(IBVS_POINTS, goal)
-    dt = 1.0 / params.rate_hz
+    f_des, _ = project(IBVS_POINTS, camera_pose(goal))
+    dt = 1.0 / RATE_VSC_HZ
     offsets = [np.array([0.05, 0.0, 0.0]), np.array([0.0, 0.05, 0.0]),
                np.array([0.0, 0.0, 0.05]), np.array([0.0, 0.0, -0.05]),
                np.array([0.03, 0.03, np.sqrt(0.05 ** 2 - 2 * 0.03 ** 2)])]
@@ -290,28 +288,27 @@ def test_criterion_7_ibvs_convergence():
         assert abs(np.linalg.norm(off) - 0.05) < 1e-9
         pose = Pose(goal.position + off)
         for _ in range(int(60.0 / dt)):
-            px, z = cam.project(IBVS_POINTS, pose)
+            cam = camera_pose(pose)
+            px, z = project(IBVS_POINTS, cam)
             if np.max(np.abs(px - f_des)) <= 0.5:
                 break
-            u_cam = ibvs_step(params, FeatureVector(f_des, z),
-                              FeatureVector(px, z))
-            rot = cam.camera_pose(pose).rotation
-            pose = pose_step(pose, rot.apply(u_cam[:3]), rot.apply(u_cam[3:]), dt)
+            u_cam = ibvs_step(f_des, FeatureVector(px, z))
+            pose = pose_step(pose, cam.rotate(u_cam[:3]), cam.rotate(u_cam[3:]), dt)
         err = float(np.linalg.norm(pose.position - goal.position))
         worst = max(worst, err)
         assert err <= 0.0012, off
 
     # ideal plant: feature error decays as exp(-gain * t) within 5%
     start = Pose(goal.position + np.array([0.05, 0.0, 0.0]))
-    feats, z = cam.project(IBVS_POINTS, start)
+    feats, z = project(IBVS_POINTS, camera_pose(start))
     e0 = np.linalg.norm(feats - f_des)
     deviation = 0.0
     for i in range(int(10.0 / dt) + 1):
-        ideal = e0 * np.exp(-params.gain * i * dt)
+        ideal = e0 * np.exp(-IBVS_GAIN * i * dt)
         deviation = max(deviation,
                         abs(np.linalg.norm(feats - f_des) - ideal) / ideal)
-        jac = feature_jacobian(FeatureVector(feats, z), cam)
-        u = ibvs_step(params, FeatureVector(f_des, z), FeatureVector(feats, z))
+        jac = feature_jacobian(FeatureVector(feats, z))
+        u = ibvs_step(f_des, FeatureVector(feats, z))
         feats = feats + jac @ u * dt
     assert deviation <= 0.05
     _ok(7, f"5 start poses at 0.05 m converge to <= {worst * 1000:.2f} mm; "

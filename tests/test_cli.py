@@ -75,6 +75,55 @@ def test_bad_relation_direction_is_parse_error(tmp_path, capsys, direction):
     assert "finite nonzero" in err and "geometry.direction" in err
 
 
+@pytest.mark.parametrize("direction", [["a", 0, 1], [None, 0, 1], [True, 0, 1], "z"],
+                         ids=["str_entry", "null_entry", "bool_entry", "str"])
+def test_non_numeric_relation_direction_is_parse_error(tmp_path, capsys, direction):
+    doc = json.loads((SCENARIOS / "single_screw.json").read_text())
+    doc["relations"][0]["geometry"]["direction"] = direction
+    bad = tmp_path / "dir.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "plan", bad, "--samples", 500)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "geometry.direction" in err
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate"])
+@pytest.mark.parametrize("noise", [-1, float("nan"), float("inf"), 10 ** 400, "x",
+                                   None, "0.01"],
+                         ids=["negative", "nan", "inf", "huge_int", "str", "null",
+                              "numeric_str"])
+def test_bad_vision_noise_is_parse_error(tmp_path, capsys, noise, command):
+    doc = json.loads((SCENARIOS / "single_screw.json").read_text())
+    doc["vision_noise"] = noise
+    bad = tmp_path / "noise.json"
+    bad.write_text(json.dumps(doc))
+    reps = ["--reps", 1] if command == "simulate" else []
+    code, out, err = _run(capsys, command, bad, "--samples", 500, *reps)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "(field: vision_noise)" in err and "fault" not in err
+
+
+def test_features_behind_camera_is_a_failure_row(tmp_path, capsys):
+    # a 0.2 m detection error puts a goal where servoing passes a feature
+    # behind the camera in repetition 1
+    doc = json.loads((SCENARIOS / "valve.json").read_text())
+    doc["vision_noise"] = 0.2
+    noisy = tmp_path / "noisy.json"
+    noisy.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    code, stdout, err = _run(capsys, "simulate", noisy, "--samples", 2000,
+                             "--reps", 2, "--out", out)
+    assert code == 0 and err == ""
+    assert "rep 1: sense_and_control" in stdout
+    rep1 = json.loads((out / "runs.json").read_text())["runs"][1]
+    assert rep1["outcome"] == "failure" and rep1["error"] == "sense_and_control"
+    assert "not in front of the camera" in rep1["message"]
+    ticks = (out / "rep_01_ticks.csv").read_text().splitlines()
+    assert round(float(ticks[-1].split(",")[0]) * 100) == sum(rep1["buckets"].values())
+
+
 @pytest.mark.parametrize("fault", [
     {"kind": "force_noise", "repetition": 0, "sigma": float("nan")},
     {"kind": "force_noise", "repetition": 0, "sigma": -1},

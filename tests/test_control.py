@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from dismantle.camera import DEFAULT_CAMERA
+from dismantle import control
+from dismantle.camera import CX, CY, FOCAL_PX, camera_pose, project
 from dismantle.control import (AdmittanceParams, ContactPlane, FeatureVector,
-                               IbvsParams, PlantState, Retention, Wrench,
+                               PlantState, Retention, Wrench,
                                admittance_step, contact_wrench,
                                feature_jacobian, ibvs_step, plant_step,
                                position_step, run_skill, units,
+                               IBVS_GAIN, RATE_VSC_HZ,
                                UNITS_PER_POS_TICK, UNITS_PER_VSC_TICK)
 from dismantle.errors import SingularJacobian, SkillTimeout
 from dismantle.geometry import Pose, pose_step
@@ -71,12 +73,10 @@ def test_admittance_force_tracking_against_spring():
 # ------------------------------------------------------------- jacobian
 
 def test_jacobian_center_row():
-    cam = DEFAULT_CAMERA
-    feats = FeatureVector(np.array([cam.cx, cam.cy, cam.cx + 40, cam.cy,
-                                    cam.cx, cam.cy + 40]),
+    feats = FeatureVector(np.array([CX, CY, CX + 40, CY, CX, CY + 40]),
                           np.array([1.0, 1.0, 1.0]))
-    jac = feature_jacobian(feats, cam)
-    f = cam.focal
+    jac = feature_jacobian(feats)
+    f = FOCAL_PX
     np.testing.assert_allclose(jac[0], [-f, 0, 0, 0, -f * (1 + 0), 0], atol=1e-9)
     np.testing.assert_allclose(jac[1], [0, -f, 0, f, 0, 0], atol=1e-9)
 
@@ -94,9 +94,38 @@ def test_jacobian_zero_motion_predicts_zero_flow():
     np.testing.assert_allclose(jac @ np.zeros(6), np.zeros(6), atol=0)
 
 
+def _jacobian_rows_loop(features: FeatureVector) -> np.ndarray:
+    """Per-feature closed form of the interaction matrix, row by row."""
+    f = FOCAL_PX
+    rows = []
+    for (u, v), z in zip(features.pixels.reshape(-1, 2), features.depths):
+        du = u - CX
+        dv = v - CY
+        rows.append([-f / z, 0.0, du / z, du * dv / f,
+                     -(f * f + du * du) / f, dv])
+        rows.append([0.0, -f / z, dv / z, (f * f + dv * dv) / f,
+                     -du * dv / f, -du])
+    return np.asarray(rows)
+
+
+def test_jacobian_equals_per_row_closed_form_exactly():
+    rng = np.random.default_rng(7)
+    for k in (3, 4, 7):
+        for _ in range(50):
+            feats = FeatureVector(rng.uniform(-200, 900, size=2 * k),
+                                  rng.uniform(0.05, 3.0, size=k))
+            jac = feature_jacobian(feats)
+            assert jac.shape == (2 * k, 6)
+            assert np.array_equal(jac, _jacobian_rows_loop(feats))
+    # features on the principal point give signed zeros in the same places
+    feats = FeatureVector(np.array([CX, CY, CX, CY + 40, CX + 40, CY]),
+                          np.array([0.5, 1.0, 2.0]))
+    assert np.array_equal(np.signbit(feature_jacobian(feats)),
+                          np.signbit(_jacobian_rows_loop(feats)))
+
+
 def test_pseudo_inverse_exactness_random_features():
     rng = np.random.default_rng(1)
-    params = IbvsParams(gain=1.0)
     for _ in range(20):
         feats = FeatureVector(rng.uniform(100, 500, size=8),
                               rng.uniform(0.3, 1.5, size=4))
@@ -113,7 +142,7 @@ def test_pseudo_inverse_exactness_random_features():
 def test_ibvs_zero_error_zero_command():
     feats = FeatureVector(np.array([100.0, 120, 500, 130, 300, 400]),
                           np.array([0.5, 0.6, 0.7]))
-    u = ibvs_step(IbvsParams(), feats, feats)
+    u = ibvs_step(feats.pixels, feats)
     np.testing.assert_allclose(u, np.zeros(6), atol=1e-12)
 
 
@@ -122,53 +151,48 @@ def test_ibvs_singular_features_raise():
     px = np.array([100.0, 100, 200, 100, 300, 100])
     feats = FeatureVector(px, np.array([0.5, 0.5, 0.5]))
     with pytest.raises(SingularJacobian):
-        ibvs_step(IbvsParams(), FeatureVector(px + 5.0, feats.depths), feats)
+        ibvs_step(px + 5.0, feats)
 
 
 def test_ibvs_feature_error_decays_exponentially():
-    cam = DEFAULT_CAMERA
-    params = IbvsParams()
     goal = Pose(np.array([0.3, 0.0, 0.20]))
     pts = np.array([[0.35, 0.05, 0.02], [0.25, 0.05, 0.02],
                     [0.25, -0.05, 0.02], [0.35, -0.05, 0.035]])
-    f_des, z = cam.project(pts, goal)
+    f_des, z = project(pts, camera_pose(goal))
     start = Pose(goal.position + np.array([0.05, 0.0, 0.0]))
-    feats, _ = cam.project(pts, start)
-    dt = 1.0 / params.rate_hz
+    feats, _ = project(pts, camera_pose(start))
+    dt = 1.0 / RATE_VSC_HZ
     e0 = np.linalg.norm(feats - f_des)
     worst = 0.0
     for i in range(int(10.0 / dt) + 1):
         t = i * dt
         err = np.linalg.norm(feats - f_des)
-        ideal = e0 * np.exp(-params.gain * t)
+        ideal = e0 * np.exp(-IBVS_GAIN * t)
         worst = max(worst, abs(err - ideal) / ideal)
-        jac = feature_jacobian(FeatureVector(feats, z), cam)
-        u = ibvs_step(params, FeatureVector(f_des, z), FeatureVector(feats, z))
+        jac = feature_jacobian(FeatureVector(feats, z))
+        u = ibvs_step(f_des, FeatureVector(feats, z))
         feats = feats + jac @ u * dt  # ideal plant: feature flow = J u
     assert worst <= 0.05
 
 
 def test_ibvs_closed_loop_cartesian_accuracy():
-    cam = DEFAULT_CAMERA
-    params = IbvsParams()
     goal = Pose(np.array([0.3, 0.0, 0.20]))
     pts = np.array([[0.35, 0.05, 0.02], [0.25, 0.05, 0.02],
                     [0.25, -0.05, 0.02], [0.35, -0.05, 0.035]])
-    f_des, _ = cam.project(pts, goal)
-    dt = 1.0 / params.rate_hz
+    f_des, _ = project(pts, camera_pose(goal))
+    dt = 1.0 / RATE_VSC_HZ
     offsets = [np.array([0.05, 0, 0]), np.array([0, 0.05, 0]),
                np.array([0, 0, 0.05]), np.array([0, 0, -0.05]),
                np.array([-0.035, 0.035, 0.0])]
     for off in offsets:
         pose = Pose(goal.position + off)
         for _ in range(int(60.0 / dt)):
-            px, z = cam.project(pts, pose)
+            cam = camera_pose(pose)
+            px, z = project(pts, cam)
             if np.max(np.abs(px - f_des)) <= 0.5:
                 break
-            u_cam = ibvs_step(params, FeatureVector(f_des, z),
-                              FeatureVector(px, z))
-            rot = cam.camera_pose(pose).rotation
-            pose = pose_step(pose, rot.apply(u_cam[:3]), rot.apply(u_cam[3:]), dt)
+            u_cam = ibvs_step(f_des, FeatureVector(px, z))
+            pose = pose_step(pose, cam.rotate(u_cam[:3]), cam.rotate(u_cam[3:]), dt)
         err = np.linalg.norm(pose.position - goal.position)
         assert err <= 0.0012, off
 
@@ -203,15 +227,14 @@ def test_position_orientation_only_pure_angular():
 
 def test_plant_zero_command_static():
     state = PlantState(pose=Pose(np.array([0.1, 0.0, 0.2])))
-    new, (wrench, feats) = plant_step(state, np.zeros(6), 0.02)
+    new, wrench = plant_step(state, np.zeros(6), 0.02)
     assert new.pose.approx_equal(state.pose)
     np.testing.assert_allclose(wrench.as_vector(), np.zeros(6))
-    assert feats is None
 
 
 def test_plant_free_space_zero_force():
     state = PlantState(pose=Pose(np.zeros(3)))
-    new, (wrench, _) = plant_step(state, np.array([0.05, 0, 0, 0, 0, 0.2]), 0.02)
+    new, wrench = plant_step(state, np.array([0.05, 0, 0, 0, 0, 0.2]), 0.02)
     np.testing.assert_allclose(wrench.as_vector(), np.zeros(6))
 
 
@@ -220,7 +243,7 @@ def test_plant_hooke_contact_force():
                          stiffness=10_000.0)
     state = PlantState(pose=Pose(np.array([0.0, 0.0, -0.0009])), contacts=(plane,))
     # integrate a tiny step down to exactly 1 mm penetration
-    new, (wrench, _) = plant_step(state, np.array([0, 0, -0.005, 0, 0, 0]), 0.02)
+    new, wrench = plant_step(state, np.array([0, 0, -0.005, 0, 0, 0]), 0.02)
     assert abs(new.pose.position[2] + 0.001) < 1e-12
     np.testing.assert_allclose(wrench.force, [0, 0, 10.0], atol=1e-9)
 
@@ -324,23 +347,62 @@ def test_run_skill_force_spin_returns_to_hold_orientation():
     assert np.all(np.abs(forces - 10.0) <= 0.5)
 
 
-def test_run_skill_fine_pos_accuracy():
-    cam = DEFAULT_CAMERA
-    goal = Pose(np.array([0.3, 0.0, 0.20]))
-    pts = np.array([[0.35, 0.05, 0.02], [0.25, 0.05, 0.02],
-                    [0.25, -0.05, 0.02], [0.35, -0.05, 0.035]])
-    f_des, _ = cam.project(pts, goal)
+FINE_POINTS = np.array([[0.35, 0.05, 0.02], [0.25, 0.05, 0.02],
+                        [0.25, -0.05, 0.02], [0.35, -0.05, 0.035]])
+FINE_GOAL = Pose(np.array([0.3, 0.0, 0.20]))
+
+
+def _fine_pos(goal: Pose = FINE_GOAL, pts: np.ndarray = FINE_POINTS) -> SkillPrimitive:
+    f_des, _ = project(pts, camera_pose(goal))
     hm = HybridMove(TaskFrame.RGBD, (ControlMode.VSC,) * 8, f_des)
-    ap = SkillPrimitive(SkillName.FINE_POS, hm, IDLE_TOOL,
-                        StopCondition(StopKind.FEATURE_REACHED, f_des, 0.5),
-                        component="c")
+    return SkillPrimitive(SkillName.FINE_POS, hm, IDLE_TOOL,
+                          StopCondition(StopKind.FEATURE_REACHED, f_des, 0.5),
+                          component="c")
+
+
+def test_run_skill_fine_pos_accuracy():
+    goal = FINE_GOAL
     start = Pose(goal.position + np.array([0.05, 0.0, 0.0]))
-    state = PlantState(pose=start, tracked_points=pts)
-    new, log = run_skill(ap, state)
+    state = PlantState(pose=start, tracked_points=FINE_POINTS)
+    new, log = run_skill(_fine_pos(), state)
     assert np.linalg.norm(new.pose.position - goal.position) <= 0.0012
     assert log.buckets["vsc"] > 0
     ts = [row.t_units for row in log.rows]
     assert all(t % UNITS_PER_VSC_TICK == 0 for t in ts)
+
+
+def test_run_skill_projects_once_per_vsc_tick(monkeypatch):
+    calls = []
+
+    def counting_project(points, cam):
+        calls.append(cam)
+        return project(points, cam)
+
+    monkeypatch.setattr(control, "project", counting_project)
+    start = Pose(FINE_GOAL.position + np.array([0.05, 0.0, 0.0]))
+    _, log = run_skill(_fine_pos(), PlantState(pose=start,
+                                               tracked_points=FINE_POINTS))
+    ticks = log.buckets["vsc"] // UNITS_PER_VSC_TICK
+    assert ticks > 100 and len(log.rows) == ticks
+    # one projection per commanded tick plus the final stop check
+    assert len(calls) == ticks + 1
+
+
+def test_run_skill_feature_behind_camera_raises_singular_with_log():
+    # a goal below a raised point: servoing walks the camera past it
+    pts = FINE_POINTS.copy()
+    pts[3, 2] = 0.12
+    ap = _fine_pos(Pose(np.array([0.3, 0.0, 0.08])), pts)
+    start = Pose(np.array([0.3, 0.0, 0.2]))
+    with pytest.raises(SingularJacobian, match="not in front of the camera") as exc:
+        run_skill(ap, PlantState(pose=start, tracked_points=pts), start_units=40)
+    log, state = exc.value.log, exc.value.state
+    assert log.stopped_by == "singular"
+    assert log.buckets["vsc"] > 0
+    assert log.buckets["vsc"] == len(log.rows) * UNITS_PER_VSC_TICK
+    assert log.rows[-1].t_units == 40 + log.buckets["vsc"]
+    _, z = project(pts, camera_pose(state.pose))
+    assert z[3] <= 0.0 < np.min(z[:3])
 
 
 def test_run_skill_timeout_raises():

@@ -1,10 +1,12 @@
 import pytest
 
-from dismantle.control import CLOCK_UNIT_S
-from dismantle.errors import ErrorType
+from dismantle import metrics
+from dismantle.control import CLOCK_UNIT_S, run_skill
+from dismantle.errors import ErrorType, SingularJacobian
 from dismantle.metrics import (BUCKETS, FaultSpec, aggregate, execute_once,
                                load_fault_specs, run_experiment)
 from dismantle.planner import plan_task
+from dismantle.skills import SkillName
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +57,29 @@ def test_feature_dropout_times_out_as_sense_and_control(screw_task):
                        faults=[FaultSpec("feature_dropout", 0)])
     assert res.outcome == "failure"
     assert res.error is ErrorType.SENSE_AND_CONTROL
+
+
+def test_singular_jacobian_books_partial_log(screw_task, monkeypatch):
+    plans, model = screw_task
+    ended = []
+
+    def singular_fine_pos(ap, state, start_units=0, fault=None):
+        new, log = run_skill(ap, state, start_units=start_units, fault=fault)
+        if ap.name is SkillName.FINE_POS:
+            ended.append(new.pose)
+            exc = SingularJacobian("feature set is degenerate for servoing")
+            exc.state, exc.log = new, log
+            raise exc
+        return new, log
+
+    monkeypatch.setattr(metrics, "run_skill", singular_fine_pos)
+    res = execute_once(plans, model, seed=0, repetition=0, collect_rows=True)
+    assert res.outcome == "failure"
+    assert res.error is ErrorType.SENSE_AND_CONTROL
+    assert res.buckets["vsc"] > 0
+    assert res.rows[-1].t_units == res.total_units
+    fine = [r for r in res.trace.records if r.ap.name is SkillName.FINE_POS]
+    assert len(fine) == 1 and fine[0].result.end_pose is ended[0]
 
 
 def test_fault_in_other_repetition_ignored(screw_task):

@@ -170,6 +170,28 @@ def test_blocked_pair_infeasible(dirs2k):
     assert len(exc.value.blocking_relations) >= 2
 
 
+@pytest.mark.parametrize("samples", [2_000, 10_000, 100_000, 1_000_000])
+def test_blocked_infeasible_at_every_sample_count(samples):
+    # the opposing plane contacts leave only a zero-measure equator band,
+    # which no sample count may turn into an extraction direction
+    from dismantle.model import load_model
+    from conftest import SCENARIOS
+    m = load_model(SCENARIOS / "blocked.json")
+    with pytest.raises(PlanInfeasible):
+        plan_task(m, sample_sphere(samples, 0))
+
+
+def test_valve_plan_same_at_10k_and_1m(valve_model):
+    coarse = plan_task(valve_model, sample_sphere(10_000, 0))
+    fine = plan_task(valve_model, sample_sphere(1_000_000, 0))
+    assert [(p.steps, p.assembly) for p in coarse] == [(p.steps, p.assembly) for p in fine]
+    for a, b in zip(coarse, fine):
+        assert a.direction_hints.keys() == b.direction_hints.keys()
+        for k in a.direction_hints:
+            # hints are sampled directions: equal up to the 10k lattice spacing
+            assert a.direction_hints[k] @ b.direction_hints[k] >= np.cos(np.deg2rad(2.0))
+
+
 def test_plan_replays_cleanly(valve_model, single_screw_model, dirs2k):
     for model in (valve_model, single_screw_model):
         plan = plan_disassembly(model, dirs2k)
