@@ -1,5 +1,6 @@
 """Pinned behavioural reference: per-repetition bucket units, outcomes and
-error classes, plus the valve decompose stream, compared exactly.
+error classes, the valve decompose stream, and for every bundled scenario the
+plan document and the sha256 of the decompose stream, compared exactly.
 
 Bucket units are integer 10 ms clock units, so a faithful rewrite of the
 geometry, control or skill layers reproduces them exactly; a last-ulp change
@@ -13,11 +14,13 @@ and the reason recorded in CHANGES.md.  Never compare with a tolerance.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
-from dismantle.cli import _dry_executor
-from dismantle.dspace import sample_sphere
+from dismantle.cli import _dry_executor, _graph_summary
+from dismantle.dspace import build_graph, sample_sphere
+from dismantle.errors import PlanInfeasible
 from dismantle.metrics import FaultSpec, detection_offsets, execute_once
 from dismantle.model import load_model
 from dismantle.planner import plan_task
@@ -28,6 +31,7 @@ SCENARIOS = HERE.parent / "scenarios"
 REFERENCE = HERE / "data" / "reference_runs.json"
 SEED = 0
 SAMPLES = 2000
+SCENARIO_NAMES = ("valve", "single_screw", "empty_target", "blocked")
 
 
 def _task(name: str):
@@ -45,11 +49,37 @@ def _runs(name: str, reps: int, faults=None) -> list[dict]:
     return out
 
 
-def _decompose_names(name: str) -> list[str]:
+def _decompose_aps(name: str):
     plans, model = _task(name)
     state = ExecState.initial(model, detection_noise=detection_offsets(model, SEED, 0))
     trace = interpret(plans, state, model, _dry_executor)
-    return [record.ap.name.value for record in trace.records]
+    return [record.ap for record in trace.records]
+
+
+def _decompose_names(name: str) -> list[str]:
+    return [ap.name.value for ap in _decompose_aps(name)]
+
+
+def _decompose_sha256(name: str) -> str | None:
+    """Digest of the `dismantle decompose` stdout, or None for an infeasible plan."""
+    try:
+        aps = _decompose_aps(name)
+    except PlanInfeasible:
+        return None
+    text = "".join(ap.to_json_line() + "\n" for ap in aps) or "\n"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _plan_doc(name: str) -> dict:
+    """Plans and mobility graph as `dismantle plan` prints them."""
+    model = load_model(SCENARIOS / f"{name}.json")
+    dirs = sample_sphere(SAMPLES, SEED)
+    try:
+        plans = plan_task(model, dirs)
+    except PlanInfeasible as exc:
+        return {"infeasible": str(exc)}
+    return {"plans": [{"assembly": p.assembly, "steps": p.to_json()} for p in plans],
+            "sdof_graph": _graph_summary(build_graph(model, dirs))}
 
 
 def collect() -> dict:
@@ -62,6 +92,8 @@ def collect() -> dict:
             kind: _runs("single_screw", 1, [FaultSpec(kind, 0, sigma=6.0)])
             for kind in ("tool_slip", "force_noise", "feature_dropout")},
         "valve_decompose": _decompose_names("valve"),
+        "plan": {name: _plan_doc(name) for name in SCENARIO_NAMES},
+        "decompose_sha256": {name: _decompose_sha256(name) for name in SCENARIO_NAMES},
     }
 
 
