@@ -15,7 +15,7 @@ from .model import (AssemblyModel, Component, FeatureGeometry, RelationKind,
 from .planner import (ManipulationPrimitive, MPKind, Plan, invert_plan,
                       plan_disassembly, plan_task, removable, transition)
 from .skills import (ExecState, HybridMove, SkillPrimitive, StopCondition,
-                     ToolCommand, decompose, interpret, rule_set)
+                     ToolCommand, decompose, interpret)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

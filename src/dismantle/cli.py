@@ -14,25 +14,16 @@ import sys
 from pathlib import Path
 
 from .dspace import DEFAULT_SAMPLES, build_graph, sample_sphere
-from .errors import ParseError, PlanInfeasible, ValidationError
+from .errors import ErrorType, ParseError, PlanInfeasible, ValidationError
 from .geometry import Pose
 from .metrics import (aggregate, detection_offsets, load_fault_specs,
                       run_experiment, write_tick_csv, RunResult)
-from .errors import ErrorType
 from .model import load_model
 from .planner import plan_task
 from .skills import (ExecState, SkillName, StepResult, StopKind, interpret)
 
 
-def _fail(exc) -> int:
-    print(f"error: {exc}", file=sys.stderr)
-    if isinstance(exc, ParseError):
-        return 1
-    if isinstance(exc, ValidationError):
-        return 2
-    if isinstance(exc, PlanInfeasible):
-        return 3
-    return 1
+_EXIT_CODES = {ParseError: 1, ValidationError: 2, PlanInfeasible: 3}
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -60,23 +51,19 @@ def _graph_summary(graph) -> dict:
     return {"nodes": list(graph.nodes), "edges": edges}
 
 
-def _check_samples(args) -> int | None:
+def _load_and_plan(args):
+    """Preamble of plan, decompose and simulate: check --samples, then load,
+    sample and plan.  Its errors are reported by ``main``."""
     if args.samples < 1:
-        print("error: --samples must be >= 1", file=sys.stderr)
-        return 1
-    return None
+        raise ParseError("--samples must be >= 1")
+    model = load_model(args.scenario)
+    dirs = sample_sphere(args.samples, args.seed)
+    return model, dirs, plan_task(model, dirs)
 
 
 def cmd_plan(args) -> int:
-    if (code := _check_samples(args)) is not None:
-        return code
-    try:
-        model = load_model(args.scenario)
-        dirs = sample_sphere(args.samples, args.seed)
-        graph = build_graph(model, dirs)
-        plans = plan_task(model, dirs)
-    except (ParseError, ValidationError, PlanInfeasible) as exc:
-        return _fail(exc)
+    model, dirs, plans = _load_and_plan(args)
+    graph = build_graph(model, dirs)
     doc = {
         "samples": args.samples,
         "seed": args.seed,
@@ -100,14 +87,7 @@ def _dry_executor(ap, state) -> StepResult:
 
 
 def cmd_decompose(args) -> int:
-    if (code := _check_samples(args)) is not None:
-        return code
-    try:
-        model = load_model(args.scenario)
-        dirs = sample_sphere(args.samples, args.seed)
-        plans = plan_task(model, dirs)
-    except (ParseError, ValidationError, PlanInfeasible) as exc:
-        return _fail(exc)
+    model, _, plans = _load_and_plan(args)
     offsets = detection_offsets(model, args.seed, repetition=0)
     state = ExecState.initial(model, detection_noise=offsets)
     trace = interpret(plans, state, model, _dry_executor)
@@ -117,15 +97,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if (code := _check_samples(args)) is not None:
-        return code
+    model, _, plans = _load_and_plan(args)
     try:
-        model = load_model(args.scenario)
-        dirs = sample_sphere(args.samples, args.seed)
-        plans = plan_task(model, dirs)
         faults = load_fault_specs(args.faults) if args.faults else []
-    except (ParseError, ValidationError, PlanInfeasible) as exc:
-        return _fail(exc)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"error: bad fault specification: {exc}", file=sys.stderr)
         return 1
@@ -214,7 +188,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(_EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -252,6 +252,21 @@ def _number(value, path: str, field_name: str) -> float:
     raise ParseError(f"{value!r:.40} is not a number", path=path, field=field_name)
 
 
+def _object(value, path: str, field_name: str) -> dict:
+    """A JSON object, else a ParseError naming the field."""
+    if not isinstance(value, dict):
+        raise ParseError(f"{value!r:.40} is not an object", path=path, field=field_name)
+    return value
+
+
+def _object_list(doc: dict, key: str, path: str) -> list[dict]:
+    """The required list of JSON objects under ``key``."""
+    value = _require(doc, key, path)
+    if not isinstance(value, list):
+        raise ParseError(f"{value!r:.40} is not a list", path=path, field=key)
+    return [_object(entry, path, f"{key}[{i}]") for i, entry in enumerate(value)]
+
+
 def _parse_pose(obj, path, field_name) -> Pose:
     try:
         return Pose.from_json(obj)
@@ -275,11 +290,8 @@ def _parse_component(obj: dict, path: str) -> Component:
     features = obj.get("visual_features")
     if features is not None:
         features = np.asarray(features, dtype=float)
-    try:
-        return Component(id=cid, semantic=semantic, pose=pose, grasp_offset=grasp,
-                         visual_features=features, put_pose=put_pose)
-    except ValidationError:
-        raise
+    return Component(id=cid, semantic=semantic, pose=pose, grasp_offset=grasp,
+                     visual_features=features, put_pose=put_pose)
 
 
 def _parse_relation(obj: dict, components: dict[str, Component], path: str) -> SpatialRelation:
@@ -291,7 +303,7 @@ def _parse_relation(obj: dict, components: dict[str, Component], path: str) -> S
     if not (isinstance(pair, list) and len(pair) == 2):
         raise ParseError("relation 'components' must be a pair of ids",
                          path=path, field="relations[].components")
-    geo_obj = _require(obj, "geometry", path)
+    geo_obj = _object(_require(obj, "geometry", path), path, "relations[].geometry")
     try:
         geo_kind = GeometryKind(_require(geo_obj, "kind", path))
     except ValueError as exc:
@@ -330,13 +342,13 @@ def load_model_dict(doc: dict, path: str = "<dict>") -> AssemblyModel:
     if version != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {version}", path=path,
                          field="format_version")
-    comp_objs = _require(doc, "components", path)
-    components = [_parse_component(c, path) for c in comp_objs]
+    components = [_parse_component(c, path)
+                  for c in _object_list(doc, "components", path)]
     comp_by_id: dict[str, Component] = {}
     for c in components:
         comp_by_id.setdefault(c.id, c)
 
-    relation_objs = _require(doc, "relations", path)
+    relation_objs = _object_list(doc, "relations", path)
     # unknown references caught with the offending id before pair unpacking
     for r in relation_objs:
         for cid in r.get("components", []):
@@ -346,11 +358,13 @@ def load_model_dict(doc: dict, path: str = "<dict>") -> AssemblyModel:
     relations = [_parse_relation(r, comp_by_id, path) for r in relation_objs]
 
     stations = {}
-    for name, pose_obj in _require(doc, "tool_stations", path).items():
+    for name, pose_obj in _object(_require(doc, "tool_stations", path), path,
+                                  "tool_stations").items():
         stations[name] = _parse_pose(pose_obj, path, f"tool_stations.{name}")
 
     tool_map = dict(DEFAULT_TOOL_MAP)
-    for sem_name, tool_name in doc.get("tool_map", {}).items():
+    for sem_name, tool_name in _object(doc.get("tool_map", {}), path,
+                                       "tool_map").items():
         try:
             tool_map[Semantic(sem_name)] = Tool(tool_name)
         except ValueError as exc:

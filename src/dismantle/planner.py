@@ -6,6 +6,11 @@ unscrews, extracts and stores it; every other extraction is a pull (grasp and
 withdraw) followed by a put that releases the part at its storage pose.
 Assembly plans are the exact inverse of disassembly plans with move and put
 roles exchanged.
+
+The symbolic state holds what planning decides with: the removed components
+and the live relations.  A component is removable when its extraction space
+toward its present neighbours is nonempty.  Mobility labels take no part in
+planning; the mobility graph of a task comes from ``dspace.build_graph``.
 """
 
 from __future__ import annotations
@@ -15,12 +20,10 @@ from enum import Enum
 
 import numpy as np
 
-from .dspace import (DirectionSet, EPS_CONE, Mobility, MobilityLabel,
-                     admissible_indices, classify_sdof, intersect_spaces,
-                     oriented_direction)
+from .dspace import (DirectionSet, EPS_CONE, admissible_indices,
+                     intersect_spaces, oriented_direction)
 from .errors import InapplicablePrimitive, PlanInfeasible, UnknownComponent
-from .model import (AXIAL_KINDS, AssemblyModel, RelationKind,
-                    SpatialRelation, Tool)
+from .model import AssemblyModel, RelationKind, SpatialRelation, Tool
 
 TOOL_CHANGE_PENALTY = 0.5  # meters of equivalent travel per tool swap
 
@@ -95,9 +98,7 @@ class LiveRelation:
 
 @dataclass(frozen=True)
 class SymbolicState:
-    sdof: dict[str, MobilityLabel]
     removed: frozenset[str]
-    step: int
     live: tuple[LiveRelation, ...]
 
 
@@ -119,36 +120,9 @@ def _component_space(state: SymbolicState, component_id: str,
     return intersect_spaces(sets, dirs)
 
 
-def _component_label(state: SymbolicState, component_id: str,
-                     dirs: DirectionSet) -> MobilityLabel:
-    contacts = _live_contacts(state, component_id)
-    space = _component_space(state, component_id, dirs)
-    if len(contacts) == 1 and contacts[0].unscrewed:
-        # rule-based update: an unscrewed joint is a pure sliding axis
-        axis = oriented_direction(contacts[0].relation, component_id)
-        return MobilityLabel(Mobility.LIN, axis=axis)
-    rotation_free = any(lr.relation.kind in AXIAL_KINDS and not lr.unscrewed
-                        for lr in contacts)
-    return classify_sdof(space, [lr.relation for lr in contacts],
-                         rotation_free=rotation_free)
-
-
-def initial_state(model: AssemblyModel, dirs: DirectionSet) -> SymbolicState:
-    live = tuple(LiveRelation(r) for r in model.relations)
-    state = SymbolicState(sdof={}, removed=frozenset(), step=0, live=live)
-    sdof = {c.id: _component_label(state, c.id, dirs) for c in model.components}
-    return replace(state, sdof=sdof)
-
-
-def _refresh_labels(state: SymbolicState, dirs: DirectionSet,
-                    affected: set[str]) -> SymbolicState:
-    sdof = dict(state.sdof)
-    for cid in affected:
-        if cid in state.removed:
-            sdof.pop(cid, None)
-        else:
-            sdof[cid] = _component_label(state, cid, dirs)
-    return replace(state, sdof=sdof)
+def initial_state(model: AssemblyModel) -> SymbolicState:
+    return SymbolicState(removed=frozenset(),
+                         live=tuple(LiveRelation(r) for r in model.relations))
 
 
 NEAR_TIE_MARGIN = 1e-3  # below lattice resolution at the default sample count
@@ -221,22 +195,19 @@ def _unscrew(state: SymbolicState, component_id: str) -> SymbolicState:
 def _drop_component(state: SymbolicState, component_id: str) -> SymbolicState:
     live = tuple(lr for lr in state.live
                  if component_id not in lr.relation.components)
-    sdof = {k: v for k, v in state.sdof.items() if k != component_id}
-    return replace(state, live=live, removed=state.removed | {component_id},
-                   sdof=sdof)
+    return replace(state, live=live, removed=state.removed | {component_id})
 
 
 def _restore_component(state: SymbolicState, model: AssemblyModel,
                        component_id: str, tightened: bool) -> SymbolicState:
     """Re-add a component: restore its relations to already-present partners."""
-    present = set(state.sdof) | {component_id}
+    removed = state.removed - {component_id}
     restored = list(state.live)
     for r in model.relations:
-        if component_id in r.components and r.other(component_id) in present:
+        if component_id in r.components and r.other(component_id) not in removed:
             unscrewed = r.kind is RelationKind.SCREWED and not tightened
             restored.append(LiveRelation(r, unscrewed=unscrewed))
-    return replace(state, live=tuple(restored),
-                   removed=state.removed - {component_id})
+    return replace(state, live=tuple(restored), removed=removed)
 
 
 def _neighbors(model: AssemblyModel, component_id: str) -> set[str]:
@@ -252,17 +223,18 @@ def transition(state: SymbolicState, mp: ManipulationPrimitive,
                assembly: bool = False) -> SymbolicState:
     """Apply one primitive to the symbolic state.
 
-    Rule-based updates cover the common cases (twist converts the screwed
-    joint, removal deletes the component's relations); anything else falls
-    back to recomputing the affected spaces from the sampled sphere.
+    A twist converts the component's screwed joints and, when the unscrewed
+    extraction space is nonempty, removes the part; a pull or move removes a
+    part whose extraction space is nonempty, deleting its relations; a put
+    only checks that the part is out.  In assembly direction the pull and
+    the twist restore the part's relations to the present components.
     """
     c = mp.component
     if not model.has_component(c):
         raise UnknownComponent(c)
-    affected = _neighbors(model, c) | {c}
 
     if assembly:
-        return _transition_assembly(state, mp, model, dirs, affected)
+        return _transition_assembly(state, mp, model)
 
     if mp.kind is MPKind.TWIST:
         if c in state.removed:
@@ -274,47 +246,38 @@ def transition(state: SymbolicState, mp: ManipulationPrimitive,
         # symbolically that completes when the unscrewed space is nonempty
         if not _component_space(state, c, dirs).is_empty():
             state = _drop_component(state, c)
-        state = replace(state, step=state.step + 1)
-        return _refresh_labels(state, dirs, affected)
+        return state
 
     if mp.kind in (MPKind.MOVE, MPKind.PULL):
         if c in state.removed:
             raise InapplicablePrimitive(str(mp), "component already removed")
-        ok, _ = removable(state, c, dirs)
-        if not ok:
+        if _component_space(state, c, dirs).is_empty():
             raise InapplicablePrimitive(str(mp), "extraction space is empty")
-        state = _drop_component(state, c)
-        state = replace(state, step=state.step + 1)
-        return _refresh_labels(state, dirs, affected)
+        return _drop_component(state, c)
 
     if mp.kind is MPKind.PUT:
         if c not in state.removed:
             raise InapplicablePrimitive(str(mp), "component not in hand")
-        return replace(state, step=state.step + 1)
+        return state
 
     raise InapplicablePrimitive(str(mp), "unknown primitive kind")
 
 
-def _transition_assembly(state, mp, model, dirs, affected):
+def _transition_assembly(state, mp, model):
     c = mp.component
     if mp.kind is MPKind.MOVE or mp.kind is MPKind.PUT:
-        return replace(state, step=state.step + 1)
+        return state
     if mp.kind is MPKind.PULL:
         if c not in state.removed:
             raise InapplicablePrimitive(str(mp), "component already installed")
-        state = _restore_component(state, model, c, tightened=False)
-        state = replace(state, step=state.step + 1)
-        return _refresh_labels(state, dirs, affected)
+        return _restore_component(state, model, c, tightened=False)
     if mp.kind is MPKind.TWIST:
         if c in state.removed:
-            state = _restore_component(state, model, c, tightened=True)
-        else:
-            live = tuple(replace(lr, unscrewed=False)
-                         if c in lr.relation.components else lr
-                         for lr in state.live)
-            state = replace(state, live=live)
-        state = replace(state, step=state.step + 1)
-        return _refresh_labels(state, dirs, affected)
+            return _restore_component(state, model, c, tightened=True)
+        live = tuple(replace(lr, unscrewed=False)
+                     if c in lr.relation.components else lr
+                     for lr in state.live)
+        return replace(state, live=live)
     raise InapplicablePrimitive(str(mp), "unknown primitive kind")
 
 
@@ -343,17 +306,10 @@ class _Candidate:
 def _candidate_for(state: SymbolicState, model: AssemblyModel,
                    dirs: DirectionSet, cid: str, robot_pos: np.ndarray,
                    held: Tool, order: int) -> _Candidate | None:
-    if _has_screwed(state, cid):
-        after = _unscrew(state, cid)
-        direction = _best_direction(after, cid, dirs)
-        if direction is None:
-            return None
-        twist = True
-    else:
-        direction = _best_direction(state, cid, dirs)
-        if direction is None:
-            return None
-        twist = False
+    twist = _has_screwed(state, cid)
+    direction = _best_direction(_unscrew(state, cid) if twist else state, cid, dirs)
+    if direction is None:
+        return None
     tool = model.tool_for(cid)
     cost = float(np.linalg.norm(robot_pos - _engage_position(model, cid)))
     if tool != held:
@@ -386,7 +342,7 @@ def plan_disassembly(model: AssemblyModel, dirs: DirectionSet) -> Plan:
     as the target is out.  Ordering is nearest-neighbor over workspace
     positions with a fixed tool-change penalty; tie-breaks follow file order.
     """
-    state = initial_state(model, dirs)
+    state = initial_state(model)
     base = model.base_id
     target = model.target
     if target is not None and not model.has_component(target):
@@ -419,9 +375,8 @@ def plan_disassembly(model: AssemblyModel, dirs: DirectionSet) -> Plan:
                                                  robot_pos, held,
                                                  order_index[cid])) is not None]
         if not candidates:
-            remaining = [cid for cid in pool]
             blocking = [lr.relation for lr in state.live
-                        if any(cid in lr.relation.components for cid in remaining)]
+                        if any(cid in lr.relation.components for cid in pool)]
             what = f"target '{target}'" if target else "full disassembly"
             raise PlanInfeasible(f"{what} cannot be completed", blocking)
 
@@ -440,19 +395,13 @@ def plan_disassembly(model: AssemblyModel, dirs: DirectionSet) -> Plan:
 
         cid = chosen.component
         tool = model.tool_for(cid)
-        if chosen.twist:
-            mp = ManipulationPrimitive(MPKind.TWIST, cid, tool)
-            hints[len(steps)] = chosen.direction
+        hints[len(steps)] = chosen.direction
+        # a twist extracts and stores the part; a pull needs a separate put
+        kinds = (MPKind.TWIST,) if chosen.twist else (MPKind.PULL, MPKind.PUT)
+        for kind in kinds:
+            mp = ManipulationPrimitive(kind, cid, tool)
             steps.append(mp)
             state = transition(state, mp, model, dirs)
-        else:
-            mp = ManipulationPrimitive(MPKind.PULL, cid, tool)
-            hints[len(steps)] = chosen.direction
-            steps.append(mp)
-            state = transition(state, mp, model, dirs)
-            put = ManipulationPrimitive(MPKind.PUT, cid, tool)
-            steps.append(put)
-            state = transition(state, put, model, dirs)
         robot_pos = _rest_position(model, cid)
         held = tool
 
@@ -488,7 +437,7 @@ def plan_task(model: AssemblyModel, dirs: DirectionSet) -> list[Plan]:
 
 def replay(model: AssemblyModel, dirs: DirectionSet, plan: Plan) -> SymbolicState:
     """Run a plan through the transition function; raises on invalid steps."""
-    state = initial_state(model, dirs)
+    state = initial_state(model)
     for mp in plan.steps:
         state = transition(state, mp, model, dirs, assembly=plan.assembly)
     return state

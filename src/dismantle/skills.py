@@ -54,7 +54,6 @@ SEAT_FORCE_N = 5.0      # guarded seating push
 class TaskFrame(str, Enum):
     WORLD = "world"
     TCP = "tcp"
-    TOOL = "tool"
     RGBD = "rgbd"
 
 
@@ -87,7 +86,6 @@ class StopKind(str, Enum):
     FEATURE_REACHED = "feature_reached"
     FORCE_REACHED = "force_reached"
     TOOL_DONE = "tool_done"
-    TIMEOUT = "timeout"
 
 
 @dataclass(frozen=True)
@@ -303,6 +301,11 @@ def _object_pose(state: ExecState, model: AssemblyModel, cid: str) -> Pose:
     return state.object_poses.get(cid, model.component(cid).pose)
 
 
+def _fetch_pose(comp: Component, state: ExecState, model: AssemblyModel) -> Pose:
+    """Tool pose for grasping the component where it currently sits."""
+    return _object_pose(state, model, comp.id).compose(comp.grasp_offset)
+
+
 def _engage_pose(comp: Component, state: ExecState, model: AssemblyModel,
                  assembly: bool) -> Pose:
     """True tool pose for working on the component.
@@ -312,11 +315,7 @@ def _engage_pose(comp: Component, state: ExecState, model: AssemblyModel,
     """
     if assembly:
         return comp.pose.compose(comp.grasp_offset)
-    return _object_pose(state, model, comp.id).compose(comp.grasp_offset)
-
-
-def _fetch_pose(comp: Component, state: ExecState, model: AssemblyModel) -> Pose:
-    return _object_pose(state, model, comp.id).compose(comp.grasp_offset)
+    return _fetch_pose(comp, state, model)
 
 
 def _noisy(pose: Pose, offset: np.ndarray | None) -> Pose:
@@ -326,7 +325,7 @@ def _noisy(pose: Pose, offset: np.ndarray | None) -> Pose:
 
 
 def _feature_source(comp: Component, model: AssemblyModel, assembly: bool,
-                    state: ExecState | None = None) -> Component | None:
+                    state: ExecState) -> Component | None:
     """Component whose visual features guide fine positioning.
 
     Disassembly servos on the part itself.  Assembly servos on a mating
@@ -340,10 +339,9 @@ def _feature_source(comp: Component, model: AssemblyModel, assembly: bool,
             partner = model.component(rel.other(comp.id))
             if partner.visual_features is None:
                 continue
-            if state is not None:
-                current = state.object_poses.get(partner.id, partner.pose)
-                if not current.approx_equal(partner.pose, tol=1e-6):
-                    continue
+            current = state.object_poses.get(partner.id, partner.pose)
+            if not current.approx_equal(partner.pose, tol=1e-6):
+                continue
             return partner
     return None
 
@@ -466,29 +464,30 @@ def _process_aps(mp: ManipulationPrimitive, comp: Component, engage: Pose,
 
 # ------------------------------------------------------------ decomposition
 
-def rule_set(state: ExecState, mp: ManipulationPrimitive,
-             mp_next: ManipulationPrimitive | None, model: AssemblyModel,
-             assembly: bool = False) -> set[str]:
-    """Snapshot evaluation of all six decision rules for one primitive."""
-    comp = model.component(mp.component)
-    enabled: set[str] = set()
-    if rule_get_tool(state.held_tool, mp.tool):
-        enabled.add("getTool")
-    if rule_put_tool(state.held_tool, mp_next):
-        enabled.add("putTool")
-    engage = _engage_pose(comp, state, model, assembly)
-    noise = state.detection_noise.get(comp.id)
-    if rule_rough_pos(_noisy(engage, noise), state.robot_pose):
-        enabled.add("roughPos")
-    source = _feature_source(comp, model, assembly, state)
-    residual = _expected_residual_px(noise, source, engage, state, model)
+def _approach(goal: Pose, noise: np.ndarray | None, source: Component | None,
+              cursor: Pose, state: ExecState, model: AssemblyModel,
+              aps: list[SkillPrimitive]) -> Pose:
+    """Rough positioning onto the detected goal, then fine positioning on the
+    source's features when needed; returns the robot pose afterwards."""
+    estimate = _noisy(goal, noise)
+    if rule_rough_pos(estimate, cursor):
+        aps.append(_pos_move(SkillName.ROUGH_POS, estimate))
+        cursor = estimate
+    residual = _expected_residual_px(noise, source, goal, state, model)
     if rule_fine_pos(source is not None, residual):
-        enabled.add("finePos")
-    if rule_put_obj(state.carried(), mp, mp_next):
-        enabled.add("putObj")
-    if rule_get_obj(assembly, state.carried(), mp.component):
-        enabled.add("getObj")
-    return enabled
+        aps.append(_fine_pos(source, goal, state, model))
+        cursor = goal
+    return cursor
+
+
+def _release(comp: Component, cursor: Pose, held_tool: Tool,
+             assembly: bool) -> list[SkillPrimitive]:
+    """Open the tool at the current pose, then retract straight up."""
+    place = comp.pose if assembly else comp.put_pose
+    put = _tool_action(SkillName.PUT_OBJ, cursor,
+                       ToolCommand(held_tool, ToolCmd.OPEN),
+                       component=comp.id, place_pose=place)
+    return [put, _pos_move(SkillName.ROUGH_POS, cursor.translated(RETRACT_OFFSET))]
 
 
 def decompose(mp: ManipulationPrimitive,
@@ -510,92 +509,63 @@ def decompose(mp: ManipulationPrimitive,
     held_tool = state.held_tool
     carried = state.carried()
 
-    if mp.kind in PROCESS_KINDS:
-        if rule_get_tool(held_tool, mp.tool):
-            if held_tool is not Tool.NONE:
-                aps.append(_put_tool_ap(held_tool, model))
-                cursor = _station_pose(model, held_tool)
-            aps.append(_get_tool_ap(mp.tool, model))
-            cursor = _station_pose(model, mp.tool)
-            held_tool = mp.tool
-
-        if rule_get_obj(assembly, carried, mp.component):
-            fetch = _fetch_pose(comp, state, model)
-            aps.append(_pos_move(SkillName.GET_OBJ, fetch,
-                                 ToolCommand(held_tool, ToolCmd.CLOSE),
-                                 component=comp.id))
-            cursor = fetch
-            carried = comp.id
-
-        engage = _engage_pose(comp, state, model, assembly)
-        noise = state.detection_noise.get(comp.id)
-        estimate = _noisy(engage, noise)
-        if rule_rough_pos(estimate, cursor):
-            aps.append(_pos_move(SkillName.ROUGH_POS, estimate))
-            cursor = estimate
-        source = _feature_source(comp, model, assembly, state)
-        residual = _expected_residual_px(noise, source, engage, state, model)
-        if rule_fine_pos(source is not None, residual):
-            aps.append(_fine_pos(source, engage, state, model))
-            cursor = engage
-
-        process = _process_aps(mp, comp, engage, assembly, direction_hint)
-        aps.extend(process)
-        for ap in process:
-            if ap.process in ("grip", "unscrew"):
-                carried = comp.id
-
-        if not assembly and carried == comp.id and comp.put_pose is not None:
-            transport = comp.put_pose.compose(comp.grasp_offset)
-            if rule_rough_pos(transport, cursor):
-                aps.append(_pos_move(SkillName.ROUGH_POS, transport))
-                cursor = transport
-
-        if rule_put_obj(carried, mp, mp_next):
-            place = comp.pose if assembly else comp.put_pose
-            aps.append(_tool_action(SkillName.PUT_OBJ, cursor,
-                                    ToolCommand(held_tool, ToolCmd.OPEN),
-                                    component=comp.id, place_pose=place))
-            carried = None
-            retract = cursor.translated(RETRACT_OFFSET)
-            if rule_rough_pos(retract, cursor):
-                aps.append(_pos_move(SkillName.ROUGH_POS, retract))
-                cursor = retract
-
-        if rule_put_tool(held_tool, mp_next):
-            aps.append(_put_tool_ap(held_tool, model))
-        return aps
-
     if mp.kind is MPKind.MOVE:
+        # in assembly the part is fetched from storage: robot-placed, hence
+        # exact, and not servoed on
         if assembly:
-            goal = _fetch_pose(comp, state, model)
-            noise = None  # storage poses are robot-placed, hence exact
+            noise, source = None, None
         else:
-            goal = _engage_pose(comp, state, model, assembly)
             noise = state.detection_noise.get(comp.id)
-        estimate = _noisy(goal, noise)
-        if rule_rough_pos(estimate, cursor):
-            aps.append(_pos_move(SkillName.ROUGH_POS, estimate))
-            cursor = estimate
-        source = (_feature_source(comp, model, assembly=False, state=state)
-                  if not assembly else None)
-        residual = _expected_residual_px(noise, source, goal, state, model)
-        if rule_fine_pos(source is not None, residual):
-            aps.append(_fine_pos(source, goal, state, model))
+            source = _feature_source(comp, model, False, state)
+        _approach(_fetch_pose(comp, state, model), noise, source, cursor,
+                  state, model, aps)
         return aps
 
     if mp.kind is MPKind.PUT:
         if rule_put_obj(carried, mp, mp_next):
-            place = comp.pose if assembly else comp.put_pose
-            aps.append(_tool_action(SkillName.PUT_OBJ, cursor,
-                                    ToolCommand(held_tool, ToolCmd.OPEN),
-                                    component=comp.id, place_pose=place))
-            retract = cursor.translated(RETRACT_OFFSET)
-            if rule_rough_pos(retract, cursor):
-                aps.append(_pos_move(SkillName.ROUGH_POS, retract))
+            aps.extend(_release(comp, cursor, held_tool, assembly))
         return aps
 
-    raise UnresolvableGoal(f"no decomposition for primitive kind {mp.kind}")
+    if mp.kind not in PROCESS_KINDS:
+        raise UnresolvableGoal(f"no decomposition for primitive kind {mp.kind}")
+
+    if rule_get_tool(held_tool, mp.tool):
+        if held_tool is not Tool.NONE:
+            aps.append(_put_tool_ap(held_tool, model))
+        aps.append(_get_tool_ap(mp.tool, model))
+        cursor = _station_pose(model, mp.tool)
+        held_tool = mp.tool
+
+    if rule_get_obj(assembly, carried, mp.component):
+        fetch = _fetch_pose(comp, state, model)
+        aps.append(_pos_move(SkillName.GET_OBJ, fetch,
+                             ToolCommand(held_tool, ToolCmd.CLOSE),
+                             component=comp.id))
+        cursor = fetch
+        carried = comp.id
+
+    engage = _engage_pose(comp, state, model, assembly)
+    cursor = _approach(engage, state.detection_noise.get(comp.id),
+                       _feature_source(comp, model, assembly, state), cursor,
+                       state, model, aps)
+
+    process = _process_aps(mp, comp, engage, assembly, direction_hint)
+    aps.extend(process)
+    if any(ap.process in ("grip", "unscrew") for ap in process):
+        carried = comp.id
+
+    if not assembly and carried == comp.id and comp.put_pose is not None:
+        transport = comp.put_pose.compose(comp.grasp_offset)
+        if rule_rough_pos(transport, cursor):
+            aps.append(_pos_move(SkillName.ROUGH_POS, transport))
+            cursor = transport
+
+    if rule_put_obj(carried, mp, mp_next):
+        aps.extend(_release(comp, cursor, held_tool, assembly))
+
+    if rule_put_tool(held_tool, mp_next):
+        aps.append(_put_tool_ap(held_tool, model))
+    return aps
 
 
 # ------------------------------------------------------------ interpretation

@@ -105,6 +105,40 @@ def test_bad_vision_noise_is_parse_error(tmp_path, capsys, noise, command):
     assert "(field: vision_noise)" in err and "fault" not in err
 
 
+def _set_relation_entry(doc):
+    doc["relations"][0] = 5
+
+
+def _set_component_entry(doc):
+    doc["components"][0] = 7
+
+
+def _set_geometry(doc):
+    doc["relations"][0]["geometry"] = 5
+
+
+@pytest.mark.parametrize("command", ["plan", "decompose", "simulate"])
+@pytest.mark.parametrize("edit, field", [
+    (_set_relation_entry, "relations[0]"),
+    (_set_component_entry, "components[0]"),
+    (_set_geometry, "relations[].geometry"),
+    (lambda doc: doc.update(relations="x"), "relations"),
+    (lambda doc: doc.update(components={}), "components"),
+    (lambda doc: doc.update(tool_stations=[1, 2]), "tool_stations"),
+    (lambda doc: doc.update(tool_map=[1]), "tool_map"),
+], ids=["relation_entry", "component_entry", "geometry", "relations_str",
+        "components_obj", "tool_stations_list", "tool_map_list"])
+def test_mistyped_collection_is_parse_error(tmp_path, capsys, command, edit, field):
+    doc = json.loads((SCENARIOS / "single_screw.json").read_text())
+    edit(doc)
+    bad = tmp_path / "mistyped.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, command, bad, "--samples", 500)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"(field: {field})" in err and "fault" not in err
+
+
 def test_features_behind_camera_is_a_failure_row(tmp_path, capsys):
     # a 0.2 m detection error puts a goal where servoing passes a feature
     # behind the camera in repetition 1

@@ -18,26 +18,26 @@ def _kinds(plan):
 # ------------------------------------------------------------- removability
 
 def test_screw_not_removable_while_screwed(valve_model, dirs2k):
-    state = initial_state(valve_model, dirs2k)
+    state = initial_state(valve_model)
     ok, _ = removable(state, "screw_1", dirs2k)
     assert not ok
 
 
 def test_valve_blocked_by_screws(valve_model, dirs2k):
-    state = initial_state(valve_model, dirs2k)
+    state = initial_state(valve_model)
     ok, _ = removable(state, "valve_body", dirs2k)
     assert not ok
 
 
 def test_hose_removable_along_axis(valve_model, dirs2k):
-    state = initial_state(valve_model, dirs2k)
+    state = initial_state(valve_model)
     ok, direction = removable(state, "hose", dirs2k)
     assert ok
     assert direction[2] > 0.99  # out of the fit, away from the valve
 
 
 def test_component_with_removed_neighbor_is_free(valve_model, dirs2k):
-    state = initial_state(valve_model, dirs2k)
+    state = initial_state(valve_model)
     for cid in ("screw_1", "screw_2"):
         mp = ManipulationPrimitive(MPKind.TWIST, cid, Tool.SCREWDRIVER)
         state = transition(state, mp, valve_model, dirs2k)
@@ -52,16 +52,15 @@ def test_component_with_removed_neighbor_is_free(valve_model, dirs2k):
 # ------------------------------------------------------------- transitions
 
 def test_twist_converts_and_extracts_screw(valve_model, dirs2k):
-    state = initial_state(valve_model, dirs2k)
+    state = initial_state(valve_model)
     mp = ManipulationPrimitive(MPKind.TWIST, "screw_1", Tool.SCREWDRIVER)
     after = transition(state, mp, valve_model, dirs2k)
     assert "screw_1" in after.removed
-    assert "screw_1" not in after.sdof
-    assert after.step == 1
+    assert not any("screw_1" in lr.relation.components for lr in after.live)
 
 
 def test_twist_requires_live_screwed_relation(valve_model, dirs2k):
-    state = initial_state(valve_model, dirs2k)
+    state = initial_state(valve_model)
     with pytest.raises(InapplicablePrimitive):
         transition(state, ManipulationPrimitive(MPKind.TWIST, "hose",
                                                 Tool.SCREWDRIVER),
@@ -87,7 +86,7 @@ def test_unscrewed_joint_becomes_linear_axis(dirs2k):
             mk(RelationKind.PLANE_CONTACT, GeometryKind.PLANE, [-1, 0, 0]))
     model = AssemblyModel(components=comps, relations=rels,
                           tool_stations=dict(STATIONS))
-    state = initial_state(model, dirs2k)
+    state = initial_state(model)
     mp = ManipulationPrimitive(MPKind.TWIST, "s", Tool.SCREWDRIVER)
     after = transition(state, mp, model, dirs2k)
     # the side planes leave only an equatorial band: still trapped, not removed
@@ -97,7 +96,7 @@ def test_unscrewed_joint_becomes_linear_axis(dirs2k):
 
 
 def test_move_on_removed_component_inapplicable(valve_model, dirs2k):
-    state = initial_state(valve_model, dirs2k)
+    state = initial_state(valve_model)
     state = transition(state, ManipulationPrimitive(MPKind.TWIST, "screw_1",
                                                     Tool.SCREWDRIVER),
                        valve_model, dirs2k)
@@ -108,7 +107,7 @@ def test_move_on_removed_component_inapplicable(valve_model, dirs2k):
 
 
 def test_valve_removable_after_screws_and_hose(valve_model, dirs2k):
-    state = initial_state(valve_model, dirs2k)
+    state = initial_state(valve_model)
     for mp in (ManipulationPrimitive(MPKind.TWIST, "screw_1", Tool.SCREWDRIVER),
                ManipulationPrimitive(MPKind.TWIST, "screw_2", Tool.SCREWDRIVER),
                ManipulationPrimitive(MPKind.PULL, "hose", Tool.GRIPPER),
@@ -118,8 +117,15 @@ def test_valve_removable_after_screws_and_hose(valve_model, dirs2k):
     assert ok
 
 
+def test_pull_blocked_by_live_screws_inapplicable(valve_model, dirs2k):
+    state = initial_state(valve_model)
+    pull = ManipulationPrimitive(MPKind.PULL, "valve_body", Tool.GRIPPER)
+    with pytest.raises(InapplicablePrimitive, match="extraction space is empty"):
+        transition(state, pull, valve_model, dirs2k)
+
+
 def test_put_requires_prior_removal(valve_model, dirs2k):
-    state = initial_state(valve_model, dirs2k)
+    state = initial_state(valve_model)
     with pytest.raises(InapplicablePrimitive):
         transition(state, ManipulationPrimitive(MPKind.PUT, "hose", Tool.GRIPPER),
                    valve_model, dirs2k)
@@ -249,7 +255,7 @@ def test_invert_empty_plan():
 
 def test_assembly_replay_restores_everything(valve_model, dirs2k):
     dis = plan_disassembly(valve_model, dirs2k)
-    state = initial_state(valve_model, dirs2k)
+    state = initial_state(valve_model)
     for mp in dis.steps:
         state = transition(state, mp, valve_model, dirs2k)
     asm = invert_plan(dis)
@@ -291,7 +297,7 @@ def _minimal_mp_count(model, dirs):
             elif not _component_space(state, cid, dirs).is_empty():
                 recurse(_drop_component(state, cid), cost + 2)
 
-    recurse(initial_state(model, dirs), 0)
+    recurse(initial_state(model), 0)
     return best[0]
 
 

@@ -17,7 +17,7 @@ from dismantle.skills import (ControlMode, ExecState, HybridMove, SkillName,
                               StopKind, TaskFrame, ToolCmd, ToolCommand,
                               decompose, interpret, rule_get_obj,
                               rule_get_tool, rule_put_obj, rule_put_tool,
-                              rule_rough_pos, rule_set)
+                              rule_rough_pos)
 
 UP = np.array([0.0, 0.0, 1.0])
 
@@ -100,29 +100,19 @@ def test_rule_get_obj():
     assert rule_get_obj(True, "a", "a") is False     # already in hand
 
 
-def test_rule_set_snapshot_matches_walkthrough(single_screw_model, dirs2k):
-    # no tool held, disassembly, robot away from the screw: fetch the tool,
-    # position roughly, then finely; nothing to fetch or stow yet
-    offs = detection_offsets(single_screw_model, 0, 0)
-    state = ExecState.initial(single_screw_model, detection_noise=offs)
-    mp = ManipulationPrimitive(MPKind.TWIST, "screw_1", Tool.SCREWDRIVER)
-    enabled = rule_set(state, mp, None, single_screw_model, assembly=False)
-    assert enabled == {"getTool", "roughPos", "finePos"}
-
-
-def test_rule_set_last_primitive_with_tool_held(single_screw_model):
+def test_decompose_last_primitive_with_tool_held_stows_it(single_screw_model):
     state = ExecState.initial(single_screw_model)
     state.held_tool = Tool.SCREWDRIVER
     mp = ManipulationPrimitive(MPKind.TWIST, "screw_1", Tool.SCREWDRIVER)
-    enabled = rule_set(state, mp, None, single_screw_model)
-    assert "putTool" in enabled and "getTool" not in enabled
+    names = [ap.name.value for ap in decompose(mp, None, state, single_screw_model)]
+    assert "putTool" in names and "getTool" not in names
 
 
-def test_rule_set_assembly_enables_get_obj(single_screw_model):
+def test_decompose_assembly_fetches_object(single_screw_model):
     state = ExecState.initial(single_screw_model)
     mp = ManipulationPrimitive(MPKind.TWIST, "screw_1", Tool.SCREWDRIVER)
-    enabled = rule_set(state, mp, None, single_screw_model, assembly=True)
-    assert "getObj" in enabled
+    aps = decompose(mp, None, state, single_screw_model, assembly=True)
+    assert "getObj" in [ap.name.value for ap in aps]
 
 
 # ---------------------------------------------------------------- types
