@@ -1,10 +1,12 @@
+import json
+
 import pytest
 
 from dismantle import metrics
 from dismantle.control import CLOCK_UNIT_S, run_skill
 from dismantle.errors import ErrorType, SingularJacobian
-from dismantle.metrics import (BUCKETS, FaultSpec, aggregate, execute_once,
-                               load_fault_specs, run_experiment)
+from dismantle.metrics import (BUCKETS, FaultSpec, RunResult, aggregate,
+                               execute_once, load_fault_specs, run_experiment)
 from dismantle.planner import plan_task
 from dismantle.skills import SkillName
 
@@ -210,3 +212,38 @@ def test_tick_csv_shape(tmp_path, screw_task):
     # timestamps are strictly ordered within a run
     times = [float(line.split(",", 1)[0]) for line in lines[1:]]
     assert times == sorted(times)
+
+
+def test_report_format_pinned():
+    # two hand-built repetitions, given out of order; the strings are the
+    # report.txt table and the sorted report.json of the reference format
+    runs = [RunResult(1, {"path": 1000, "vsc": 2017, "ftc": 300, "n": 503},
+                      "failure", ErrorType.DEVICE, "screw_1 not retained"),
+            RunResult(0, {"path": 1234, "vsc": 2345, "ftc": 345, "n": 456},
+                      "success", None, "")]
+    report = aggregate(runs, mp_count=3)
+    assert report.format_table() == (
+        "t_exe in [s]           41.000\n"
+        "t_path in [s]          11.170\n"
+        "t_vsc in [s]           21.810\n"
+        "t_ftc in [s]            3.225\n"
+        "t_n in [s]              4.795\n"
+        "sigma_exe in [s]        2.800\n"
+        "sigma_path in [s]       1.170\n"
+        "sigma_vsc in [s]        1.640\n"
+        "sigma_ftc in [s]        0.225\n"
+        "sigma_n in [s]          0.235\n"
+        "|MP|                        3\n"
+        "S                        0.50\n"
+        "failures           rep 1: device")
+    assert json.dumps(report.to_json(), sort_keys=True) == (
+        '{"S": 0.5, "failures": [[1, "device"]], "per_rep": ['
+        '{"buckets": {"ftc": 345, "n": 456, "path": 1234, "vsc": 2345}, '
+        '"error": null, "message": "", "outcome": "success", "repetition": 0}, '
+        '{"buckets": {"ftc": 300, "n": 503, "path": 1000, "vsc": 2017}, '
+        '"error": "device", "message": "screw_1 not retained", '
+        '"outcome": "failure", "repetition": 1}], "repetitions": 2, '
+        '"sigma_exe": 2.8000000000000007, "sigma_ftc": 0.2250000000000001, '
+        '"sigma_n": 0.23499999999999988, "sigma_path": 1.17, '
+        '"sigma_vsc": 1.6399999999999988, "t_exe": 41.0, "t_ftc": 3.225, '
+        '"t_n": 4.795, "t_path": 11.17, "t_vsc": 21.810000000000002, "|MP|": 3}')
