@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .dspace import DEFAULT_SAMPLES, build_graph, sample_sphere
-from .errors import ErrorType, ParseError, PlanInfeasible, ValidationError
+from .errors import ParseError, PlanInfeasible, ValidationError
 from .geometry import Pose
 from .metrics import (aggregate, detection_offsets, load_fault_specs,
                       run_experiment, write_tick_csv, RunResult)
@@ -133,16 +133,10 @@ def cmd_report(args) -> int:
     runs_path = Path(args.out) / "runs.json"
     try:
         doc = json.loads(runs_path.read_text(encoding="utf-8"))
-        results = []
-        for entry in doc["runs"]:
-            err = entry.get("error")
-            results.append(RunResult(
-                repetition=entry["repetition"],
-                buckets={k: int(v) for k, v in entry["buckets"].items()},
-                outcome=entry["outcome"],
-                error=None if err is None else ErrorType(err),
-                message=entry.get("message", "")))
-        report = aggregate(results, doc["mp_count"])
+        mp_count = doc["mp_count"]
+        if type(mp_count) is not int or mp_count < 0:
+            raise ValueError(f"mp_count must be an int >= 0: {mp_count!r:.40}")
+        report = aggregate([RunResult.from_json(e) for e in doc["runs"]], mp_count)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"error: cannot aggregate {runs_path}: {exc}", file=sys.stderr)
         return 1

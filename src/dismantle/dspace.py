@@ -300,9 +300,6 @@ class MobilityGraph:
     def has_edge(self, a: str, b: str) -> bool:
         return (a, b) in self.edges
 
-    def neighbors(self, a: str) -> list[str]:
-        return sorted({pair[1] for pair in self.edges if pair[0] == a})
-
 
 def build_graph(model: AssemblyModel, dirs: DirectionSet) -> MobilityGraph:
     """One edge per component pair joined by at least one relation.

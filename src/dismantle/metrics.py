@@ -26,6 +26,13 @@ from .skills import (ControlMode, ExecState, SkillName, SkillPrimitive,
 
 BUCKETS = (BUCKET_PATH, BUCKET_VSC, BUCKET_FTC, BUCKET_N)
 
+# each fault kind and the skill primitives it can hit
+_FAULT_ELIGIBLE = {
+    "force_noise": lambda ap: ControlMode.FTC in ap.hm.control,
+    "feature_dropout": lambda ap: ap.name is SkillName.FINE_POS,
+    "tool_slip": lambda ap: ap.process in ("unscrew", "screw_in"),
+}
+
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -45,7 +52,7 @@ class FaultSpec:
     sigma: float = 6.0
 
     def __post_init__(self):
-        if self.kind not in ("tool_slip", "force_noise", "feature_dropout"):
+        if self.kind not in _FAULT_ELIGIBLE:
             raise ValueError(f"unknown fault kind: {self.kind}")
         if type(self.repetition) is not int or self.repetition < 0:
             raise ValueError(f"repetition must be an int >= 0: {self.repetition!r}")
@@ -59,10 +66,16 @@ class FaultSpec:
 def load_fault_specs(path) -> list[FaultSpec]:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    return [FaultSpec(kind=f["kind"], repetition=f["repetition"],
-                      ap_index=f.get("ap_index"),
-                      sigma=float(f.get("sigma", 6.0)))
-            for f in doc.get("faults", [])]
+    if not isinstance(doc, dict):
+        raise ValueError("fault file must hold a JSON object")
+    specs = []
+    for f in doc.get("faults", []):
+        if not isinstance(f, dict):
+            raise ValueError(f"fault entry {f!r:.40} is not an object")
+        specs.append(FaultSpec(kind=f["kind"], repetition=f["repetition"],
+                               ap_index=f.get("ap_index"),
+                               sigma=float(f.get("sigma", 6.0))))
+    return specs
 
 
 def detection_offsets(model: AssemblyModel, seed: int,
@@ -83,47 +96,50 @@ def detection_offsets(model: AssemblyModel, seed: int,
     return offsets
 
 
-_PROCESS_FAULT_TARGETS = {"unscrew", "screw_in"}
+def _hits(fault: FaultSpec, seen: int) -> bool:
+    """Whether the fault hits the eligible primitive with ``seen`` eligible
+    predecessors of its kind in this repetition."""
+    if fault.ap_index is not None:
+        return fault.ap_index == seen
+    # sensor-level faults disturb the whole repetition; a slip without an
+    # index hits the first eligible process step
+    return fault.kind != "tool_slip" or seen == 0
 
 
 class _Executor:
-    """Binds the simulated plant to the interpreter callback."""
+    """Binds the simulated plant to the interpreter callback and keeps the
+    repetition's per-bucket tally of clock units."""
 
     def __init__(self, model: AssemblyModel, seed: int, repetition: int,
                  faults: list[FaultSpec], collect_rows: bool = False):
         self.model = model
-        self.plant = PlantState(pose=model.robot_start)
-        self.clock_units = 0
+        self.buckets = {b: 0 for b in BUCKETS}
         self.faults = [f for f in faults if f.repetition == repetition]
         self.noise_rng = np.random.default_rng(
             np.random.SeedSequence([seed, repetition, 7]))
         self.collect_rows = collect_rows
         self.rows: list[TickRow] = []
-        self._eligible_seen: dict[str, int] = {}
+        self._eligible_seen = {kind: 0 for kind in _FAULT_ELIGIBLE}
 
-    def _fault_for(self, kinds: tuple[str, ...], ap: SkillPrimitive) -> FaultSpec | None:
-        for fault in self.faults:
-            if fault.kind not in kinds:
+    def _faults_for(self, ap: SkillPrimitive) -> dict[str, FaultSpec]:
+        """The first matching fault of each kind that hits this primitive."""
+        hits = {}
+        for kind, eligible in _FAULT_ELIGIBLE.items():
+            if not eligible(ap):
                 continue
-            seen = self._eligible_seen.get(fault.kind, 0)
-            if fault.ap_index is None:
-                # sensor-level faults disturb the whole repetition; a slip
-                # without an index hits the first eligible process step
-                if fault.kind == "tool_slip" and seen != 0:
-                    continue
-                return fault
-            if seen == fault.ap_index:
-                return fault
-        return None
-
-    def _mark_eligible(self, kind: str):
-        self._eligible_seen[kind] = self._eligible_seen.get(kind, 0) + 1
+            seen = self._eligible_seen[kind]
+            self._eligible_seen[kind] = seen + 1
+            fault = next((f for f in self.faults
+                          if f.kind == kind and _hits(f, seen)), None)
+            if fault is not None:
+                hits[kind] = fault
+        return hits
 
     def _environment(self, ap: SkillPrimitive, state: ExecState) -> PlantState:
         contacts: list[ContactPlane] = []
         retentions: list[Retention] = []
         tracked = None
-        pos = self.plant.pose.position
+        pos = state.robot_pose.position
         if ap.name is SkillName.FINE_POS and ap.component is not None:
             comp = self.model.component(ap.component)
             obj_pose = state.object_poses.get(comp.id, comp.pose)
@@ -135,67 +151,51 @@ class _Executor:
         if ap.process == "extract":
             retentions.append(Retention(anchor=pos.copy(),
                                         axis=ap.hm.contact_axis))
-        return PlantState(pose=self.plant.pose, contacts=tuple(contacts),
+        return PlantState(pose=state.robot_pose, contacts=tuple(contacts),
                           retentions=tuple(retentions), tracked_points=tracked)
 
     def __call__(self, ap: SkillPrimitive, state: ExecState) -> StepResult:
-        plant = self._environment(ap, state)
-        start_pos = plant.pose.position.copy()
-
+        hits = self._faults_for(ap)
         hook = FaultHook()
-        active_fault = None
-        if ControlMode.FTC in ap.hm.control:
-            fault = self._fault_for(("force_noise",), ap)
-            if fault is not None:
-                hook = FaultHook(force_noise_sigma=fault.sigma, rng=self.noise_rng)
-                active_fault = fault
-            self._mark_eligible("force_noise")
-        if ap.name is SkillName.FINE_POS:
-            fault = self._fault_for(("feature_dropout",), ap)
-            if fault is not None:
-                hook = FaultHook(feature_dropout=True)
-                active_fault = fault
-            self._mark_eligible("feature_dropout")
-        slip_fault = None
-        if ap.process in _PROCESS_FAULT_TARGETS:
-            slip_fault = self._fault_for(("tool_slip",), ap)
-            self._mark_eligible("tool_slip")
+        if "force_noise" in hits:
+            hook = FaultHook(force_noise_sigma=hits["force_noise"].sigma,
+                             rng=self.noise_rng)
+        if "feature_dropout" in hits:
+            hook = FaultHook(feature_dropout=True)
 
         try:
-            plant, log = run_skill(ap, plant, start_units=self.clock_units,
+            plant, log = run_skill(ap, self._environment(ap, state),
+                                   start_units=sum(self.buckets.values()),
                                    fault=hook)
         except (SkillTimeout, SingularJacobian) as exc:
             self._absorb(exc.log)
-            self.plant = PlantState(pose=exc.state.pose)
             return StepResult(ok=False, end_pose=exc.state.pose,
-                              buckets=dict(exc.log.buckets),
                               error=ErrorType.SENSE_AND_CONTROL,
                               message=str(exc))
-
         self._absorb(log)
-        self.plant = PlantState(pose=plant.pose)
         end_pose = plant.pose
 
-        if slip_fault is not None:
-            return StepResult(ok=False, end_pose=end_pose,
-                              buckets=dict(log.buckets), error=ErrorType.DEVICE,
+        if "tool_slip" in hits:
+            return StepResult(ok=False, end_pose=end_pose, error=ErrorType.DEVICE,
                               message=f"{ap.component} not retained by the tool "
                                       f"during {ap.process}")
 
         if ap.process == "extract":
-            travel = (end_pose.position - start_pos) @ ap.hm.contact_axis
+            travel = ((end_pose.position - state.robot_pose.position)
+                      @ ap.hm.contact_axis)
             if travel < RELEASE_DIST - 1e-6:
-                err = (ErrorType.SENSE_AND_CONTROL
-                       if active_fault is not None else ErrorType.DEVICE)
+                # a slip returned above, so any hit here is a sensor fault
                 return StepResult(ok=False, end_pose=end_pose,
-                                  buckets=dict(log.buckets), error=err,
+                                  error=(ErrorType.SENSE_AND_CONTROL if hits
+                                         else ErrorType.DEVICE),
                                   message="extraction ended before release "
                                           "travel was reached")
 
-        return StepResult(ok=True, end_pose=end_pose, buckets=dict(log.buckets))
+        return StepResult(ok=True, end_pose=end_pose)
 
     def _absorb(self, log) -> None:
-        self.clock_units += log.total_units()
+        for bucket, spent in log.buckets.items():
+            self.buckets[bucket] += spent
         if self.collect_rows:
             self.rows.extend(log.rows)
 
@@ -223,51 +223,65 @@ class RunResult:
             "message": self.message,
         }
 
+    @classmethod
+    def from_json(cls, doc) -> "RunResult":
+        """Inverse of ``to_json``; raises ValueError unless ``doc`` is a run
+        entry with exactly the four buckets."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"run entry {doc!r:.40} is not an object")
+        buckets = doc.get("buckets")
+        if not isinstance(buckets, dict) or set(buckets) != set(BUCKETS):
+            raise ValueError(f"run buckets must be exactly {', '.join(BUCKETS)}")
+        if not all(type(n) is int and n >= 0
+                   for n in (doc.get("repetition"), *buckets.values())):
+            raise ValueError("repetition and bucket units must be ints >= 0")
+        outcome, error = doc.get("outcome"), doc.get("error")
+        message = doc.get("message", "")
+        if ((outcome, error is None) not in (("success", True), ("failure", False))
+                or not isinstance(message, str)):
+            raise ValueError("a run is a success without error or a failure "
+                             "with one, and its message is a string")
+        return cls(doc["repetition"], {b: buckets[b] for b in BUCKETS}, outcome,
+                   None if error is None else ErrorType(error), message)
+
 
 def execute_once(plans: Plan | list[Plan], model: AssemblyModel, seed: int = 0,
                  repetition: int = 0, faults: list[FaultSpec] | None = None,
                  collect_rows: bool = False) -> RunResult:
     """One full execution of the task on a fresh plant.
 
-    Failures are results, not exceptions: the outcome carries the error class.
+    Failures are results, not exceptions: the outcome carries the error class,
+    and the buckets hold the time of every skill primitive that ran.
     """
-    faults = faults or []
     offsets = detection_offsets(model, seed, repetition)
     state = ExecState.initial(model, detection_noise=offsets)
-    executor = _Executor(model, seed, repetition, faults,
+    executor = _Executor(model, seed, repetition, faults or [],
                          collect_rows=collect_rows)
-    buckets = {b: 0 for b in BUCKETS}
     try:
         trace = interpret(plans, state, model, executor)
+        outcome, error, message = trace.outcome, trace.error, trace.message
     except (UnresolvableGoal, InapplicablePrimitive) as exc:
-        return RunResult(repetition, buckets, "failure", ErrorType.PLANNING,
-                         str(exc), rows=executor.rows)
-    for record in trace.records:
-        for name, units_spent in record.result.buckets.items():
-            buckets[name] += units_spent
-    if trace.outcome == "success":
-        return RunResult(repetition, buckets, "success", None, "",
-                         trace=trace, rows=executor.rows)
-    return RunResult(repetition, buckets, "failure", trace.error,
-                     trace.message, trace=trace, rows=executor.rows)
+        trace, outcome, error, message = None, "failure", ErrorType.PLANNING, str(exc)
+    return RunResult(repetition, executor.buckets, outcome, error, message,
+                     trace=trace, rows=executor.rows)
+
+
+# report columns: the total execution time, then one per bucket
+REPORT_KEYS = ("exe",) + BUCKETS
 
 
 @dataclass
 class MetricsReport:
-    """Aggregated execution metrics over repetitions."""
+    """Aggregated execution metrics over repetitions.
+
+    ``t`` and ``sigma`` hold the mean and population standard deviation in
+    seconds, keyed by ``REPORT_KEYS``.
+    """
 
     repetitions: int
     mp_count: int
-    t_exe: float
-    t_path: float
-    t_vsc: float
-    t_ftc: float
-    t_n: float
-    sigma_exe: float
-    sigma_path: float
-    sigma_vsc: float
-    sigma_ftc: float
-    sigma_n: float
+    t: dict[str, float]
+    sigma: dict[str, float]
     success_rate: float
     failures: list[tuple[int, ErrorType]]
     per_rep: list[dict] = field(default_factory=list)
@@ -276,34 +290,16 @@ class MetricsReport:
         return {
             "repetitions": self.repetitions,
             "|MP|": self.mp_count,
-            "t_exe": self.t_exe,
-            "t_path": self.t_path,
-            "t_vsc": self.t_vsc,
-            "t_ftc": self.t_ftc,
-            "t_n": self.t_n,
-            "sigma_exe": self.sigma_exe,
-            "sigma_path": self.sigma_path,
-            "sigma_vsc": self.sigma_vsc,
-            "sigma_ftc": self.sigma_ftc,
-            "sigma_n": self.sigma_n,
+            **{f"t_{k}": self.t[k] for k in REPORT_KEYS},
+            **{f"sigma_{k}": self.sigma[k] for k in REPORT_KEYS},
             "S": self.success_rate,
             "failures": [[rep, err.value] for rep, err in self.failures],
             "per_rep": self.per_rep,
         }
 
     def format_table(self) -> str:
-        rows = [
-            ("t_exe in [s]", self.t_exe),
-            ("t_path in [s]", self.t_path),
-            ("t_vsc in [s]", self.t_vsc),
-            ("t_ftc in [s]", self.t_ftc),
-            ("t_n in [s]", self.t_n),
-            ("sigma_exe in [s]", self.sigma_exe),
-            ("sigma_path in [s]", self.sigma_path),
-            ("sigma_vsc in [s]", self.sigma_vsc),
-            ("sigma_ftc in [s]", self.sigma_ftc),
-            ("sigma_n in [s]", self.sigma_n),
-        ]
+        rows = ([(f"t_{k} in [s]", self.t[k]) for k in REPORT_KEYS]
+                + [(f"sigma_{k} in [s]", self.sigma[k]) for k in REPORT_KEYS])
         width = max(len(r[0]) for r in rows) + 2
         lines = [f"{label:<{width}}{value:>10.3f}" for label, value in rows]
         lines.append(f"{'|MP|':<{width}}{self.mp_count:>10d}")
@@ -317,29 +313,21 @@ class MetricsReport:
 
 def aggregate(results: list[RunResult], mp_count: int) -> MetricsReport:
     """Order-independent aggregation of per-repetition results."""
+    if not results:
+        raise ValueError("no repetitions to aggregate")
     results = sorted(results, key=lambda r: r.repetition)
-    n = len(results)
-    series = {b: np.array([r.buckets[b] for r in results], dtype=float)
-              * CLOCK_UNIT_S for b in BUCKETS}
-    total = np.array([r.total_units for r in results], dtype=float) * CLOCK_UNIT_S
+    units = {"exe": [r.total_units for r in results],
+             **{b: [r.buckets[b] for r in results] for b in BUCKETS}}
+    seconds = {k: np.array(v, dtype=float) * CLOCK_UNIT_S for k, v in units.items()}
     successes = sum(1 for r in results if r.outcome == "success")
-    failures = [(r.repetition, r.error) for r in results
-                if r.outcome != "success"]
     return MetricsReport(
-        repetitions=n,
+        repetitions=len(results),
         mp_count=mp_count,
-        t_exe=float(np.mean(total)),
-        t_path=float(np.mean(series[BUCKET_PATH])),
-        t_vsc=float(np.mean(series[BUCKET_VSC])),
-        t_ftc=float(np.mean(series[BUCKET_FTC])),
-        t_n=float(np.mean(series[BUCKET_N])),
-        sigma_exe=float(np.std(total)),
-        sigma_path=float(np.std(series[BUCKET_PATH])),
-        sigma_vsc=float(np.std(series[BUCKET_VSC])),
-        sigma_ftc=float(np.std(series[BUCKET_FTC])),
-        sigma_n=float(np.std(series[BUCKET_N])),
-        success_rate=successes / n,
-        failures=failures,
+        t={k: float(np.mean(seconds[k])) for k in REPORT_KEYS},
+        sigma={k: float(np.std(seconds[k])) for k in REPORT_KEYS},
+        success_rate=successes / len(results),
+        failures=[(r.repetition, r.error) for r in results
+                  if r.outcome != "success"],
         per_rep=[r.to_json() for r in results],
     )
 
@@ -349,8 +337,6 @@ def run_experiment(plans: Plan | list[Plan], model: AssemblyModel,
                    seed: int = 0, collect_rows: bool = False,
                    ) -> tuple[MetricsReport, list[RunResult]]:
     """Repeat the execution and aggregate the metric vector."""
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
     mp_count = len(flatten_plans(plans))
     results = [execute_once(plans, model, seed=seed, repetition=rep,
                             faults=faults, collect_rows=collect_rows)

@@ -267,6 +267,28 @@ def _object_list(doc: dict, key: str, path: str) -> list[dict]:
     return [_object(entry, path, f"{key}[{i}]") for i, entry in enumerate(value)]
 
 
+def _points(value, path: str, field_name: str) -> np.ndarray:
+    """A list of finite ``[x, y, z]`` numbers as an (n, 3) array, else a
+    ParseError naming the field."""
+    if not (isinstance(value, list)
+            and all(isinstance(p, list) and len(p) == 3 for p in value)):
+        raise ParseError(f"{value!r:.40} is not a list of [x, y, z] points",
+                         path=path, field=field_name)
+    pts = np.array([[_number(x, path, field_name) for x in p] for p in value])
+    if not np.isfinite(pts).all():
+        raise ParseError("points must be finite", path=path, field=field_name)
+    return pts.reshape(-1, 3)
+
+
+def _relation_pair(obj: dict, path: str) -> tuple[str, str]:
+    pair = _require(obj, "components", path)
+    if not (isinstance(pair, list) and len(pair) == 2
+            and all(isinstance(cid, str) for cid in pair)):
+        raise ParseError("relation 'components' must be a pair of ids",
+                         path=path, field="relations[].components")
+    return pair[0], pair[1]
+
+
 def _parse_pose(obj, path, field_name) -> Pose:
     try:
         return Pose.from_json(obj)
@@ -276,6 +298,9 @@ def _parse_pose(obj, path, field_name) -> Pose:
 
 def _parse_component(obj: dict, path: str) -> Component:
     cid = _require(obj, "id", path)
+    if not isinstance(cid, str):
+        raise ParseError(f"{cid!r:.40} is not a string", path=path,
+                         field="components[].id")
     try:
         semantic = Semantic(_require(obj, "semantic", path))
     except ValueError as exc:
@@ -289,20 +314,17 @@ def _parse_component(obj: dict, path: str) -> Component:
         put_pose = _parse_pose(obj["put_pose"], path, f"components[{cid}].put_pose")
     features = obj.get("visual_features")
     if features is not None:
-        features = np.asarray(features, dtype=float)
+        features = _points(features, path, f"components[{cid}].visual_features")
     return Component(id=cid, semantic=semantic, pose=pose, grasp_offset=grasp,
                      visual_features=features, put_pose=put_pose)
 
 
-def _parse_relation(obj: dict, components: dict[str, Component], path: str) -> SpatialRelation:
+def _parse_relation(obj: dict, pair: tuple[str, str],
+                    components: dict[str, Component], path: str) -> SpatialRelation:
     try:
         kind = RelationKind(_require(obj, "kind", path))
     except ValueError as exc:
         raise ParseError(str(exc), path=path, field="relations[].kind") from None
-    pair = _require(obj, "components", path)
-    if not (isinstance(pair, list) and len(pair) == 2):
-        raise ParseError("relation 'components' must be a pair of ids",
-                         path=path, field="relations[].components")
     geo_obj = _object(_require(obj, "geometry", path), path, "relations[].geometry")
     try:
         geo_kind = GeometryKind(_require(geo_obj, "kind", path))
@@ -322,16 +344,12 @@ def _parse_relation(obj: dict, components: dict[str, Component], path: str) -> S
         raise ParseError("geometry direction must be a finite nonzero 3-vector",
                          path=path, field=dir_field)
 
-    first = pair[0]
-    if first not in components:
-        # leave full validation to AssemblyModel.validate, which names the entity
-        raise ValidationError("relation references unknown component", entity=first)
-    anchor = components[first].pose
+    anchor = components[pair[0]].pose
     frame_world = anchor.compose(frame_local)
     direction_world = anchor.rotate(normalize(direction_local))
     geometry = FeatureGeometry(kind=geo_kind, frame=frame_world,
                                direction=normalize(direction_world))
-    return SpatialRelation(kind=kind, components=(pair[0], pair[1]),
+    return SpatialRelation(kind=kind, components=pair,
                            geometry=geometry, direction=geometry.direction.copy())
 
 
@@ -349,13 +367,14 @@ def load_model_dict(doc: dict, path: str = "<dict>") -> AssemblyModel:
         comp_by_id.setdefault(c.id, c)
 
     relation_objs = _object_list(doc, "relations", path)
-    # unknown references caught with the offending id before pair unpacking
-    for r in relation_objs:
-        for cid in r.get("components", []):
-            if cid not in comp_by_id:
-                raise ValidationError("relation references unknown component",
-                                      entity=cid)
-    relations = [_parse_relation(r, comp_by_id, path) for r in relation_objs]
+    pairs = [_relation_pair(r, path) for r in relation_objs]
+    # unknown references caught with the offending id before any geometry
+    for cid in (cid for pair in pairs for cid in pair):
+        if cid not in comp_by_id:
+            raise ValidationError("relation references unknown component",
+                                  entity=cid)
+    relations = [_parse_relation(r, pair, comp_by_id, path)
+                 for r, pair in zip(relation_objs, pairs)]
 
     stations = {}
     for name, pose_obj in _object(_require(doc, "tool_stations", path), path,
@@ -375,6 +394,11 @@ def load_model_dict(doc: dict, path: str = "<dict>") -> AssemblyModel:
         raise ParseError("vision_noise must be finite and >= 0", path=path,
                          field="vision_noise")
 
+    reassemble = doc.get("reassemble", False)
+    if not isinstance(reassemble, bool):
+        raise ParseError(f"{reassemble!r:.40} is not true or false", path=path,
+                         field="reassemble")
+
     robot_start = IDENTITY
     if "robot_start" in doc:
         robot_start = _parse_pose(doc["robot_start"], path, "robot_start")
@@ -385,7 +409,7 @@ def load_model_dict(doc: dict, path: str = "<dict>") -> AssemblyModel:
         tool_stations=stations,
         target=doc.get("target"),
         robot_start=robot_start,
-        reassemble=bool(doc.get("reassemble", False)),
+        reassemble=reassemble,
         tool_map=tool_map,
         vision_noise=vision_noise,
     )

@@ -576,7 +576,6 @@ class StepResult:
 
     ok: bool
     end_pose: Pose
-    buckets: dict[str, int] = field(default_factory=dict)  # clock units per bucket
     error: ErrorType | None = None
     message: str = ""
 

@@ -117,6 +117,18 @@ def _set_geometry(doc):
     doc["relations"][0]["geometry"] = 5
 
 
+def _set_component_id(value):
+    return lambda doc: doc["components"][0].update(id=value)
+
+
+def _set_features(value):
+    return lambda doc: doc["components"][1].update(visual_features=value)
+
+
+def _set_pair(value):
+    return lambda doc: doc["relations"][0].update(components=value)
+
+
 @pytest.mark.parametrize("command", ["plan", "decompose", "simulate"])
 @pytest.mark.parametrize("edit, field", [
     (_set_relation_entry, "relations[0]"),
@@ -126,8 +138,24 @@ def _set_geometry(doc):
     (lambda doc: doc.update(components={}), "components"),
     (lambda doc: doc.update(tool_stations=[1, 2]), "tool_stations"),
     (lambda doc: doc.update(tool_map=[1]), "tool_map"),
+    (_set_component_id([1]), "components[].id"),
+    (_set_component_id({}), "components[].id"),
+    (_set_features("x"), "components[screw_1].visual_features"),
+    (_set_features([[0.01, 0.0], [0.0, 0.01, 0.0], [0.0, 0.0, 0.01]]),
+     "components[screw_1].visual_features"),
+    (_set_features([["a", 0, 0], [0, 1, 0], [0, 0, 1]]),
+     "components[screw_1].visual_features"),
+    (_set_features([[float("nan"), 0, 0], [0, 1, 0], [0, 0, 1]]),
+     "components[screw_1].visual_features"),
+    (_set_pair(5), "relations[].components"),
+    (_set_pair(None), "relations[].components"),
+    (_set_pair([[1], "base"]), "relations[].components"),
+    (lambda doc: doc.update(reassemble="no"), "reassemble"),
 ], ids=["relation_entry", "component_entry", "geometry", "relations_str",
-        "components_obj", "tool_stations_list", "tool_map_list"])
+        "components_obj", "tool_stations_list", "tool_map_list",
+        "component_id_list", "component_id_obj", "features_str",
+        "features_ragged", "features_non_numeric", "features_nan",
+        "pair_int", "pair_null", "pair_holds_list", "reassemble_str"])
 def test_mistyped_collection_is_parse_error(tmp_path, capsys, command, edit, field):
     doc = json.loads((SCENARIOS / "single_screw.json").read_text())
     edit(doc)
@@ -158,17 +186,22 @@ def test_features_behind_camera_is_a_failure_row(tmp_path, capsys):
     assert round(float(ticks[-1].split(",")[0]) * 100) == sum(rep1["buckets"].values())
 
 
-@pytest.mark.parametrize("fault", [
-    {"kind": "force_noise", "repetition": 0, "sigma": float("nan")},
-    {"kind": "force_noise", "repetition": 0, "sigma": -1},
-    {"kind": "tool_slip", "repetition": -3},
-    {"kind": "tool_slip", "repetition": 2.7},
-    {"kind": "tool_slip", "repetition": 0, "ap_index": "x"},
+def _one_fault(fault):
+    return {"faults": [fault]}
+
+
+@pytest.mark.parametrize("doc", [
+    _one_fault({"kind": "force_noise", "repetition": 0, "sigma": float("nan")}),
+    _one_fault({"kind": "force_noise", "repetition": 0, "sigma": -1}),
+    _one_fault({"kind": "tool_slip", "repetition": -3}),
+    _one_fault({"kind": "tool_slip", "repetition": 2.7}),
+    _one_fault({"kind": "tool_slip", "repetition": 0, "ap_index": "x"}),
+    [], "x", _one_fault(5), {"faults": "x"},
 ], ids=["sigma_nan", "sigma_negative", "repetition_negative", "repetition_float",
-        "ap_index_str"])
-def test_bad_fault_field_exits_one(tmp_path, capsys, fault):
+        "ap_index_str", "doc_list", "doc_str", "entry_int", "faults_str"])
+def test_bad_fault_field_exits_one(tmp_path, capsys, doc):
     faults = tmp_path / "faults.json"
-    faults.write_text(json.dumps({"faults": [fault]}))
+    faults.write_text(json.dumps(doc))
     code, out, err = _run(capsys, "simulate", SCENARIOS / "single_screw.json",
                           "--samples", 500, "--faults", faults,
                           "--out", tmp_path / "run")
@@ -275,11 +308,37 @@ def test_report_on_missing_directory_fails_cleanly(tmp_path, capsys):
 
 
 def test_report_on_corrupt_runs_fails_cleanly(tmp_path, capsys):
+    def run(**fields):
+        entry = {"repetition": 0, "buckets": {"path": 1, "vsc": 0, "ftc": 0, "n": 0},
+                 "outcome": "success", "error": None, "message": ""}
+        return entry | fields
+
+    docs = [
+        {"runs": [{"repetition": 0}]},
+        {"mp_count": 1, "runs": []},
+        {"mp_count": 1, "runs": [5]},
+        {"mp_count": 1, "runs": {}},
+        {"mp_count": "x", "runs": [run()]},
+        {"mp_count": 1, "runs": [run(buckets={"path": 1, "vsc": 0, "ftc": 0,
+                                               "n": 0, "zz": 3})]},
+        {"mp_count": 1, "runs": [run(buckets={"path": 1, "vsc": 0, "ftc": 0})]},
+        {"mp_count": 1, "runs": [run(buckets={"path": 1.5, "vsc": 0, "ftc": 0,
+                                               "n": 0})]},
+        {"mp_count": 1, "runs": [run(repetition="0")]},
+        {"mp_count": 1, "runs": [run(outcome="failure")]},
+        {"mp_count": 1, "runs": [run(error="gremlins")]},
+        [],
+    ]
     out = tmp_path / "d"
     out.mkdir()
-    (out / "runs.json").write_text('{"runs": [{"repetition": 0}]}')
-    code, _, err = _run(capsys, "report", "--out", out)
-    assert code == 1
+    for doc in docs:
+        (out / "runs.json").write_text(json.dumps(doc))
+        code, stdout, err = _run(capsys, "report", "--out", out)
+        assert code == 1 and stdout == "", doc
+        assert err.startswith("error: cannot aggregate") and err.count("\n") == 1, doc
+    (out / "runs.json").write_text(json.dumps({"mp_count": 1, "runs": [run()]}))
+    code, stdout, _ = _run(capsys, "report", "--out", out)
+    assert code == 0 and stdout.startswith("t_exe in [s]            0.010")
 
 
 def test_scenario_file_never_modified(tmp_path, capsys):

@@ -7,8 +7,9 @@ from dismantle.control import CLOCK_UNIT_S, run_skill
 from dismantle.errors import ErrorType, SingularJacobian
 from dismantle.metrics import (BUCKETS, FaultSpec, RunResult, aggregate,
                                execute_once, load_fault_specs, run_experiment)
+from dismantle.model import load_model_dict
 from dismantle.planner import plan_task
-from dismantle.skills import SkillName
+from dismantle.skills import ControlMode, ExecState, SkillName, interpret
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +85,26 @@ def test_singular_jacobian_books_partial_log(screw_task, monkeypatch):
     assert len(fine) == 1 and fine[0].result.end_pose is ended[0]
 
 
+def test_fault_selection_counts_eligible_skills_per_kind(valve_task):
+    from dismantle.cli import _dry_executor
+    plans, model = valve_task
+    state = ExecState.initial(
+        model, detection_noise=metrics.detection_offsets(model, 3, 0))
+    aps = [r.ap for r in interpret(plans, state, model, _dry_executor).records]
+    faults = [FaultSpec("tool_slip", 0), FaultSpec("tool_slip", 0, ap_index=2),
+              FaultSpec("force_noise", 0, ap_index=1, sigma=1.0),
+              FaultSpec("force_noise", 0, sigma=2.0),
+              FaultSpec("feature_dropout", 0, ap_index=1)]
+    executor = metrics._Executor(model, 0, 0, faults)
+    hits = [executor._faults_for(ap) for ap in aps]
+    slips = [h["tool_slip"] for h in hits if "tool_slip" in h]
+    assert slips == [faults[0], faults[1]]  # an unindexed slip hits once
+    ftc = [ap for ap in aps if ControlMode.FTC in ap.hm.control]
+    sigmas = [h["force_noise"].sigma for h in hits if "force_noise" in h]
+    assert sigmas == [2.0, 1.0] + [2.0] * (len(ftc) - 2)  # first match wins
+    fine = [i for i, ap in enumerate(aps) if ap.name is SkillName.FINE_POS]
+    assert [i for i, h in enumerate(hits) if "feature_dropout" in h] == fine[1:2]
+
 def test_fault_in_other_repetition_ignored(screw_task):
     plans, model = screw_task
     res = execute_once(plans, model, seed=0, repetition=1,
@@ -105,9 +126,7 @@ def test_run_experiment_success_rates(screw_task):
 def test_single_repetition_zero_sigma(screw_task):
     plans, model = screw_task
     report, _ = run_experiment(plans, model, repetitions=1, seed=0)
-    for sigma in (report.sigma_exe, report.sigma_path, report.sigma_vsc,
-                  report.sigma_ftc, report.sigma_n):
-        assert sigma == 0.0
+    assert report.sigma == {k: 0.0 for k in ("exe", "path", "vsc", "ftc", "n")}
 
 
 def test_report_determinism(screw_task):
@@ -122,8 +141,7 @@ def test_bucket_mean_identity(screw_task):
     report, results = run_experiment(plans, model, repetitions=3, seed=0)
     for r in results:
         assert r.total_units == sum(r.buckets.values())
-    assert abs(report.t_exe - (report.t_path + report.t_vsc + report.t_ftc
-                               + report.t_n)) < 1e-9
+    assert abs(report.t["exe"] - sum(report.t[b] for b in BUCKETS)) < 1e-9
 
 
 def test_aggregation_order_independent(screw_task):
@@ -154,6 +172,18 @@ def test_unresolvable_goal_classified_as_planning_error(single_screw_model,
     assert "station" in res.message
 
 
+def test_planning_failure_books_executed_skills(valve_path, dirs2k):
+    # without a gripper station the valve run executes its unscrew steps,
+    # then fails to decompose the first gripper fetch
+    doc = json.loads(valve_path.read_text())
+    del doc["tool_stations"]["gripper"]
+    model = load_model_dict(doc)
+    res = execute_once(plan_task(model, dirs2k), model, seed=0, repetition=0,
+                       collect_rows=True)
+    assert res.error is ErrorType.PLANNING
+    assert res.total_units > 0
+    assert res.rows[-1].t_units == res.total_units
+
 def test_fault_spec_loading(tmp_path):
     doc = tmp_path / "faults.json"
     doc.write_text('{"faults": [{"kind": "tool_slip", "repetition": 2},'
@@ -162,6 +192,10 @@ def test_fault_spec_loading(tmp_path):
     assert len(specs) == 2
     assert specs[0].kind == "tool_slip" and specs[0].repetition == 2
     assert specs[1].sigma == 4.5
+    for bad in ([], "x", {"faults": [5]}):
+        doc.write_text(json.dumps(bad))
+        with pytest.raises(ValueError):
+            load_fault_specs(doc)
 
 
 def test_unknown_fault_kind_rejected():
@@ -192,7 +226,7 @@ def test_table_formatting_labels(screw_task):
 def test_report_times_in_seconds(screw_task):
     plans, model = screw_task
     report, results = run_experiment(plans, model, repetitions=1, seed=0)
-    assert report.t_exe == pytest.approx(results[0].total_units * CLOCK_UNIT_S)
+    assert report.t["exe"] == pytest.approx(results[0].total_units * CLOCK_UNIT_S)
 
 
 def test_tick_csv_shape(tmp_path, screw_task):
