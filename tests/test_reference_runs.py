@@ -1,10 +1,13 @@
 """Pinned behavioural reference: per-repetition bucket units, outcomes and
-error classes, the valve decompose stream, and for every bundled scenario the
-plan document and the sha256 of the decompose stream, compared exactly.
+error classes, the valve decompose stream, for every bundled scenario the
+plan document and the sha256 of the decompose stream, and the sha256 of the
+raw tick rows and skill end poses of three runs, compared exactly.
 
 Bucket units are integer 10 ms clock units, so a faithful rewrite of the
 geometry, control or skill layers reproduces them exactly; a last-ulp change
-that moves a stop condition by one tick shows up here.  The expected data in
+that moves a stop condition by one tick shows up here.  The tick digests hash
+every row's command, wrench and feature error as raw float64 bytes, so they
+also catch a last-ulp change that moves no stop.  The expected data in
 ``data/reference_runs.json`` is regenerated only on purpose, with
 
     PYTHONPATH=src python tests/test_reference_runs.py
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
 from pathlib import Path
 
 from dismantle.cli import _dry_executor, _graph_summary
@@ -39,14 +43,30 @@ def _task(name: str):
     return plan_task(model, sample_sphere(SAMPLES, SEED)), model
 
 
-def _runs(name: str, reps: int, faults=None) -> list[dict]:
+def _results(name: str, reps: int, faults=None) -> list:
     plans, model = _task(name)
-    out = []
-    for rep in range(reps):
-        res = execute_once(plans, model, seed=SEED, repetition=rep, faults=faults)
-        out.append({"buckets": dict(res.buckets), "outcome": res.outcome,
-                    "error": None if res.error is None else res.error.value})
-    return out
+    return [execute_once(plans, model, seed=SEED, repetition=rep, faults=faults,
+                         collect_rows=True)
+            for rep in range(reps)]
+
+
+def _summary(res) -> dict:
+    return {"buckets": dict(res.buckets), "outcome": res.outcome,
+            "error": None if res.error is None else res.error.value}
+
+
+def _tick_sha256(res) -> str:
+    """Digest of one repetition's tick rows and skill end poses, bit for bit."""
+    h = hashlib.sha256()
+    for row in res.rows:
+        h.update(f"{row.t_units} {row.controller}\n".encode("utf-8"))
+        h.update(row.u.tobytes())
+        h.update(row.wrench.tobytes())
+        h.update(struct.pack("<d", row.feat_err_px))
+    for record in res.trace.records:
+        h.update(record.result.end_pose.position.tobytes())
+        h.update(record.result.end_pose.orientation.tobytes())
+    return h.hexdigest()
 
 
 def _decompose_aps(name: str):
@@ -83,14 +103,20 @@ def _plan_doc(name: str) -> dict:
 
 
 def collect() -> dict:
+    single_screw = _results("single_screw", 5)
+    valve = _results("valve", 2)
+    faulted = {kind: _results("single_screw", 1, [FaultSpec(kind, 0, sigma=6.0)])
+               for kind in ("tool_slip", "force_noise", "feature_dropout")}
     return {
         "seed": SEED,
         "samples": SAMPLES,
-        "single_screw": _runs("single_screw", 5),
-        "valve": _runs("valve", 2),
-        "single_screw_faults": {
-            kind: _runs("single_screw", 1, [FaultSpec(kind, 0, sigma=6.0)])
-            for kind in ("tool_slip", "force_noise", "feature_dropout")},
+        "single_screw": [_summary(r) for r in single_screw],
+        "valve": [_summary(r) for r in valve],
+        "single_screw_faults": {kind: [_summary(r) for r in runs]
+                                for kind, runs in faulted.items()},
+        "tick_sha256": {"valve": _tick_sha256(valve[0]),
+                        "single_screw": _tick_sha256(single_screw[0]),
+                        "single_screw_force_noise": _tick_sha256(faulted["force_noise"][0])},
         "valve_decompose": _decompose_names("valve"),
         "plan": {name: _plan_doc(name) for name in SCENARIO_NAMES},
         "decompose_sha256": {name: _decompose_sha256(name) for name in SCENARIO_NAMES},
