@@ -429,3 +429,62 @@ def test_run_skill_tool_action_books_nonproductive_time():
     _, log = run_skill(ap, PlantState(pose=pose))
     assert log.buckets["n"] == units(GRIP_ACTION_S)
     assert log.buckets["path"] == 0
+
+
+def _ftc_press(press: np.ndarray, timeout_s: float = 60.0) -> SkillPrimitive:
+    hm = HybridMove(TaskFrame.TCP, (ControlMode.FTC,) * 3 + (ControlMode.POS,) * 3,
+                    np.array([10.0, 0, 0, 0, 0, 0]), contact_axis=press)
+    return SkillPrimitive(SkillName.PROCESS_OBJ, hm, IDLE_TOOL,
+                          StopCondition(StopKind.FORCE_REACHED, np.array([10.0]),
+                                        0.2, timeout_s=timeout_s),
+                          component="c", process="press")
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("depth", [0.0, 1e-4])
+def test_run_skill_rejects_non_finite_contact_force(depth):
+    # an infinitely stiff wall: the first penetrating tick (or, if the start
+    # already penetrates, the first observation) has an infinite force
+    press = np.array([0.0, 0.0, -1.0])
+    wall = ContactPlane(point=np.array([0.3, 0.0, 0.0]),
+                        normal=np.array([0.0, 0.0, 1.0]), stiffness=float("inf"))
+    start = Pose(np.array([0.3, 0.0, -depth]))
+    with pytest.raises(ValueError, match="finite"):
+        run_skill(_ftc_press(press, timeout_s=1.0),
+                  PlantState(pose=start, contacts=(wall,)))
+
+
+def test_run_skill_leaves_caller_arrays_unchanged():
+    press = np.array([0.0, 0.0, -1.0])
+    wall = ContactPlane(point=np.array([0.3, 0.0, 0.0]),
+                        normal=np.array([0.0, 0.0, 1.0]))
+    ret = Retention(anchor=np.array([0.3, 0.0, 0.005]), axis=np.array([0.0, 0.0, 1.0]))
+    start = Pose.from_rotvec(np.array([0.3, 0.0, 0.005]), np.array([0.1, -0.2, 0.3]))
+    state = PlantState(pose=start, contacts=(wall,), retentions=(ret,))
+    pts = FINE_POINTS.copy()
+    sighted = PlantState(pose=Pose(FINE_GOAL.position + [0.02, 0.0, 0.0]),
+                         tracked_points=pts)
+    arrays = [start.position, start.orientation, wall.point, wall.normal,
+              ret.anchor, ret.axis, pts, sighted.pose.position]
+    before = [a.copy() for a in arrays]
+    run_skill(_ftc_press(press), state)
+    run_skill(_rough_pos(Pose(np.array([0.3, 0.05, 0.1]))), state)
+    run_skill(_fine_pos(), sighted)
+    for a, b in zip(arrays, before):
+        assert a.tobytes() == b.tobytes()
+    assert state.pose is start and sighted.tracked_points is pts
+
+
+def test_run_skill_grip_returns_start_pose_bits():
+    pose = Pose.from_rotvec(np.array([0.3, 0.0, 0.2]), np.array([0.3, -0.7, 1.1]))
+    ap = SkillPrimitive(SkillName.PROCESS_OBJ,
+                        HybridMove(TaskFrame.WORLD, (ControlMode.POS,) * 6,
+                                   pose.as_vector()),
+                        ToolCommand(Tool.GRIPPER, ToolCmd.CLOSE),
+                        StopCondition(StopKind.TOOL_DONE,
+                                      np.array([GRIP_ACTION_S]), 1e-9),
+                        component="c", process="grip")
+    new, log = run_skill(ap, PlantState(pose=pose))
+    assert log.rows and all(row.controller == "n" for row in log.rows)
+    assert new.pose.position.tobytes() == pose.position.tobytes()
+    assert new.pose.orientation.tobytes() == pose.orientation.tobytes()
