@@ -11,19 +11,32 @@ environment; it reports the contact wrench.  The flange camera is read by the
 skill loop, once per visual-servoing tick.  Time is simulated, not measured:
 the clock advances in integer units of 10 ms, so 50 Hz and 20 Hz ticks are
 exact (2 and 5 units) and per-bucket time sums are exact integer arithmetic.
+
+Each job has one array kernel: ``_offset`` and ``_twist`` (position
+control), ``_filter_step`` (the admittance filter, elementwise),
+``integrate_twist`` and ``unit_orientation`` (the plant's motion, in
+``geometry``) and ``_contact_force`` (the plant's contact springs).
+``run_skill`` keeps its tick state as bare arrays and scalars (position,
+quaternion, contact force and the filter's axis-0 state) and calls the
+kernels directly; it builds a ``Pose`` only when a skill ends.  The
+object-level functions ``position_step``, ``admittance_step``,
+``contact_wrench`` and ``plant_step`` are adapters over the same kernels,
+so a tick and a call of the adapters give the same bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .camera import CX, CY, FOCAL_PX, camera_pose, project
 from .errors import SingularJacobian, SkillTimeout
-from .geometry import Pose, pose_step
+from .geometry import (Pose, integrate_twist, pose_step, quat_conjugate,
+                       quat_multiply, quat_to_rotvec, unit_orientation)
 from .skills import (GRIP_ACTION_S, TOOL_SWAP_S, ControlMode, SkillName,
-                     SkillPrimitive, StopKind, pose_error)
+                     SkillPrimitive, StopKind)
 
 CLOCK_UNIT_S = 0.01          # one clock unit = 10 ms
 UNITS_PER_POS_TICK = 2       # 50 Hz position / force loop
@@ -139,25 +152,29 @@ class PlantState:
 
 # ------------------------------------------------------------- controllers
 
+def _filter_step(e, u, ud, mass, damping, stiffness, dt):
+    """One explicit-Euler step of M u'' + D u' + C u = e, elementwise: on
+    6-vectors or on one axis's scalars alike.  Returns (u, u')."""
+    udd = (e - damping * ud - stiffness * u) / mass
+    return u + dt * ud, ud + dt * udd
+
+
 def admittance_step(params: AdmittanceParams, f_des: Wrench, f_act: Wrench,
                     filter_state: tuple[np.ndarray, np.ndarray],
                     ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """One explicit-Euler step of the admittance filter.
+    """One explicit-Euler step of the admittance filter on all six axes.
 
     The velocity command u obeys M u'' + D u' + C u = F_des - F_act per axis,
     so a constant force error e settles at u = e / c_i (DC gain 1/c_i) and
     contact buildup drives u back to zero.
 
-    ``run_skill`` drives only axis 0, yet the filter stays 6-axis: the tests
-    check every axis's DC gain and stability, and the benchmark's
-    ``control.admittance_step_us`` probe feeds it 6-axis wrenches.
+    The axes are independent, so ``run_skill``, which commands only the
+    contact axis, runs the same kernel, ``_filter_step``, on axis 0's scalars.
     """
-    dt = 1.0 / params.rate_hz
     u, ud = filter_state
-    e = f_des.as_vector() - f_act.as_vector()
-    udd = (e - params.damping * ud - params.stiffness * u) / params.mass
-    u_new = u + dt * ud
-    ud_new = ud + dt * udd
+    u_new, ud_new = _filter_step(f_des.as_vector() - f_act.as_vector(), u, ud,
+                                 params.mass, params.damping, params.stiffness,
+                                 1.0 / params.rate_hz)
     return u_new, (u_new, ud_new)
 
 
@@ -199,28 +216,45 @@ def ibvs_step(target_px: np.ndarray, f_act: FeatureVector) -> np.ndarray:
     return IBVS_GAIN * np.linalg.solve(jtj, jac.T @ err)
 
 
-def position_step(goal: Pose, current: Pose, v_max: float = V_MAX_LIN,
-                  w_max: float = V_MAX_ANG, kp: float = KP_POS,
-                  tol: float = 1e-12) -> np.ndarray:
-    """Saturated proportional velocity toward the goal pose (world frame)."""
-    dp = current.translation_to(goal)
-    dr = current.rotation_to(goal)
+def _offset(goal_p: np.ndarray, goal_q: np.ndarray, p: np.ndarray,
+            q: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, float]:
+    """Translation and axis-angle rotation from pose (p, q) to the goal, each
+    with its norm (``Pose.distance``'s two figures)."""
+    dp = goal_p - p
+    dr = quat_to_rotvec(quat_multiply(goal_q, quat_conjugate(q)))
+    return dp, math.sqrt(dp.dot(dp)), dr, math.sqrt(dr.dot(dr))
+
+
+def _twist(dp: np.ndarray, dist: float, dr: np.ndarray, ang: float,
+           v_max: float = V_MAX_LIN, w_max: float = V_MAX_ANG,
+           kp: float = KP_POS, tol: float = 1e-12) -> np.ndarray:
+    """Saturated proportional twist along an ``_offset``."""
     u = np.zeros(6)
-    dist = np.linalg.norm(dp)
     if dist > tol:
         u[:3] = dp / dist * min(v_max, kp * dist)
-    ang = np.linalg.norm(dr)
     if ang > tol:
         u[3:] = dr / ang * min(w_max, kp * ang)
     return u
 
 
+def position_step(goal: Pose, current: Pose, v_max: float = V_MAX_LIN,
+                  w_max: float = V_MAX_ANG, kp: float = KP_POS,
+                  tol: float = 1e-12) -> np.ndarray:
+    """Saturated proportional velocity toward the goal pose (world frame)."""
+    return _twist(*_offset(goal.position, goal.orientation, current.position,
+                           current.orientation), v_max, w_max, kp, tol)
+
+
 # ------------------------------------------------------------- plant
 
-def contact_wrench(pose: Pose, contacts: tuple[ContactPlane, ...],
-                   retentions: tuple[Retention, ...]) -> Wrench:
+_ZERO3 = np.zeros(3)
+_ZERO3.flags.writeable = False
+
+
+def _contact_force(p: np.ndarray, contacts: tuple[ContactPlane, ...],
+                   retentions: tuple[Retention, ...]) -> np.ndarray:
+    """Spring and retention force on the tool at position ``p``."""
     force = np.zeros(3)
-    p = pose.position
     for c in contacts:
         pen = -(p - c.point) @ c.normal
         if pen > 0.0:
@@ -229,7 +263,19 @@ def contact_wrench(pose: Pose, contacts: tuple[ContactPlane, ...],
         travel = (p - r.anchor) @ r.axis
         if 0.0 < travel < r.release_dist:
             force -= r.force_n * r.axis
-    return Wrench(force, np.zeros(3))
+    return force
+
+
+def _finite_force(force: np.ndarray) -> np.ndarray:
+    """``force``, after the finiteness check a ``Wrench`` makes."""
+    if not np.isfinite(force).all():
+        raise ValueError("wrench entries must be finite")
+    return force
+
+
+def contact_wrench(pose: Pose, contacts: tuple[ContactPlane, ...],
+                   retentions: tuple[Retention, ...]) -> Wrench:
+    return Wrench(_contact_force(pose.position, contacts, retentions), _ZERO3)
 
 
 def plant_step(state: PlantState, u: np.ndarray, dt: float,
@@ -275,11 +321,12 @@ class FaultHook:
     feature_dropout: bool = False
     rng: np.random.Generator | None = None
 
-    def disturb_wrench(self, wrench: Wrench) -> Wrench:
+    def disturb_force(self, force: np.ndarray) -> np.ndarray:
+        """The measured force: ``force`` plus one normal draw per axis."""
         if self.force_noise_sigma <= 0.0 or self.rng is None:
-            return wrench
+            return force
         noise = self.rng.normal(0.0, self.force_noise_sigma, size=3)
-        return Wrench(wrench.force + noise, wrench.torque)
+        return _finite_force(force + noise)
 
 
 def _primary_controller(ap: SkillPrimitive) -> str:
@@ -304,11 +351,25 @@ def _tool_units(ap: SkillPrimitive) -> int:
 _ADMITTANCE = AdmittanceParams()
 
 
+def _wrench_vector(force: np.ndarray) -> np.ndarray:
+    return np.concatenate([force, _ZERO3])
+
+
+def _state_at(state: PlantState, p: np.ndarray, q_raw: np.ndarray | None,
+              ) -> PlantState:
+    """``state`` moved to the loop's pose.  ``Pose`` normalises the last
+    un-normalised quaternion, as the tick did; with no motion tick yet
+    (``q_raw`` None) the caller's state is returned as it was."""
+    if q_raw is None:
+        return state
+    return replace(state, pose=Pose(p, q_raw))
+
+
 def _abort(exc: Exception, stopped_by: str, state: PlantState, log: StepLog,
-           wrench: Wrench, feat_err: float) -> Exception:
+           force: np.ndarray, feat_err: float) -> Exception:
     """Attach the partial plant state and accounting to a skill failure."""
     log.stopped_by = stopped_by
-    log.final_wrench = wrench.as_vector()
+    log.final_wrench = _wrench_vector(force)
     log.final_feat_err = feat_err
     exc.state = state
     exc.log = log
@@ -326,7 +387,12 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
     SkillTimeout if the stop condition never fires within the skill's time
     budget, and SingularJacobian if a tracked point is not in front of the
     camera or the features are degenerate; both carry the partial plant state
-    and log.
+    and log.  A pose or contact force that is not finite raises ValueError,
+    as ``Pose`` and ``Wrench`` do.
+
+    The tick state is bare arrays: position ``p``, unit quaternion ``q``
+    (with ``q_raw``, the product it was normalised from) and contact force
+    ``f``; the force loop adds its filter's axis-0 scalars.
     """
     fault = fault or FaultHook()
     controller = _primary_controller(ap)
@@ -353,28 +419,36 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
         stop_goal = Pose.from_rotvec(ap.stop.target[:3], ap.stop.target[3:])
     if controller == BUCKET_FTC:
         axis = ap.hm.contact_axis
-        f_des = Wrench(np.array([float(ap.hm.setpoint[0]), 0.0, 0.0]))
+        f_des = float(_finite_force(ap.hm.setpoint[:1])[0])
         # only the orientation of the hold pose is used (the angular command)
-        hold = Pose.from_rotvec(state.pose.position, ap.hm.setpoint[3:])
-        filt = (np.zeros(6), np.zeros(6))
+        hold_q = Pose.from_rotvec(state.pose.position, ap.hm.setpoint[3:]).orientation
+        # axis 0 of the admittance filter, on the contact axis
+        adm = [float(v[0]) for v in (_ADMITTANCE.mass, _ADMITTANCE.damping,
+                                     _ADMITTANCE.stiffness)]
+        adm_dt = 1.0 / _ADMITTANCE.rate_hz
+        u_f = ud_f = 0.0
     elif controller == BUCKET_PATH and motion_needed:
         goal = Pose.from_rotvec(ap.hm.setpoint[:3], ap.hm.setpoint[3:])
     sighted = state.tracked_points is not None and not fault.feature_dropout
 
-    wrench = contact_wrench(state.pose, state.contacts, state.retentions)
+    p, q = state.pose.position, state.pose.orientation
+    q_raw = None
+    f = _finite_force(_contact_force(p, state.contacts, state.retentions))
     feat_err = 0.0
     while motion_needed:
         if sighted:
-            cam = camera_pose(state.pose)
+            cam = camera_pose(_state_at(state, p, q_raw).pose)
             px, z = project(state.tracked_points, cam)
             if not np.all(z > 0.0):
                 raise _abort(SingularJacobian(
                     f"{ap.name.value}: a tracked feature is not in front of "
-                    "the camera"), "singular", state, log, wrench, feat_err)
+                    "the camera"), "singular", _state_at(state, p, q_raw), log,
+                    f, feat_err)
 
         # stop-condition check against the latest observations
         if ap.stop.kind is StopKind.POSE_REACHED:
-            if pose_error(state.pose, stop_goal) <= ap.stop.tolerance:
+            _, dist, _, ang = _offset(stop_goal.position, stop_goal.orientation, p, q)
+            if max(dist, 0.1 * ang) <= ap.stop.tolerance:
                 break
         elif ap.stop.kind is StopKind.FEATURE_REACHED:
             if sighted:
@@ -383,7 +457,7 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
                     break
         elif ap.stop.kind is StopKind.FORCE_REACHED:
             assert ap.hm.contact_axis is not None
-            measured = -wrench.force @ ap.hm.contact_axis
+            measured = -f @ ap.hm.contact_axis
             err = abs(measured - float(ap.stop.target[0]))
             if err > 2.0 * ap.stop.tolerance:
                 stop_armed = True
@@ -397,7 +471,7 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
             raise _abort(SkillTimeout(
                 f"{ap.name.value} stop condition {ap.stop.kind.value} "
                 f"not met within {ap.stop.timeout_s:.0f} s"),
-                "timeout", state, log, wrench, feat_err)
+                "timeout", _state_at(state, p, q_raw), log, f, feat_err)
 
         # controller command
         if controller == BUCKET_VSC:
@@ -407,25 +481,29 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
                 try:
                     u_cam = ibvs_step(ap.stop.target, FeatureVector(px, z))
                 except SingularJacobian as exc:
-                    _abort(exc, "singular", state, log, wrench, feat_err)
+                    _abort(exc, "singular", _state_at(state, p, q_raw), log, f,
+                           feat_err)
                     raise
                 u = np.concatenate([cam.rotate(u_cam[:3]),
                                     cam.rotate(u_cam[3:])])
         elif controller == BUCKET_FTC:
-            measured = -wrench.force @ axis
-            f_act = Wrench(np.array([measured, 0.0, 0.0]))
-            u_f, filt = admittance_step(_ADMITTANCE, f_des, f_act, filt)
-            u_ang = position_step(hold, state.pose)
-            u = np.concatenate([axis * u_f[0], u_ang[3:]])
+            measured = -f @ axis
+            u_f, ud_f = _filter_step(f_des - measured, u_f, ud_f, *adm, adm_dt)
+            _, _, dr, ang = _offset(p, hold_q, p, q)  # orientation only
+            u = _twist(_ZERO3, 0.0, dr, ang)
+            u[:3] = axis * u_f
         else:
-            u = position_step(goal, state.pose)
+            u = _twist(*_offset(goal.position, goal.orientation, p, q))
 
-        state, wrench = plant_step(state, u, dt)
-        wrench = fault.disturb_wrench(wrench)
+        # plant: integrate the twist, then read the contact force there
+        p, q_raw = integrate_twist(p, q, u[:3], u[3:], dt)
+        q = unit_orientation(p, q_raw)
+        f = fault.disturb_force(
+            _finite_force(_contact_force(p, state.contacts, state.retentions)))
         elapsed += tick_units
         log.buckets[controller] += tick_units
         log.rows.append(TickRow(start_units + elapsed, controller, u,
-                                wrench.as_vector(), feat_err))
+                                _wrench_vector(f), feat_err))
         if spin_ticks_left is not None:
             spin_ticks_left -= 1
 
@@ -435,8 +513,8 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
         log.buckets[BUCKET_N] += action
         elapsed += action
         log.rows.append(TickRow(start_units + elapsed, BUCKET_N,
-                                np.zeros(6), wrench.as_vector(), feat_err))
+                                np.zeros(6), _wrench_vector(f), feat_err))
 
-    log.final_wrench = wrench.as_vector()
+    log.final_wrench = _wrench_vector(f)
     log.final_feat_err = feat_err
-    return state, log
+    return _state_at(state, p, q_raw), log

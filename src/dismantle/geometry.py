@@ -31,6 +31,27 @@ def normalize(v: np.ndarray) -> np.ndarray:
     return v / nrm
 
 
+def unit_orientation(position: np.ndarray, orientation: np.ndarray) -> np.ndarray:
+    """A pose's orientation as ``Pose`` stores it: q / |q|, negated if w < 0.
+
+    Raises ValueError unless every entry of ``position`` and ``orientation``
+    is finite and |q| is within 1e-6 of 1.  The skill loop calls it on its
+    bare arrays once per tick, so a tick checks and rounds exactly as a
+    ``Pose`` would.
+    """
+    p, q = position, orientation
+    if not (np.isfinite(p).all() and np.isfinite(q).all()):
+        raise ValueError(f"pose entries must be finite: position {p.tolist()}, "
+                         f"orientation {q.tolist()}")
+    nrm = math.sqrt(q.dot(q))  # np.linalg.norm's own formula, bit for bit
+    if abs(nrm - 1.0) > 1e-6:
+        raise ValueError(f"orientation quaternion not unit norm: {q}")
+    q = q / nrm
+    if q[0] < 0.0:
+        q = -q
+    return q
+
+
 # ------------------------------------------------------------- quaternions
 
 def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -126,15 +147,7 @@ class Pose:
 
     def __post_init__(self):
         p = _as_vec(self.position, 3, "position")
-        q = _as_vec(self.orientation, 4, "orientation")
-        if not (np.isfinite(p).all() and np.isfinite(q).all()):
-            raise ValueError(f"pose entries must be finite: position {p.tolist()}, "
-                             f"orientation {q.tolist()}")
-        if abs(np.linalg.norm(q) - 1.0) > 1e-6:
-            raise ValueError(f"orientation quaternion not unit norm: {q}")
-        q = q / np.linalg.norm(q)
-        if q[0] < 0.0:
-            q = -q
+        q = unit_orientation(p, _as_vec(self.orientation, 4, "orientation"))
         p.flags.writeable = False
         q.flags.writeable = False
         object.__setattr__(self, "position", p)
@@ -206,11 +219,19 @@ class Pose:
 IDENTITY = Pose()
 
 
+def integrate_twist(position: np.ndarray, orientation: np.ndarray,
+                    linear: np.ndarray, angular: np.ndarray,
+                    dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Position and un-normalised quaternion after a world-frame twist over dt
+    (rotation composed on the left); ``unit_orientation`` normalises it."""
+    dq = quat_from_rotvec(np.asarray(angular, dtype=float) * dt)
+    return (position + np.asarray(linear, dtype=float) * dt,
+            quat_multiply(dq, orientation))
+
+
 def pose_step(pose: Pose, linear: np.ndarray, angular: np.ndarray, dt: float) -> Pose:
     """Integrate a world-frame twist over dt (rotation composed on the left)."""
-    dq = quat_from_rotvec(np.asarray(angular, dtype=float) * dt)
-    return Pose(pose.position + np.asarray(linear, dtype=float) * dt,
-                quat_multiply(dq, pose.orientation))
+    return Pose(*integrate_twist(pose.position, pose.orientation, linear, angular, dt))
 
 
 def random_rotation(rng: np.random.Generator) -> Rotation:
