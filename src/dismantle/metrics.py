@@ -10,6 +10,7 @@ and population standard deviations.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,8 +60,11 @@ class FaultSpec:
         if self.ap_index is not None and (type(self.ap_index) is not int
                                           or self.ap_index < 0):
             raise ValueError(f"ap_index must be null or an int >= 0: {self.ap_index!r}")
-        if not 0.0 < self.sigma < np.inf:
-            raise ValueError(f"sigma must be finite and positive: {self.sigma!r}")
+        # bounded by the largest float, so that an int sigma converts
+        if (isinstance(self.sigma, bool) or not isinstance(self.sigma, (int, float))
+                or not 0.0 < self.sigma <= sys.float_info.max):
+            raise ValueError(f"sigma must be a finite positive number: {self.sigma!r}")
+        object.__setattr__(self, "sigma", float(self.sigma))
 
 
 def load_fault_specs(path) -> list[FaultSpec]:
@@ -74,7 +78,7 @@ def load_fault_specs(path) -> list[FaultSpec]:
             raise ValueError(f"fault entry {f!r:.40} is not an object")
         specs.append(FaultSpec(kind=f["kind"], repetition=f["repetition"],
                                ap_index=f.get("ap_index"),
-                               sigma=float(f.get("sigma", 6.0))))
+                               sigma=f.get("sigma", 6.0)))
     return specs
 
 
@@ -316,6 +320,9 @@ def aggregate(results: list[RunResult], mp_count: int) -> MetricsReport:
     if not results:
         raise ValueError("no repetitions to aggregate")
     results = sorted(results, key=lambda r: r.repetition)
+    for a, b in zip(results, results[1:]):
+        if a.repetition == b.repetition:
+            raise ValueError(f"repetition {a.repetition} is listed more than once")
     units = {"exe": [r.total_units for r in results],
              **{b: [r.buckets[b] for r in results] for b in BUCKETS}}
     seconds = {k: np.array(v, dtype=float) * CLOCK_UNIT_S for k, v in units.items()}

@@ -13,6 +13,7 @@ coordinates.  See ``docs/scenario_format.md`` for the full schema.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -339,10 +340,13 @@ def _parse_relation(obj: dict, pair: tuple[str, str],
         raise ParseError("geometry direction must be a list of numbers",
                          path=path, field=dir_field)
     direction_local = np.array([_number(x, path, dir_field) for x in raw])
-    if (direction_local.shape != (3,)
-            or not 0.0 < np.linalg.norm(direction_local) < np.inf):
+    largest = np.abs(direction_local).max(initial=0.0)
+    if direction_local.shape != (3,) or not 0.0 < largest < np.inf:
         raise ParseError("geometry direction must be a finite nonzero 3-vector",
                          path=path, field=dir_field)
+    # scale by a power of two near the largest entry, so the norm cannot
+    # overflow; the scaling is exact, so the unit vector keeps its bits
+    direction_local = np.ldexp(direction_local, -math.frexp(largest)[1])
 
     anchor = components[pair[0]].pose
     frame_world = anchor.compose(frame_local)

@@ -62,8 +62,9 @@ def test_non_finite_pose_is_parse_error(tmp_path, capsys):
     assert err.count("\n") == 1 and "finite" in err and "screw_1" in err
 
 
-@pytest.mark.parametrize("direction", [[0, 0, 0], [float("nan"), 0, 1]],
-                         ids=["zero", "nan"])
+@pytest.mark.parametrize("direction", [[0, 0, 0], [float("nan"), 0, 1],
+                                       [float("-inf"), 0, 1]],
+                         ids=["zero", "nan", "inf"])
 def test_bad_relation_direction_is_parse_error(tmp_path, capsys, direction):
     doc = json.loads((SCENARIOS / "single_screw.json").read_text())
     doc["relations"][0]["geometry"]["direction"] = direction
@@ -193,12 +194,16 @@ def _one_fault(fault):
 @pytest.mark.parametrize("doc", [
     _one_fault({"kind": "force_noise", "repetition": 0, "sigma": float("nan")}),
     _one_fault({"kind": "force_noise", "repetition": 0, "sigma": -1}),
+    _one_fault({"kind": "force_noise", "repetition": 0, "sigma": True}),
+    _one_fault({"kind": "force_noise", "repetition": 0, "sigma": "6"}),
+    _one_fault({"kind": "force_noise", "repetition": 0, "sigma": 10**400}),
     _one_fault({"kind": "tool_slip", "repetition": -3}),
     _one_fault({"kind": "tool_slip", "repetition": 2.7}),
     _one_fault({"kind": "tool_slip", "repetition": 0, "ap_index": "x"}),
     [], "x", _one_fault(5), {"faults": "x"},
-], ids=["sigma_nan", "sigma_negative", "repetition_negative", "repetition_float",
-        "ap_index_str", "doc_list", "doc_str", "entry_int", "faults_str"])
+], ids=["sigma_nan", "sigma_negative", "sigma_bool", "sigma_str", "sigma_huge_int",
+        "repetition_negative", "repetition_float", "ap_index_str", "doc_list",
+        "doc_str", "entry_int", "faults_str"])
 def test_bad_fault_field_exits_one(tmp_path, capsys, doc):
     faults = tmp_path / "faults.json"
     faults.write_text(json.dumps(doc))
@@ -327,6 +332,7 @@ def test_report_on_corrupt_runs_fails_cleanly(tmp_path, capsys):
         {"mp_count": 1, "runs": [run(repetition="0")]},
         {"mp_count": 1, "runs": [run(outcome="failure")]},
         {"mp_count": 1, "runs": [run(error="gremlins")]},
+        {"mp_count": 1, "runs": [run(), run()]},
         [],
     ]
     out = tmp_path / "d"

@@ -204,7 +204,8 @@ def test_unknown_fault_kind_rejected():
     bad = [dict(repetition=-3), dict(repetition=1.0), dict(repetition=True),
            dict(ap_index=-1), dict(ap_index="x"), dict(ap_index=0.0),
            dict(sigma=float("nan")), dict(sigma=float("inf")),
-           dict(sigma=-1.0), dict(sigma=0.0)]
+           dict(sigma=-1.0), dict(sigma=0.0), dict(sigma=True), dict(sigma="6"),
+           dict(sigma=10**400)]
     for fields in bad:
         spec = dict(kind="force_noise", repetition=0) | fields
         with pytest.raises(ValueError):
@@ -246,6 +247,12 @@ def test_tick_csv_shape(tmp_path, screw_task):
     # timestamps are strictly ordered within a run
     times = [float(line.split(",", 1)[0]) for line in lines[1:]]
     assert times == sorted(times)
+
+
+def test_aggregate_rejects_a_repetition_listed_twice():
+    run = RunResult(0, {"path": 1, "vsc": 0, "ftc": 0, "n": 0}, "success", None, "")
+    with pytest.raises(ValueError, match="more than once"):
+        aggregate([run, run], mp_count=1)
 
 
 def test_report_format_pinned():

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,19 @@ def test_relation_direction_transformed_to_world(tmp_path, single_screw_path):
     path.write_text(json.dumps(doc))
     m = load_model(path)
     assert np.allclose(m.relations[0].direction, [0.0, -1.0, 0.0], atol=1e-9)
+
+
+@pytest.mark.parametrize("huge, unit", [([1e200, 0.0, 0.0], [1.0, 0.0, 0.0]),
+                                        ([-1e308, 0.0, 1.0], [-1.0, 0.0, 0.0])])
+def test_huge_finite_relation_direction_loads(single_screw_path, huge, unit):
+    doc = json.loads(single_screw_path.read_text())
+    doc["relations"][0]["geometry"]["direction"] = unit
+    expected = load_model_dict(doc).relations[0].direction
+    doc["relations"][0]["geometry"]["direction"] = huge
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        direction = load_model_dict(doc).relations[0].direction
+    np.testing.assert_allclose(direction, expected, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
