@@ -355,14 +355,17 @@ def _wrench_vector(force: np.ndarray) -> np.ndarray:
     return np.concatenate([force, _ZERO3])
 
 
+def _pose_at(state: PlantState, p: np.ndarray, q_raw: np.ndarray | None) -> Pose:
+    """The loop's pose.  ``Pose`` normalises the last un-normalised
+    quaternion, as the tick did; with no motion tick yet (``q_raw`` None) it
+    is the caller's pose."""
+    return state.pose if q_raw is None else Pose(p, q_raw)
+
+
 def _state_at(state: PlantState, p: np.ndarray, q_raw: np.ndarray | None,
               ) -> PlantState:
-    """``state`` moved to the loop's pose.  ``Pose`` normalises the last
-    un-normalised quaternion, as the tick did; with no motion tick yet
-    (``q_raw`` None) the caller's state is returned as it was."""
-    if q_raw is None:
-        return state
-    return replace(state, pose=Pose(p, q_raw))
+    """``state`` at the loop's pose; the caller's state before any motion tick."""
+    return state if q_raw is None else replace(state, pose=_pose_at(state, p, q_raw))
 
 
 def _abort(exc: Exception, stopped_by: str, state: PlantState, log: StepLog,
@@ -437,7 +440,7 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
     feat_err = 0.0
     while motion_needed:
         if sighted:
-            cam = camera_pose(_state_at(state, p, q_raw).pose)
+            cam = camera_pose(_pose_at(state, p, q_raw))
             px, z = project(state.tracked_points, cam)
             if not np.all(z > 0.0):
                 raise _abort(SingularJacobian(
