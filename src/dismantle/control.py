@@ -12,16 +12,12 @@ skill loop, once per visual-servoing tick.  Time is simulated, not measured:
 the clock advances in integer units of 10 ms, so 50 Hz and 20 Hz ticks are
 exact (2 and 5 units) and per-bucket time sums are exact integer arithmetic.
 
-Each job has one array kernel: ``_offset`` and ``_twist`` (position
-control), ``_filter_step`` (the admittance filter, elementwise),
-``integrate_twist`` and ``unit_orientation`` (the plant's motion, in
-``geometry``) and ``_contact_force`` (the plant's contact springs).
-``run_skill`` keeps its tick state as bare arrays and scalars (position,
-quaternion, contact force and the filter's axis-0 state) and calls the
-kernels directly; it builds a ``Pose`` only when a skill ends.  The
-object-level functions ``position_step``, ``admittance_step``,
-``contact_wrench`` and ``plant_step`` are adapters over the same kernels,
-so a tick and a call of the adapters give the same bits.
+``run_skill`` keeps its tick state in bare arrays and builds a ``Pose`` only
+when a skill ends.  Each job has one array kernel, which the loop calls and
+an object-level function wraps: ``_offset``/``_twist`` (``position_step``),
+``_filter_step`` (``admittance_step``; the loop runs it on axis 0),
+``geometry.integrate_twist`` (``pose_step``) and ``_contact_force``
+(``contact_wrench``).
 """
 
 from __future__ import annotations
