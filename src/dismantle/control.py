@@ -87,10 +87,8 @@ class Wrench:
     torque: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        f = np.array(self.force, dtype=float)
-        t = np.array(self.torque, dtype=float)
-        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(t))):
-            raise ValueError("wrench entries must be finite")
+        f = _finite_force(np.array(self.force, dtype=float))
+        t = _finite_force(np.array(self.torque, dtype=float))
         f.flags.writeable = False
         t.flags.writeable = False
         object.__setattr__(self, "force", f)
@@ -263,7 +261,7 @@ def _contact_force(p: np.ndarray, contacts: tuple[ContactPlane, ...],
 
 
 def _finite_force(force: np.ndarray) -> np.ndarray:
-    """``force``, after the finiteness check a ``Wrench`` makes."""
+    """``force`` (or a torque), after the finiteness check of ``Wrench``."""
     if not np.isfinite(force).all():
         raise ValueError("wrench entries must be finite")
     return force
