@@ -1,7 +1,8 @@
 """Pinned behavioural reference: per-repetition bucket units, outcomes and
 error classes, the valve decompose stream, for every bundled scenario the
-plan document and the sha256 of the decompose stream, and the sha256 of the
-raw tick rows and skill end poses of three runs, compared exactly.
+plan document and the sha256 of the decompose stream, the valve plan document
+at 1M samples, the sha256 of three sampled spheres, and the sha256 of the raw
+tick rows and skill end poses of three runs, compared exactly.
 
 Bucket units are integer 10 ms clock units, so a faithful rewrite of the
 geometry, control or skill layers reproduces them exactly; a last-ulp change
@@ -36,6 +37,8 @@ REFERENCE = HERE / "data" / "reference_runs.json"
 SEED = 0
 SAMPLES = 2000
 SCENARIO_NAMES = ("valve", "single_screw", "empty_target", "blocked")
+# (n, seed) of the pinned spheres
+SPHERES = ((2000, 0), (10_000, 3), (1_000_000, 7))
 
 
 def _task(name: str):
@@ -90,10 +93,19 @@ def _decompose_sha256(name: str) -> str | None:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _plan_doc(name: str) -> dict:
+def _sphere_sha256(n: int, seed: int) -> str:
+    """Digest of a sampled sphere's directions, which must be a read-only,
+    column-major (n, 3) array."""
+    directions = sample_sphere(n, seed).directions
+    assert directions.shape == (n, 3)
+    assert directions.flags.f_contiguous and not directions.flags.writeable
+    return hashlib.sha256(directions.tobytes()).hexdigest()
+
+
+def _plan_doc(name: str, samples: int = SAMPLES) -> dict:
     """Plans and mobility graph as `dismantle plan` prints them."""
     model = load_model(SCENARIOS / f"{name}.json")
-    dirs = sample_sphere(SAMPLES, SEED)
+    dirs = sample_sphere(samples, SEED)
     try:
         plans = plan_task(model, dirs)
     except PlanInfeasible as exc:
@@ -120,6 +132,8 @@ def collect() -> dict:
         "valve_decompose": _decompose_names("valve"),
         "plan": {name: _plan_doc(name) for name in SCENARIO_NAMES},
         "decompose_sha256": {name: _decompose_sha256(name) for name in SCENARIO_NAMES},
+        "plan_1m": {"valve": _plan_doc("valve", 1_000_000)},
+        "sphere_sha256": {f"{n}_{seed}": _sphere_sha256(n, seed) for n, seed in SPHERES},
     }
 
 
