@@ -5,6 +5,10 @@ boolean mask over that shared sample.  A per-contact set is one comparison of
 each direction's score against the contact direction, and multi-contact
 intersections AND the masks together, so the whole pipeline is O(n) in the
 number of sampled directions.
+
+Classification first tests a few evenly spaced members pairwise: two of them
+farther apart than one cone can hold prove the space is not a cone, so the
+principal-axis pass over all members runs only for spaces that may be one.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateSpace, UnknownComponent
-from .geometry import random_rotation
+from .geometry import quat_matrix, random_rotation
 from .model import (AXIAL_KINDS, AssemblyModel, RelationKind, SpatialRelation,
                     contacts_of)
 
@@ -63,9 +67,6 @@ class DirectionSet:
         mask.flags.writeable = False
         return DirectionSet(self.directions, mask)
 
-    def member_directions(self) -> np.ndarray:
-        return self.directions[self.mask]
-
 
 def sample_sphere(n: int, seed: int = 0) -> DirectionSet:
     """Deterministic low-discrepancy sample of the unit sphere.
@@ -74,19 +75,41 @@ def sample_sphere(n: int, seed: int = 0) -> DirectionSet:
     random rigid rotation of the whole lattice, so distinct seeds decorrelate
     the sample without losing uniformity.  The initial mask is all-true: with
     no contacts every direction is an admissible extraction direction.
+
+    The lattice is built, rotated and normalised as one ``(3, n)`` block, one
+    coordinate per row, and returned as its read-only ``(n, 3)`` transpose.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    i = np.arange(n, dtype=float)
-    z = 1.0 - 2.0 * (i + 0.5) / n
-    r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
     golden = np.pi * (3.0 - np.sqrt(5.0))
-    theta = golden * i
-    pts = np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
+    theta = np.arange(n, dtype=float)
+    pts = np.empty((3, n))
+    x, y, z = pts
+    # z = 1 - 2 (i + 1/2) / n;  r = sqrt(max(1 - z^2, 0)), held in y
+    np.add(theta, 0.5, out=z)
+    z *= 2.0
+    z /= n
+    np.subtract(1.0, z, out=z)
+    np.multiply(z, z, out=y)
+    np.subtract(1.0, y, out=y)
+    np.clip(y, 0.0, None, out=y)
+    np.sqrt(y, out=y)
+    theta *= golden
+    np.cos(theta, out=x)
+    x *= y
+    np.sin(theta, out=theta)
+    y *= theta
 
-    rng = np.random.default_rng(seed)
-    pts = random_rotation(rng).apply(pts)
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    pts = quat_matrix(random_rotation(np.random.default_rng(seed)).quat) @ pts
+    # column norms, summed in np.linalg.norm's order: (x^2 + y^2) + z^2
+    norm = np.multiply(pts[0], pts[0])
+    np.multiply(pts[1], pts[1], out=theta)
+    norm += theta
+    np.multiply(pts[2], pts[2], out=theta)
+    norm += theta
+    np.sqrt(norm, out=norm)
+    pts /= norm
+    pts = pts.T
     pts.flags.writeable = False
     mask = np.ones(n, dtype=bool)
     mask.flags.writeable = False
@@ -238,6 +261,13 @@ def _principal_axis(points: np.ndarray) -> np.ndarray:
     return axis / np.linalg.norm(axis)
 
 
+# Two members whose lines are more than 2 (EPS_CONE + CONE_SLACK) apart cannot
+# both lie within EPS_CONE + CONE_SLACK of one axis.  The 1e-9 margin is far
+# above the rounding error of a dot product of unit vectors.
+_PAIR_DOT_MIN = np.cos(2.0 * (EPS_CONE + CONE_SLACK)) - 1e-9
+_PROBES = 8  # evenly spaced members tested pairwise before the axis pass
+
+
 def classify_sdof(space: DirectionSet, contacts: list[SpatialRelation],
                   rotation_free: bool | None = None) -> MobilityLabel:
     """Map a computed space plus its contact kinds to a mobility label.
@@ -260,21 +290,26 @@ def classify_sdof(space: DirectionSet, contacts: list[SpatialRelation],
     if space.is_full():
         return MobilityLabel(Mobility.FREE)
 
-    members = space.member_directions()
-    axis = _principal_axis(members)
-    dots = members @ axis
-    cone = np.cos(EPS_CONE + CONE_SLACK)
-    if np.all(np.abs(dots) >= cone):
-        has_pos = bool(np.any(dots > 0.0))
-        has_neg = bool(np.any(dots < 0.0))
-        if has_pos and has_neg:
-            # two antipodal caps: a sliding joint; with free axis rotation the
-            # pair behaves as a cylindrical fit
-            if rotation_free:
-                return MobilityLabel(Mobility.FITS, axis=axis, rot_axis=rot_axis)
-            return MobilityLabel(Mobility.LIN, axis=axis)
-        cap_axis = axis if has_pos else -axis
-        return MobilityLabel(Mobility.FITS, axis=cap_axis, rot_axis=rot_axis)
+    idx = np.flatnonzero(space.mask)
+    probe = space.directions[idx[np.arange(_PROBES) * idx.size // _PROBES]]
+    # two probes too far apart for one cone rule out every axis, so the
+    # principal-axis pass over all members is needed only when none are
+    if np.all(np.abs(probe @ probe.T) >= _PAIR_DOT_MIN):
+        members = space.directions[idx]
+        axis = _principal_axis(members)
+        dots = members @ axis
+        cone = np.cos(EPS_CONE + CONE_SLACK)
+        if np.all(np.abs(dots) >= cone):
+            has_pos = bool(np.any(dots > 0.0))
+            has_neg = bool(np.any(dots < 0.0))
+            if has_pos and has_neg:
+                # two antipodal caps: a sliding joint; with free axis rotation
+                # the pair behaves as a cylindrical fit
+                if rotation_free:
+                    return MobilityLabel(Mobility.FITS, axis=axis, rot_axis=rot_axis)
+                return MobilityLabel(Mobility.LIN, axis=axis)
+            cap_axis = axis if has_pos else -axis
+            return MobilityLabel(Mobility.FITS, axis=cap_axis, rot_axis=rot_axis)
 
     planar = any(r.kind in (RelationKind.PLANE_CONTACT, RelationKind.CONGRUENT)
                  for r in contacts)

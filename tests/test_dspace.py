@@ -4,13 +4,14 @@ import pytest
 from conftest import (brute_force_space, random_contact_model, random_unit,
                       sorted_set_space)
 
-from dismantle.dspace import (EPS_ANG, EPS_CONE, DirectionSet, Mobility,
+from dismantle.dspace import (CONE_SLACK, EPS_ANG, EPS_CONE, DirectionSet,
+                              Mobility, MobilityLabel, _principal_axis,
                               admissible_indices, build_graph, classify_sdof,
                               contact_space, disassembly_space, dump_directions,
                               intersect_spaces, sample_sphere)
 from dismantle.errors import DegenerateSpace, UnknownComponent
-from dismantle.model import (FeatureGeometry, GeometryKind, RelationKind,
-                             SpatialRelation)
+from dismantle.model import (AXIAL_KINDS, FeatureGeometry, GeometryKind,
+                             RelationKind, SpatialRelation)
 
 
 def _relation(kind, direction, pair=("a", "b")):
@@ -252,6 +253,106 @@ def test_classify_band_without_planes_is_degenerate(dirs10k):
     band = np.abs(dirs10k.directions[:, 2]) <= 0.05
     with pytest.raises(DegenerateSpace):
         classify_sdof(dirs10k.with_mask(band), [rel])
+
+
+def _classify_all_members(space, contacts, rotation_free=None):
+    """Oracle: classify_sdof as it was before the pairwise cone pre-test,
+    running the principal-axis pass over every member."""
+    if rotation_free is None:
+        rotation_free = any(r.kind in AXIAL_KINDS for r in contacts)
+    rot_axis = None
+    if rotation_free:
+        for r in contacts:
+            if r.kind in AXIAL_KINDS:
+                rot_axis = r.direction
+                break
+
+    if space.is_empty():
+        return MobilityLabel(Mobility.FIX, rot_axis=rot_axis)
+    if space.is_full():
+        return MobilityLabel(Mobility.FREE)
+
+    members = space.directions[space.mask]
+    axis = _principal_axis(members)
+    dots = members @ axis
+    cone = np.cos(EPS_CONE + CONE_SLACK)
+    if np.all(np.abs(dots) >= cone):
+        has_pos = bool(np.any(dots > 0.0))
+        has_neg = bool(np.any(dots < 0.0))
+        if has_pos and has_neg:
+            # two antipodal caps: a sliding joint; with free axis rotation the
+            # pair behaves as a cylindrical fit
+            if rotation_free:
+                return MobilityLabel(Mobility.FITS, axis=axis, rot_axis=rot_axis)
+            return MobilityLabel(Mobility.LIN, axis=axis)
+        cap_axis = axis if has_pos else -axis
+        return MobilityLabel(Mobility.FITS, axis=cap_axis, rot_axis=rot_axis)
+
+    planar = any(r.kind in (RelationKind.PLANE_CONTACT, RelationKind.CONGRUENT)
+                 for r in contacts)
+    if planar:
+        # general plane-bounded region (hemispheres, wedges, bands)
+        return MobilityLabel(Mobility.AGPP, rot_axis=rot_axis)
+    raise DegenerateSpace(
+        f"mask with fraction {space.fraction():.4f} matches no mobility rule")
+
+
+def _outcome(classify, space, contacts, rotation_free):
+    """Label value and raw axis bytes, or the DegenerateSpace message."""
+    try:
+        label = classify(space, contacts, rotation_free)
+    except DegenerateSpace as exc:
+        return "degenerate", str(exc)
+    return (label.value,
+            None if label.axis is None else label.axis.tobytes(),
+            None if label.rot_axis is None else label.rot_axis.tobytes())
+
+
+def _test_masks(dirs, rng):
+    """Caps, antipodal double caps, bands and wedges around a random axis,
+    with the cap half-angles on both sides of the 7 degree classification
+    cone and of twice it."""
+    a = random_unit(rng)
+    dots = dirs.directions @ a
+    masks = {}
+    for deg in (6.5, 6.99, 7.01, 7.5, 14.5, 30.0, 90.0):
+        c = np.cos(np.deg2rad(deg))
+        masks[f"cap {deg}"] = dots >= c
+        masks[f"double cap {deg}"] = np.abs(dots) >= c
+    for deg in (3.0, 20.0):
+        masks[f"band {deg}"] = np.abs(dots) <= np.sin(np.deg2rad(deg))
+    for deg in (10.0, 60.0, 150.0):
+        b = np.cos(np.deg2rad(deg)) * a + np.sin(np.deg2rad(deg)) * np.cross(a, random_unit(rng))
+        masks[f"wedge {deg}"] = (dots >= 0.0) & (dirs.directions @ b >= 0.0)
+    nearest = np.argsort(-dots)
+    for k in (1, 2, 5, 9):
+        few = np.zeros(dirs.n, dtype=bool)
+        few[nearest[:k]] = True
+        masks[f"{k} nearest"] = few
+    return a, masks
+
+
+@pytest.mark.parametrize("n", [10_000, 100_000])
+def test_classify_cone_pretest_matches_full_pass(n):
+    dirs = sample_sphere(n, seed=11)
+    rng = np.random.default_rng(n)
+    checked = 0
+    for _ in range(3):
+        a, masks = _test_masks(dirs, rng)
+        contact_sets = ([_relation(RelationKind.CONCENTRIC, a)],
+                        [_relation(RelationKind.CONCENTRIC, a),
+                         _relation(RelationKind.PLANE_CONTACT, a)],
+                        [_relation(RelationKind.PLANE_CONTACT, a)])
+        for name, mask in masks.items():
+            space = dirs.with_mask(mask)
+            for contacts in contact_sets:
+                for rotation_free in (None, True, False):
+                    expected = _outcome(_classify_all_members, space, contacts,
+                                        rotation_free)
+                    got = _outcome(classify_sdof, space, contacts, rotation_free)
+                    assert got == expected, (name, rotation_free)
+                    checked += 1
+    assert checked == 3 * 23 * 3 * 3
 
 
 # ---------------------------------------------------------------- graph
