@@ -426,6 +426,9 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
         u_f = ud_f = 0.0
     elif controller == BUCKET_PATH and motion_needed:
         goal = Pose.from_rotvec(ap.hm.setpoint[:3], ap.hm.setpoint[3:])
+        # a move whose stop pose is its setpoint steers by the stop check's offset
+        steer_by_stop = (ap.stop.kind is StopKind.POSE_REACHED
+                         and np.array_equal(ap.stop.target, ap.hm.setpoint))
     sighted = state.tracked_points is not None and not fault.feature_dropout
 
     p, q = state.pose.position, state.pose.orientation
@@ -444,7 +447,8 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
 
         # stop-condition check against the latest observations
         if ap.stop.kind is StopKind.POSE_REACHED:
-            _, dist, _, ang = _offset(stop_goal.position, stop_goal.orientation, p, q)
+            stop_offset = _offset(stop_goal.position, stop_goal.orientation, p, q)
+            _, dist, _, ang = stop_offset
             if max(dist, 0.1 * ang) <= ap.stop.tolerance:
                 break
         elif ap.stop.kind is StopKind.FEATURE_REACHED:
@@ -489,6 +493,8 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
             _, _, dr, ang = _offset(p, hold_q, p, q)  # orientation only
             u = _twist(_ZERO3, 0.0, dr, ang)
             u[:3] = axis * u_f
+        elif steer_by_stop:
+            u = _twist(*stop_offset)
         else:
             u = _twist(*_offset(goal.position, goal.orientation, p, q))
 

@@ -294,6 +294,24 @@ def test_run_skill_pose_reached_and_path_bucket():
     assert log.buckets["vsc"] == log.buckets["ftc"] == log.buckets["n"] == 0
 
 
+def test_run_skill_offsets_once_per_path_tick(monkeypatch):
+    calls = []
+
+    def counting_offset(*args):
+        calls.append(args)
+        return offset(*args)
+
+    offset = control._offset
+    monkeypatch.setattr(control, "_offset", counting_offset)
+    start = Pose(np.array([0.0, 0.0, 0.2]))
+    goal = Pose.from_rotvec(np.array([0.2, 0.0, 0.2]), np.array([0.3, 0.0, 0.0]))
+    _, log = run_skill(_rough_pos(goal), PlantState(pose=start))
+    ticks = log.buckets["path"] // UNITS_PER_POS_TICK
+    assert ticks > 10 and len(log.rows) == ticks
+    # one offset per commanded tick plus the final stop check
+    assert len(calls) == ticks + 1
+
+
 def test_run_skill_rate_fidelity():
     start = Pose(np.array([0.0, 0.0, 0.2]))
     goal = Pose(np.array([0.05, 0.0, 0.2]))
