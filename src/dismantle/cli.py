@@ -1,7 +1,8 @@
 """Command-line front end: plan, decompose, simulate and report.
 
 Data goes to stdout or the requested output location; diagnostics go to
-stderr.  Exit codes: 1 parse error, 2 validation error, 3 infeasible plan.
+stderr.  Exit codes: 1 parse error or stdout closed early, 2 validation
+error, 3 infeasible plan.
 All commands are deterministic for a fixed (scenario, samples, seed) triple
 and never modify the scenario file.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -183,7 +185,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so the flush at
+        # interpreter exit stays quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from dismantle.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _run(capsys, *argv):
@@ -294,6 +298,20 @@ def test_report_reaggregates_without_simulation(tmp_path, capsys):
     code2, second, _ = _run(capsys, "report", "--out", out)
     assert code2 == 0
     assert second == first
+
+
+def test_stdout_closed_early_exits_one_without_traceback():
+    # the reader closes the pipe before the plan is written, as `| head` can
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.Popen([sys.executable, "-m", "dismantle.cli", "plan",
+                             str(SCENARIOS / "valve.json"), "--samples", "2000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
 
 
 def test_bad_samples_rejected(capsys):
