@@ -83,8 +83,8 @@ def sample_sphere(n: int, seed: int = 0) -> DirectionSet:
         raise ValueError("n must be >= 1")
     golden = np.pi * (3.0 - np.sqrt(5.0))
     theta = np.arange(n, dtype=float)
-    pts = np.empty((3, n))
-    x, y, z = pts
+    lattice = np.empty((3, n))
+    x, y, z = lattice
     # z = 1 - 2 (i + 1/2) / n;  r = sqrt(max(1 - z^2, 0)), held in y
     np.add(theta, 0.5, out=z)
     z *= 2.0
@@ -100,9 +100,10 @@ def sample_sphere(n: int, seed: int = 0) -> DirectionSet:
     np.sin(theta, out=theta)
     y *= theta
 
-    pts = quat_matrix(random_rotation(np.random.default_rng(seed)).quat) @ pts
-    # column norms, summed in np.linalg.norm's order: (x^2 + y^2) + z^2
-    norm = np.multiply(pts[0], pts[0])
+    pts = quat_matrix(random_rotation(np.random.default_rng(seed)).quat) @ lattice
+    # column norms, summed in np.linalg.norm's order (x^2 + y^2) + z^2, in
+    # the lattice rows the rotation has consumed
+    norm = np.multiply(pts[0], pts[0], out=x)
     np.multiply(pts[1], pts[1], out=theta)
     norm += theta
     np.multiply(pts[2], pts[2], out=theta)
