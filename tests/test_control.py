@@ -296,12 +296,12 @@ def test_run_skill_pose_reached_and_path_bucket():
 
 def test_run_skill_offsets_once_per_path_tick(monkeypatch):
     calls = []
+    offset = control._offset
 
     def counting_offset(*args):
         calls.append(args)
         return offset(*args)
 
-    offset = control._offset
     monkeypatch.setattr(control, "_offset", counting_offset)
     start = Pose(np.array([0.0, 0.0, 0.2]))
     goal = Pose.from_rotvec(np.array([0.2, 0.0, 0.2]), np.array([0.3, 0.0, 0.0]))
