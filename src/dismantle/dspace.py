@@ -85,7 +85,7 @@ def sample_sphere(n: int, seed: int = 0) -> DirectionSet:
     theta = np.arange(n, dtype=float)
     lattice = np.empty((3, n))
     x, y, z = lattice
-    # z = 1 - 2 (i + 1/2) / n;  r = sqrt(max(1 - z^2, 0)), held in y
+    # z = 1 - 2 (i + 1/2) / n with i in theta; r = sqrt(max(1 - z^2, 0)) in y
     np.add(theta, 0.5, out=z)
     z *= 2.0
     z /= n
