@@ -1,8 +1,8 @@
 """Disassembly/assembly planning, skill decomposition and simulated execution."""
 
 from .dspace import (DirectionSet, Mobility, MobilityGraph, MobilityLabel,
-                     build_graph, classify_sdof, contact_space,
-                     disassembly_space, sample_sphere)
+                     build_graph, classify_sdof, disassembly_space,
+                     sample_sphere)
 from .errors import (DegenerateSpace, DismantleError, ErrorType,
                      InapplicablePrimitive, ParseError, PlanInfeasible,
                      SingularJacobian, SkillTimeout, UnknownComponent,

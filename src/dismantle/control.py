@@ -15,9 +15,8 @@ exact (2 and 5 units) and per-bucket time sums are exact integer arithmetic.
 ``run_skill`` keeps its tick state in bare arrays and builds a ``Pose`` only
 when a skill ends.  Each job has one array kernel, which the loop calls and
 an object-level function wraps: ``_offset``/``_twist`` (``position_step``),
-``_filter_step`` (``admittance_step``; the loop runs it on axis 0),
-``geometry.integrate_twist`` (``pose_step``) and ``_contact_force``
-(``contact_wrench``).
+``_filter_step`` (``admittance_step``; the loop runs it on axis 0), and
+``geometry.integrate_twist`` with ``_contact_force`` (``plant_step``).
 """
 
 from __future__ import annotations
@@ -47,6 +46,11 @@ V_MAX_LIN = 0.1              # m/s
 V_MAX_ANG = 0.5              # rad/s
 KP_POS = 4.0                 # 1/s proportional approach gain
 
+# diagonal entries of the admittance filter, the same on every axis
+ADM_MASS = 5.0
+ADM_DAMPING = 250.0
+ADM_STIFFNESS = 500.0
+
 ENV_STIFFNESS = 10_000.0     # N/m default contact spring
 RELEASE_DIST = 0.02          # m of travel that frees a retained part
 RETENTION_N = 8.0            # N resisting a retained part's extraction
@@ -65,9 +69,9 @@ def units(seconds: float) -> int:
 class AdmittanceParams:
     """Diagonal mass/damping/stiffness of the force-to-velocity filter."""
 
-    mass: np.ndarray = field(default_factory=lambda: np.full(6, 5.0))
-    damping: np.ndarray = field(default_factory=lambda: np.full(6, 250.0))
-    stiffness: np.ndarray = field(default_factory=lambda: np.full(6, 500.0))
+    mass: np.ndarray = field(default_factory=lambda: np.full(6, ADM_MASS))
+    damping: np.ndarray = field(default_factory=lambda: np.full(6, ADM_DAMPING))
+    stiffness: np.ndarray = field(default_factory=lambda: np.full(6, ADM_STIFFNESS))
     rate_hz: float = RATE_POS_HZ
 
     def __post_init__(self):
@@ -96,24 +100,6 @@ class Wrench:
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.force, self.torque])
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    pixels: np.ndarray  # (2k,) u,v per feature
-    depths: np.ndarray  # (k,) meters
-
-    def __post_init__(self):
-        px = np.array(self.pixels, dtype=float)
-        z = np.array(self.depths, dtype=float)
-        if px.size != 2 * z.size or z.size < 3:
-            raise ValueError("need at least 3 features with matching pixel pairs")
-        if np.any(z <= 0.0):
-            raise ValueError("feature depths must be positive")
-        px.flags.writeable = False
-        z.flags.writeable = False
-        object.__setattr__(self, "pixels", px)
-        object.__setattr__(self, "depths", z)
 
 
 @dataclass(frozen=True)
@@ -172,9 +158,11 @@ def admittance_step(params: AdmittanceParams, f_des: Wrench, f_act: Wrench,
     return u_new, (u_new, ud_new)
 
 
-def feature_jacobian(features: FeatureVector) -> np.ndarray:
+def feature_jacobian(pixels: np.ndarray, depths: np.ndarray) -> np.ndarray:
     """Stacked 2x6 point-feature interaction matrices in pixel units.
 
+    ``pixels`` holds u, v per feature and ``depths`` one depth in meters per
+    feature; there must be at least 3 features, all in front of the camera.
     Rows follow the standard convention (Chaumette & Hutchinson, "Visual
     servo control I", IEEE RAM 2006) for a point at pixel offset (u, v) from
     the principal point and depth Z with focal length f:
@@ -182,9 +170,14 @@ def feature_jacobian(features: FeatureVector) -> np.ndarray:
         [-f/Z   0    u/Z   u*v/f     -(f^2+u^2)/f   v ]
         [ 0   -f/Z   v/Z   (f^2+v^2)/f   -u*v/f    -u ]
     """
+    px = np.asarray(pixels, dtype=float)
+    z = np.asarray(depths, dtype=float)
+    if px.size != 2 * z.size or z.size < 3:
+        raise ValueError("need at least 3 features with matching pixel pairs")
+    if np.any(z <= 0.0):
+        raise ValueError("feature depths must be positive")
     f = FOCAL_PX
-    px = features.pixels.reshape(-1, 2)
-    z = features.depths
+    px = px.reshape(-1, 2)
     du = px[:, 0] - CX
     dv = px[:, 1] - CY
     zero = np.zeros_like(z)
@@ -195,18 +188,19 @@ def feature_jacobian(features: FeatureVector) -> np.ndarray:
     return np.stack([row_u, row_v], axis=1).reshape(-1, 6)
 
 
-def ibvs_step(target_px: np.ndarray, f_act: FeatureVector) -> np.ndarray:
+def ibvs_step(target_px: np.ndarray, pixels: np.ndarray,
+              depths: np.ndarray) -> np.ndarray:
     """P-control on the feature error through the left pseudo-inverse.
 
-    u = IBVS_GAIN * (J^T J)^-1 J^T (target_px - f_act.pixels), expressed in
-    the camera frame.
+    u = IBVS_GAIN * (J^T J)^-1 J^T (target_px - pixels), expressed in the
+    camera frame.
     """
-    jac = feature_jacobian(f_act)
+    jac = feature_jacobian(pixels, depths)
     jtj = jac.T @ jac
     eigvals = np.linalg.eigvalsh(jtj)
     if eigvals[0] <= 1e-9 * max(eigvals[-1], 1.0):
         raise SingularJacobian("feature set is degenerate for servoing")
-    err = target_px - f_act.pixels
+    err = target_px - pixels
     return IBVS_GAIN * np.linalg.solve(jtj, jac.T @ err)
 
 
@@ -219,24 +213,20 @@ def _offset(goal_p: np.ndarray, goal_q: np.ndarray, p: np.ndarray,
     return dp, math.sqrt(dp.dot(dp)), dr, math.sqrt(dr.dot(dr))
 
 
-def _twist(dp: np.ndarray, dist: float, dr: np.ndarray, ang: float,
-           v_max: float = V_MAX_LIN, w_max: float = V_MAX_ANG,
-           kp: float = KP_POS, tol: float = 1e-12) -> np.ndarray:
+def _twist(dp: np.ndarray, dist: float, dr: np.ndarray, ang: float) -> np.ndarray:
     """Saturated proportional twist along an ``_offset``."""
     u = np.zeros(6)
-    if dist > tol:
-        u[:3] = dp / dist * min(v_max, kp * dist)
-    if ang > tol:
-        u[3:] = dr / ang * min(w_max, kp * ang)
+    if dist > 1e-12:
+        u[:3] = dp / dist * min(V_MAX_LIN, KP_POS * dist)
+    if ang > 1e-12:
+        u[3:] = dr / ang * min(V_MAX_ANG, KP_POS * ang)
     return u
 
 
-def position_step(goal: Pose, current: Pose, v_max: float = V_MAX_LIN,
-                  w_max: float = V_MAX_ANG, kp: float = KP_POS,
-                  tol: float = 1e-12) -> np.ndarray:
+def position_step(goal: Pose, current: Pose) -> np.ndarray:
     """Saturated proportional velocity toward the goal pose (world frame)."""
     return _twist(*_offset(goal.position, goal.orientation, current.position,
-                           current.orientation), v_max, w_max, kp, tol)
+                           current.orientation))
 
 
 # ------------------------------------------------------------- plant
@@ -267,11 +257,6 @@ def _finite_force(force: np.ndarray) -> np.ndarray:
     return force
 
 
-def contact_wrench(pose: Pose, contacts: tuple[ContactPlane, ...],
-                   retentions: tuple[Retention, ...]) -> Wrench:
-    return Wrench(_contact_force(pose.position, contacts, retentions), _ZERO3)
-
-
 def plant_step(state: PlantState, u: np.ndarray, dt: float,
                ) -> tuple[PlantState, Wrench]:
     """Integrate the commanded twist and report the contact wrench there."""
@@ -279,7 +264,7 @@ def plant_step(state: PlantState, u: np.ndarray, dt: float,
         raise ValueError("dt must be positive")
     u = np.asarray(u, dtype=float)
     pose = pose_step(state.pose, u[:3], u[3:], dt)
-    wrench = contact_wrench(pose, state.contacts, state.retentions)
+    wrench = Wrench(_contact_force(pose.position, state.contacts, state.retentions))
     return replace(state, pose=pose), wrench
 
 
@@ -340,9 +325,6 @@ def _tool_units(ap: SkillPrimitive) -> int:
             return units(TOOL_SWAP_S)
         return units(GRIP_ACTION_S)
     return 0
-
-
-_ADMITTANCE = AdmittanceParams()
 
 
 def _wrench_vector(force: np.ndarray) -> np.ndarray:
@@ -419,11 +401,7 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
         f_des = float(_finite_force(ap.hm.setpoint[:1])[0])
         # only the orientation of the hold pose is used (the angular command)
         hold_q = Pose.from_rotvec(state.pose.position, ap.hm.setpoint[3:]).orientation
-        # axis 0 of the admittance filter, on the contact axis
-        adm = [float(v[0]) for v in (_ADMITTANCE.mass, _ADMITTANCE.damping,
-                                     _ADMITTANCE.stiffness)]
-        adm_dt = 1.0 / _ADMITTANCE.rate_hz
-        u_f = ud_f = 0.0
+        u_f = ud_f = 0.0  # admittance filter state on the contact axis
     elif controller == BUCKET_PATH and motion_needed:
         goal = Pose.from_rotvec(ap.hm.setpoint[:3], ap.hm.setpoint[3:])
         # a move whose stop pose is its setpoint steers by the stop check's offset
@@ -480,7 +458,7 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
                 u = np.zeros(6)
             else:
                 try:
-                    u_cam = ibvs_step(ap.stop.target, FeatureVector(px, z))
+                    u_cam = ibvs_step(ap.stop.target, px, z)
                 except SingularJacobian as exc:
                     _abort(exc, "singular", _state_at(state, p, q_raw), log, f,
                            feat_err)
@@ -489,7 +467,8 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
                                     cam.rotate(u_cam[3:])])
         elif controller == BUCKET_FTC:
             measured = -f @ axis
-            u_f, ud_f = _filter_step(f_des - measured, u_f, ud_f, *adm, adm_dt)
+            u_f, ud_f = _filter_step(f_des - measured, u_f, ud_f, ADM_MASS,
+                                     ADM_DAMPING, ADM_STIFFNESS, dt)
             _, _, dr, ang = _offset(p, hold_q, p, q)  # orientation only
             u = _twist(_ZERO3, 0.0, dr, ang)
             u[:3] = axis * u_f

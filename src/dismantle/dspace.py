@@ -100,7 +100,7 @@ def sample_sphere(n: int, seed: int = 0) -> DirectionSet:
     np.sin(theta, out=theta)
     y *= theta
 
-    pts = quat_matrix(random_rotation(np.random.default_rng(seed)).quat) @ lattice
+    pts = quat_matrix(random_rotation(np.random.default_rng(seed))) @ lattice
     # column norms, summed in np.linalg.norm's order (x^2 + y^2) + z^2, in
     # the lattice rows the rotation has consumed
     norm = np.multiply(pts[0], pts[0], out=x)
@@ -151,21 +151,6 @@ def admissible_indices(kind: RelationKind, direction: np.ndarray,
     if kind is RelationKind.CONCENTRIC:
         return np.abs(scores) >= np.cos(EPS_CONE)
     raise ValueError(f"unhandled relation kind: {kind}")
-
-
-def contact_space(relation: SpatialRelation, dirs: DirectionSet,
-                  component_id: str | None = None) -> DirectionSet:
-    """Admissible directions under a single contact.
-
-    Without a component id the set is oriented for the first component of the
-    relation's pair.
-    """
-    if component_id is None:
-        component_id = relation.components[0]
-    direction = oriented_direction(relation, component_id)
-    mask = admissible_indices(relation.kind, direction, dirs)
-    mask &= dirs.mask
-    return dirs.with_mask(mask)
 
 
 def intersect_spaces(index_sets: list[np.ndarray], dirs: DirectionSet) -> DirectionSet:
@@ -234,17 +219,6 @@ class MobilityLabel:
                 v.flags.writeable = False
                 object.__setattr__(self, name, v)
 
-    def same_as(self, other: "MobilityLabel", tol: float = 1e-9) -> bool:
-        if self.value != other.value:
-            return False
-        for name in ("axis", "rot_axis"):
-            a, b = getattr(self, name), getattr(other, name)
-            if (a is None) != (b is None):
-                return False
-            if a is not None and not np.allclose(a, b, atol=tol):
-                return False
-        return True
-
     def __str__(self):
         if self.axis is not None:
             return f"{self.value.value}({np.array2string(self.axis, precision=3)})"
@@ -269,22 +243,15 @@ _PAIR_DOT_MIN = np.cos(2.0 * (EPS_CONE + CONE_SLACK)) - 1e-9
 _PROBES = 8  # evenly spaced members tested pairwise before the axis pass
 
 
-def classify_sdof(space: DirectionSet, contacts: list[SpatialRelation],
-                  rotation_free: bool | None = None) -> MobilityLabel:
+def classify_sdof(space: DirectionSet,
+                  contacts: list[SpatialRelation]) -> MobilityLabel:
     """Map a computed space plus its contact kinds to a mobility label.
 
     Rotational freedom is never read off the sampled (purely translational)
-    sphere: it is attached symbolically whenever a screwed or concentric
-    contact is present, unless the caller overrides ``rotation_free``.
+    sphere: it is attached symbolically, about the first screwed or
+    concentric contact's direction, whenever such a contact is present.
     """
-    if rotation_free is None:
-        rotation_free = any(r.kind in AXIAL_KINDS for r in contacts)
-    rot_axis = None
-    if rotation_free:
-        for r in contacts:
-            if r.kind in AXIAL_KINDS:
-                rot_axis = r.direction
-                break
+    rot_axis = next((r.direction for r in contacts if r.kind in AXIAL_KINDS), None)
 
     if space.is_empty():
         return MobilityLabel(Mobility.FIX, rot_axis=rot_axis)
@@ -306,7 +273,7 @@ def classify_sdof(space: DirectionSet, contacts: list[SpatialRelation],
             if has_pos and has_neg:
                 # two antipodal caps: a sliding joint; with free axis rotation
                 # the pair behaves as a cylindrical fit
-                if rotation_free:
+                if rot_axis is not None:
                     return MobilityLabel(Mobility.FITS, axis=axis, rot_axis=rot_axis)
                 return MobilityLabel(Mobility.LIN, axis=axis)
             cap_axis = axis if has_pos else -axis
@@ -332,9 +299,6 @@ class MobilityGraph:
 
     def label(self, a: str, b: str) -> MobilityLabel:
         return self.edges[(a, b)]
-
-    def has_edge(self, a: str, b: str) -> bool:
-        return (a, b) in self.edges
 
 
 def build_graph(model: AssemblyModel, dirs: DirectionSet) -> MobilityGraph:

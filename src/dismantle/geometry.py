@@ -115,19 +115,13 @@ def quat_apply(q: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 class Rotation:
-    """A rotation held as a unit quaternion, for callers of ``Pose.rotation``
-    and ``random_rotation``: apply, inv, composition by ``*`` and as_rotvec."""
+    """A rotation held as a unit quaternion, as ``Pose.rotation`` returns it:
+    composition by ``*`` and as_rotvec."""
 
     __slots__ = ("quat",)
 
     def __init__(self, quat: np.ndarray):
         self.quat = quat
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return quat_apply(self.quat, v)
-
-    def inv(self) -> "Rotation":
-        return Rotation(quat_conjugate(self.quat))
 
     def __mul__(self, other: "Rotation") -> "Rotation":
         return Rotation(quat_multiply(self.quat, other.quat))
@@ -175,20 +169,12 @@ class Pose:
     def rotvec(self) -> np.ndarray:
         return quat_to_rotvec(self.orientation)
 
-    def translation_to(self, other: "Pose") -> np.ndarray:
-        return other.position - self.position
-
-    def rotation_to(self, other: "Pose") -> np.ndarray:
-        """Axis-angle vector taking self's orientation to other's."""
-        return quat_to_rotvec(quat_multiply(other.orientation,
-                                            quat_conjugate(self.orientation)))
-
     def distance(self, other: "Pose") -> tuple[float, float]:
-        """(translational, angular) distance."""
-        return (
-            float(np.linalg.norm(self.translation_to(other))),
-            float(np.linalg.norm(self.rotation_to(other))),
-        )
+        """(translational, angular) distance: the norms of the translation and
+        of the axis-angle rotation taking self to other."""
+        rotation = quat_multiply(other.orientation, quat_conjugate(self.orientation))
+        return (float(np.linalg.norm(other.position - self.position)),
+                float(np.linalg.norm(quat_to_rotvec(rotation))))
 
     def approx_equal(self, other: "Pose", tol: float = 1e-9) -> bool:
         d, a = self.distance(other)
@@ -234,7 +220,8 @@ def pose_step(pose: Pose, linear: np.ndarray, angular: np.ndarray, dt: float) ->
     return Pose(*integrate_twist(pose.position, pose.orientation, linear, angular, dt))
 
 
-def random_rotation(rng: np.random.Generator) -> Rotation:
-    """Uniform random rotation from four normal deviates (deterministic per rng state)."""
+def random_rotation(rng: np.random.Generator) -> np.ndarray:
+    """Unit quaternion of a uniform random rotation from four normal deviates
+    (deterministic per rng state)."""
     q = rng.normal(size=4)
-    return Rotation(q / np.linalg.norm(q))
+    return q / np.linalg.norm(q)

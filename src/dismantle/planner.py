@@ -20,8 +20,8 @@ from enum import Enum
 
 import numpy as np
 
-from .dspace import (DirectionSet, EPS_CONE, admissible_indices,
-                     intersect_spaces, oriented_direction)
+from .dspace import (DirectionSet, EPS_CONE, oriented_direction,
+                     space_from_contacts)
 from .errors import InapplicablePrimitive, PlanInfeasible, UnknownComponent
 from .model import AssemblyModel, RelationKind, SpatialRelation, Tool
 
@@ -113,11 +113,9 @@ def _live_contacts(state: SymbolicState, component_id: str) -> list[LiveRelation
 
 def _component_space(state: SymbolicState, component_id: str,
                      dirs: DirectionSet) -> DirectionSet:
-    contacts = _live_contacts(state, component_id)
-    sets = [admissible_indices(lr.effective_kind,
-                               oriented_direction(lr.relation, component_id), dirs)
-            for lr in contacts]
-    return intersect_spaces(sets, dirs)
+    return space_from_contacts(
+        [(lr.effective_kind, oriented_direction(lr.relation, component_id))
+         for lr in _live_contacts(state, component_id)], dirs)
 
 
 def initial_state(model: AssemblyModel) -> SymbolicState:

@@ -257,9 +257,9 @@ def rule_put_tool(held: Tool, mp_next: ManipulationPrimitive | None) -> bool:
     return mp_next is None or mp_next.tool != held
 
 
-def rule_rough_pos(goal: Pose, robot: Pose, tol: float = TOL_POS) -> bool:
+def rule_rough_pos(goal: Pose, robot: Pose) -> bool:
     """Position-controlled approach needed while the goal is not reached."""
-    return pose_error(goal, robot) > tol
+    return pose_error(goal, robot) > TOL_POS
 
 
 def rule_fine_pos(has_features: bool, expected_residual_px: float) -> bool:
@@ -369,11 +369,10 @@ def _expected_residual_px(noise: np.ndarray | None, source: Component | None,
 
 def _pos_move(name: SkillName, goal: Pose, tool_cmd: ToolCommand = IDLE_TOOL,
               component: str | None = None, process: str | None = None,
-              place_pose: Pose | None = None,
-              tolerance: float = TOL_POS) -> SkillPrimitive:
+              place_pose: Pose | None = None) -> SkillPrimitive:
     vec = goal.as_vector()
     hm = HybridMove(TaskFrame.WORLD, (ControlMode.POS,) * 6, vec)
-    stop = StopCondition(StopKind.POSE_REACHED, vec, tolerance)
+    stop = StopCondition(StopKind.POSE_REACHED, vec, TOL_POS)
     return SkillPrimitive(name, hm, tool_cmd, stop, component=component,
                           process=process, place_pose=place_pose)
 

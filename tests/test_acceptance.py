@@ -18,8 +18,8 @@ from conftest import (FEATURE_SQUARE, STATIONS, brute_force_space,
 from dismantle.camera import camera_pose, project
 from dismantle.cli import main
 from dismantle.control import (IBVS_GAIN, RATE_VSC_HZ, AdmittanceParams,
-                               FeatureVector, Wrench, admittance_step,
-                               feature_jacobian, ibvs_step)
+                               Wrench, admittance_step, feature_jacobian,
+                               ibvs_step)
 from dismantle.dspace import disassembly_space, sample_sphere, space_from_contacts
 from dismantle.errors import ErrorType
 from dismantle.geometry import Pose, pose_step
@@ -292,7 +292,7 @@ def test_criterion_7_ibvs_convergence():
             px, z = project(IBVS_POINTS, cam)
             if np.max(np.abs(px - f_des)) <= 0.5:
                 break
-            u_cam = ibvs_step(f_des, FeatureVector(px, z))
+            u_cam = ibvs_step(f_des, px, z)
             pose = pose_step(pose, cam.rotate(u_cam[:3]), cam.rotate(u_cam[3:]), dt)
         err = float(np.linalg.norm(pose.position - goal.position))
         worst = max(worst, err)
@@ -307,8 +307,8 @@ def test_criterion_7_ibvs_convergence():
         ideal = e0 * np.exp(-IBVS_GAIN * i * dt)
         deviation = max(deviation,
                         abs(np.linalg.norm(feats - f_des) - ideal) / ideal)
-        jac = feature_jacobian(FeatureVector(feats, z))
-        u = ibvs_step(f_des, FeatureVector(feats, z))
+        jac = feature_jacobian(feats, z)
+        u = ibvs_step(f_des, feats, z)
         feats = feats + jac @ u * dt
     assert deviation <= 0.05
     _ok(7, f"5 start poses at 0.05 m converge to <= {worst * 1000:.2f} mm; "

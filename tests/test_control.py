@@ -3,15 +3,15 @@ import pytest
 
 from dismantle import control
 from dismantle.camera import CX, CY, FOCAL_PX, camera_pose, project
-from dismantle.control import (AdmittanceParams, ContactPlane, FeatureVector,
-                               PlantState, Retention, Wrench,
-                               admittance_step, contact_wrench,
+from dismantle.control import (AdmittanceParams, ContactPlane, PlantState,
+                               Retention, Wrench, admittance_step,
                                feature_jacobian, ibvs_step, plant_step,
                                position_step, run_skill, units,
                                IBVS_GAIN, RATE_VSC_HZ,
                                UNITS_PER_POS_TICK, UNITS_PER_VSC_TICK)
 from dismantle.errors import SingularJacobian, SkillTimeout
-from dismantle.geometry import Pose, pose_step
+from dismantle.geometry import (Pose, pose_step, quat_conjugate, quat_multiply,
+                                quat_to_rotvec)
 from dismantle.model import Tool
 from dismantle.skills import (GRIP_ACTION_S, IDLE_TOOL, ControlMode,
                               HybridMove, SkillName, SkillPrimitive,
@@ -73,32 +73,43 @@ def test_admittance_force_tracking_against_spring():
 # ------------------------------------------------------------- jacobian
 
 def test_jacobian_center_row():
-    feats = FeatureVector(np.array([CX, CY, CX + 40, CY, CX, CY + 40]),
-                          np.array([1.0, 1.0, 1.0]))
-    jac = feature_jacobian(feats)
+    jac = feature_jacobian(np.array([CX, CY, CX + 40, CY, CX, CY + 40]),
+                           np.array([1.0, 1.0, 1.0]))
     f = FOCAL_PX
     np.testing.assert_allclose(jac[0], [-f, 0, 0, 0, -f * (1 + 0), 0], atol=1e-9)
     np.testing.assert_allclose(jac[1], [0, -f, 0, f, 0, 0], atol=1e-9)
 
 
 def test_jacobian_four_features_shape():
-    feats = FeatureVector(np.arange(8, dtype=float) * 30 + 200,
-                          np.array([0.5, 0.6, 0.7, 0.8]))
-    assert feature_jacobian(feats).shape == (8, 6)
+    jac = feature_jacobian(np.arange(8, dtype=float) * 30 + 200,
+                           np.array([0.5, 0.6, 0.7, 0.8]))
+    assert jac.shape == (8, 6)
 
 
 def test_jacobian_zero_motion_predicts_zero_flow():
-    feats = FeatureVector(np.array([100.0, 120, 500, 130, 300, 400]),
-                          np.array([0.5, 0.6, 0.7]))
-    jac = feature_jacobian(feats)
+    jac = feature_jacobian(np.array([100.0, 120, 500, 130, 300, 400]),
+                           np.array([0.5, 0.6, 0.7]))
     np.testing.assert_allclose(jac @ np.zeros(6), np.zeros(6), atol=0)
 
 
-def _jacobian_rows_loop(features: FeatureVector) -> np.ndarray:
+@pytest.mark.parametrize("pixels, depths, message", [
+    (np.arange(4, dtype=float), np.ones(2), "at least 3 features"),
+    (np.arange(7, dtype=float), np.ones(3), "matching pixel pairs"),
+    (np.arange(6, dtype=float), np.array([1.0, 0.0, 1.0]), "depths must be positive"),
+    (np.arange(6, dtype=float), np.array([1.0, 1.0, -0.5]), "depths must be positive"),
+])
+def test_jacobian_rejects_bad_features(pixels, depths, message):
+    with pytest.raises(ValueError, match=message):
+        feature_jacobian(pixels, depths)
+    with pytest.raises(ValueError, match=message):
+        ibvs_step(np.zeros(pixels.size), pixels, depths)
+
+
+def _jacobian_rows_loop(pixels: np.ndarray, depths: np.ndarray) -> np.ndarray:
     """Per-feature closed form of the interaction matrix, row by row."""
     f = FOCAL_PX
     rows = []
-    for (u, v), z in zip(features.pixels.reshape(-1, 2), features.depths):
+    for (u, v), z in zip(pixels.reshape(-1, 2), depths):
         du = u - CX
         dv = v - CY
         rows.append([-f / z, 0.0, du / z, du * dv / f,
@@ -112,24 +123,22 @@ def test_jacobian_equals_per_row_closed_form_exactly():
     rng = np.random.default_rng(7)
     for k in (3, 4, 7):
         for _ in range(50):
-            feats = FeatureVector(rng.uniform(-200, 900, size=2 * k),
-                                  rng.uniform(0.05, 3.0, size=k))
-            jac = feature_jacobian(feats)
+            feats = (rng.uniform(-200, 900, size=2 * k),
+                     rng.uniform(0.05, 3.0, size=k))
+            jac = feature_jacobian(*feats)
             assert jac.shape == (2 * k, 6)
-            assert np.array_equal(jac, _jacobian_rows_loop(feats))
+            assert np.array_equal(jac, _jacobian_rows_loop(*feats))
     # features on the principal point give signed zeros in the same places
-    feats = FeatureVector(np.array([CX, CY, CX, CY + 40, CX + 40, CY]),
-                          np.array([0.5, 1.0, 2.0]))
-    assert np.array_equal(np.signbit(feature_jacobian(feats)),
-                          np.signbit(_jacobian_rows_loop(feats)))
+    feats = (np.array([CX, CY, CX, CY + 40, CX + 40, CY]), np.array([0.5, 1.0, 2.0]))
+    assert np.array_equal(np.signbit(feature_jacobian(*feats)),
+                          np.signbit(_jacobian_rows_loop(*feats)))
 
 
 def test_pseudo_inverse_exactness_random_features():
     rng = np.random.default_rng(1)
     for _ in range(20):
-        feats = FeatureVector(rng.uniform(100, 500, size=8),
-                              rng.uniform(0.3, 1.5, size=4))
-        jac = feature_jacobian(feats)
+        jac = feature_jacobian(rng.uniform(100, 500, size=8),
+                               rng.uniform(0.3, 1.5, size=4))
         jtj = jac.T @ jac
         if np.linalg.eigvalsh(jtj)[0] < 1e-6:
             continue
@@ -140,18 +149,16 @@ def test_pseudo_inverse_exactness_random_features():
 # ------------------------------------------------------------- ibvs
 
 def test_ibvs_zero_error_zero_command():
-    feats = FeatureVector(np.array([100.0, 120, 500, 130, 300, 400]),
-                          np.array([0.5, 0.6, 0.7]))
-    u = ibvs_step(feats.pixels, feats)
+    px = np.array([100.0, 120, 500, 130, 300, 400])
+    u = ibvs_step(px, px, np.array([0.5, 0.6, 0.7]))
     np.testing.assert_allclose(u, np.zeros(6), atol=1e-12)
 
 
 def test_ibvs_singular_features_raise():
     # collinear points: column space collapses
     px = np.array([100.0, 100, 200, 100, 300, 100])
-    feats = FeatureVector(px, np.array([0.5, 0.5, 0.5]))
     with pytest.raises(SingularJacobian):
-        ibvs_step(px + 5.0, feats)
+        ibvs_step(px + 5.0, px, np.array([0.5, 0.5, 0.5]))
 
 
 def test_ibvs_feature_error_decays_exponentially():
@@ -169,8 +176,8 @@ def test_ibvs_feature_error_decays_exponentially():
         err = np.linalg.norm(feats - f_des)
         ideal = e0 * np.exp(-IBVS_GAIN * t)
         worst = max(worst, abs(err - ideal) / ideal)
-        jac = feature_jacobian(FeatureVector(feats, z))
-        u = ibvs_step(f_des, FeatureVector(feats, z))
+        jac = feature_jacobian(feats, z)
+        u = ibvs_step(f_des, feats, z)
         feats = feats + jac @ u * dt  # ideal plant: feature flow = J u
     assert worst <= 0.05
 
@@ -191,7 +198,7 @@ def test_ibvs_closed_loop_cartesian_accuracy():
             px, z = project(pts, cam)
             if np.max(np.abs(px - f_des)) <= 0.5:
                 break
-            u_cam = ibvs_step(f_des, FeatureVector(px, z))
+            u_cam = ibvs_step(f_des, px, z)
             pose = pose_step(pose, cam.rotate(u_cam[:3]), cam.rotate(u_cam[3:]), dt)
         err = np.linalg.norm(pose.position - goal.position)
         assert err <= 0.0012, off
@@ -210,7 +217,7 @@ def test_position_travel_time_lower_bound():
     dt = 0.02
     t = 0.0
     while max(pose.distance(goal)) > 1e-3 and t < 30.0:
-        u = position_step(goal, pose, v_max=0.1)
+        u = position_step(goal, pose)
         pose = pose_step(pose, u[:3], u[3:], dt)
         t += dt
     assert t >= 10.0  # 1 m at 0.1 m/s cap
@@ -250,21 +257,21 @@ def test_plant_hooke_contact_force():
 
 def test_contact_force_continuous_and_one_sided():
     plane = ContactPlane(point=np.zeros(3), normal=np.array([0.0, 0.0, 1.0]))
-    above = contact_wrench(Pose(np.array([0, 0, 0.001])), (plane,), ())
-    at = contact_wrench(Pose(np.zeros(3)), (plane,), ())
-    below = contact_wrench(Pose(np.array([0, 0, -1e-9])), (plane,), ())
-    np.testing.assert_allclose(above.force, np.zeros(3))
-    np.testing.assert_allclose(at.force, np.zeros(3))
-    assert np.linalg.norm(below.force) < 1e-4  # continuous through contact
+    above = control._contact_force(np.array([0, 0, 0.001]), (plane,), ())
+    at = control._contact_force(np.zeros(3), (plane,), ())
+    below = control._contact_force(np.array([0, 0, -1e-9]), (plane,), ())
+    np.testing.assert_allclose(above, np.zeros(3))
+    np.testing.assert_allclose(at, np.zeros(3))
+    assert np.linalg.norm(below) < 1e-4  # continuous through contact
 
 
 def test_retention_releases_after_travel():
     ret = Retention(anchor=np.zeros(3), axis=np.array([0.0, 0.0, 1.0]),
                     force_n=8.0, release_dist=0.02)
-    seated = contact_wrench(Pose(np.array([0, 0, 0.01])), (), (ret,))
-    np.testing.assert_allclose(seated.force, [0, 0, -8.0])
-    released = contact_wrench(Pose(np.array([0, 0, 0.03])), (), (ret,))
-    np.testing.assert_allclose(released.force, np.zeros(3))
+    seated = control._contact_force(np.array([0, 0, 0.01]), (), (ret,))
+    np.testing.assert_allclose(seated, [0, 0, -8.0])
+    released = control._contact_force(np.array([0, 0, 0.03]), (), (ret,))
+    np.testing.assert_allclose(released, np.zeros(3))
 
 
 # ------------------------------------------------------------- run_skill
@@ -359,7 +366,8 @@ def test_run_skill_force_spin_returns_to_hold_orientation():
     new, log = run_skill(ap, PlantState(pose=start, contacts=(wall,)))
     assert log.buckets == {"path": 0, "vsc": 0, "ftc": units(4.0), "n": 0}
     assert np.linalg.norm(log.rows[0].u[3:]) == pytest.approx(0.5)  # saturated
-    assert new.pose.rotation_to(hold) == pytest.approx(np.zeros(3), abs=1e-6)
+    to_hold = quat_multiply(hold.orientation, quat_conjugate(new.pose.orientation))
+    assert quat_to_rotvec(to_hold) == pytest.approx(np.zeros(3), abs=1e-6)
     np.testing.assert_array_equal(new.pose.position[:2], start.position[:2])
     forces = np.array([-row.wrench[:3] @ press for row in log.rows])
     assert np.all(np.abs(forces - 10.0) <= 0.5)

@@ -7,8 +7,9 @@ from conftest import (brute_force_space, random_contact_model, random_unit,
 from dismantle.dspace import (CONE_SLACK, EPS_ANG, EPS_CONE, DirectionSet,
                               Mobility, MobilityLabel, _principal_axis,
                               admissible_indices, build_graph, classify_sdof,
-                              contact_space, disassembly_space, dump_directions,
-                              intersect_spaces, sample_sphere)
+                              disassembly_space, dump_directions,
+                              intersect_spaces, oriented_direction,
+                              sample_sphere, space_from_contacts)
 from dismantle.errors import DegenerateSpace, UnknownComponent
 from dismantle.model import (AXIAL_KINDS, FeatureGeometry, GeometryKind,
                              RelationKind, SpatialRelation)
@@ -60,28 +61,34 @@ def test_sample_deterministic():
 
 # ---------------------------------------------------------------- contacts
 
+def _space_of(relation, dirs, component_id="a"):
+    """Admissible directions under one contact, for one side of its pair."""
+    return space_from_contacts(
+        [(relation.kind, oriented_direction(relation, component_id))], dirs)
+
+
 def test_plane_contact_hemisphere(dirs10k):
     rel = _relation(RelationKind.PLANE_CONTACT, [0, 0, 1])
-    space = contact_space(rel, dirs10k)
+    space = _space_of(rel, dirs10k)
     assert abs(space.fraction() - 0.5) <= 0.02
 
 
 def test_screwed_blocks_everything(dirs10k):
     rel = _relation(RelationKind.SCREWED, [0, 0, 1])
-    assert contact_space(rel, dirs10k).is_empty()
+    assert _space_of(rel, dirs10k).is_empty()
 
 
 def test_concentric_cap_measure(dirs10k):
     rel = _relation(RelationKind.CONCENTRIC, [1, 0, 0])
-    frac = contact_space(rel, dirs10k).fraction()
+    frac = _space_of(rel, dirs10k).fraction()
     expected = 1.0 - np.cos(EPS_CONE)  # two caps, each (1-cos eps)/2 of the sphere
     assert abs(frac - expected) <= 0.002
 
 
-def test_contact_space_orientation_flips_for_second_component(dirs10k):
+def test_single_contact_orientation_flips_for_second_component(dirs10k):
     rel = _relation(RelationKind.PLANE_CONTACT, [0, 0, 1])
-    up = contact_space(rel, dirs10k, "a")
-    down = contact_space(rel, dirs10k, "b")
+    up = _space_of(rel, dirs10k, "a")
+    down = _space_of(rel, dirs10k, "b")
     # the two sides separate in opposite half spaces
     assert abs(up.fraction() - 0.5) <= 0.02
     assert abs(down.fraction() - 0.5) <= 0.02
@@ -146,7 +153,6 @@ def test_no_contacts_full_sphere(dirs10k):
 
 
 def test_two_orthogonal_planes_quarter_sphere(dirs10k):
-    from dismantle.dspace import space_from_contacts
     contacts = [(RelationKind.PLANE_CONTACT, np.array([0.0, 0.0, 1.0])),
                 (RelationKind.PLANE_CONTACT, np.array([1.0, 0.0, 0.0]))]
     space = space_from_contacts(contacts, dirs10k)
@@ -211,33 +217,33 @@ def test_classify_full_is_free(dirs10k):
 
 def test_classify_hemisphere_is_agpp(dirs10k):
     rel = _relation(RelationKind.PLANE_CONTACT, [0, 0, 1])
-    label = classify_sdof(contact_space(rel, dirs10k), [rel])
+    label = classify_sdof(_space_of(rel, dirs10k), [rel])
     assert label.value is Mobility.AGPP
 
 
 def test_classify_screwed_fix_with_rotation_axis(dirs10k):
     rel = _relation(RelationKind.SCREWED, [0, 0, 1])
-    label = classify_sdof(contact_space(rel, dirs10k), [rel])
+    label = classify_sdof(_space_of(rel, dirs10k), [rel])
     assert label.value is Mobility.FIX
     assert label.rot_axis is not None and np.allclose(label.rot_axis, [0, 0, 1])
 
 
 def test_classify_concentric_is_fits(dirs10k):
     rel = _relation(RelationKind.CONCENTRIC, [0, 0, 1])
-    label = classify_sdof(contact_space(rel, dirs10k), [rel])
+    label = classify_sdof(_space_of(rel, dirs10k), [rel])
     assert label.value is Mobility.FITS
     assert abs(abs(label.axis[2]) - 1.0) < 0.05
 
 
 def test_classify_two_caps_without_rotation_is_lin(dirs10k):
     rel = _relation(RelationKind.CONCENTRIC, [1, 0, 0])
-    space = contact_space(rel, dirs10k)
-    label = classify_sdof(space, [rel], rotation_free=False)
+    space = _space_of(rel, dirs10k)
+    # no contact carries a rotation axis, so the two caps read as a slide
+    label = classify_sdof(space, [])
     assert label.value is Mobility.LIN
 
 
 def test_classify_single_cap_is_fits(dirs10k):
-    from dismantle.dspace import space_from_contacts
     contacts = [(RelationKind.CONCENTRIC, np.array([0.0, 0.0, 1.0])),
                 (RelationKind.PLANE_CONTACT, np.array([0.0, 0.0, 1.0]))]
     space = space_from_contacts(contacts, dirs10k)
@@ -255,17 +261,10 @@ def test_classify_band_without_planes_is_degenerate(dirs10k):
         classify_sdof(dirs10k.with_mask(band), [rel])
 
 
-def _classify_all_members(space, contacts, rotation_free=None):
+def _classify_all_members(space, contacts):
     """Oracle: classify_sdof as it was before the pairwise cone pre-test,
     running the principal-axis pass over every member."""
-    if rotation_free is None:
-        rotation_free = any(r.kind in AXIAL_KINDS for r in contacts)
-    rot_axis = None
-    if rotation_free:
-        for r in contacts:
-            if r.kind in AXIAL_KINDS:
-                rot_axis = r.direction
-                break
+    rot_axis = next((r.direction for r in contacts if r.kind in AXIAL_KINDS), None)
 
     if space.is_empty():
         return MobilityLabel(Mobility.FIX, rot_axis=rot_axis)
@@ -282,7 +281,7 @@ def _classify_all_members(space, contacts, rotation_free=None):
         if has_pos and has_neg:
             # two antipodal caps: a sliding joint; with free axis rotation the
             # pair behaves as a cylindrical fit
-            if rotation_free:
+            if rot_axis is not None:
                 return MobilityLabel(Mobility.FITS, axis=axis, rot_axis=rot_axis)
             return MobilityLabel(Mobility.LIN, axis=axis)
         cap_axis = axis if has_pos else -axis
@@ -297,10 +296,10 @@ def _classify_all_members(space, contacts, rotation_free=None):
         f"mask with fraction {space.fraction():.4f} matches no mobility rule")
 
 
-def _outcome(classify, space, contacts, rotation_free):
+def _outcome(classify, space, contacts):
     """Label value and raw axis bytes, or the DegenerateSpace message."""
     try:
-        label = classify(space, contacts, rotation_free)
+        label = classify(space, contacts)
     except DegenerateSpace as exc:
         return "degenerate", str(exc)
     return (label.value,
@@ -346,13 +345,10 @@ def test_classify_cone_pretest_matches_full_pass(n):
         for name, mask in masks.items():
             space = dirs.with_mask(mask)
             for contacts in contact_sets:
-                for rotation_free in (None, True, False):
-                    expected = _outcome(_classify_all_members, space, contacts,
-                                        rotation_free)
-                    got = _outcome(classify_sdof, space, contacts, rotation_free)
-                    assert got == expected, (name, rotation_free)
-                    checked += 1
-    assert checked == 3 * 23 * 3 * 3
+                expected = _outcome(_classify_all_members, space, contacts)
+                assert _outcome(classify_sdof, space, contacts) == expected, name
+                checked += 1
+    assert checked == 3 * 23 * 3
 
 
 # ---------------------------------------------------------------- graph
@@ -361,7 +357,7 @@ def test_build_graph_propagates_degenerate_with_pair(valve_model, dirs2k,
                                                      monkeypatch):
     import dismantle.dspace as dspace_mod
 
-    def explode(space, contacts, rotation_free=None):
+    def explode(space, contacts):
         raise DegenerateSpace("synthetic degenerate mask")
 
     monkeypatch.setattr(dspace_mod, "classify_sdof", explode)
@@ -386,18 +382,18 @@ def test_build_graph_valve(valve_model, dirs10k):
 def test_graph_symmetric(valve_model, dirs10k):
     g = build_graph(valve_model, dirs10k)
     for (a, b), label in g.edges.items():
-        assert g.label(b, a).same_as(label)
+        assert g.label(b, a) is label
 
 
 def test_graph_no_edge_without_relation(valve_model, dirs10k):
     g = build_graph(valve_model, dirs10k)
-    assert not g.has_edge("screw_1", "screw_2")
-    assert not g.has_edge("hose", "base")
+    assert ("screw_1", "screw_2") not in g.edges
+    assert ("hose", "base") not in g.edges
 
 
 def test_dump_directions_csv(tmp_path, dirs2k):
     rel = _relation(RelationKind.PLANE_CONTACT, [0, 0, 1])
-    space = contact_space(rel, dirs2k)
+    space = _space_of(rel, dirs2k)
     out = tmp_path / "space.csv"
     dump_directions(space, out)
     lines = out.read_text().splitlines()

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dismantle.control import AdmittanceParams, FeatureVector, Wrench
+from dismantle.control import AdmittanceParams, Wrench
 from dismantle.dspace import DirectionSet, Mobility, MobilityLabel
 from dismantle.geometry import (IDENTITY, Pose, normalize, pose_step, quat_apply,
                                 quat_conjugate, quat_from_rotvec, quat_matrix,
@@ -83,12 +83,13 @@ def test_read_only_arrays_accepted_and_left_unchanged():
     pts.flags.writeable = False
     v_before, pts_before = v.copy(), pts.copy()
 
-    rot = pose.rotation
-    np.testing.assert_array_equal(pose.rotate(v), rot.apply(v.copy()))
-    np.testing.assert_array_equal(pose.apply(v), rot.apply(v.copy()) + pose.position)
-    np.testing.assert_array_equal(pose.apply(pts), rot.apply(pts.copy()) + pose.position)
+    q = pose.orientation
+    np.testing.assert_array_equal(pose.rotate(v), quat_apply(q, v.copy()))
+    np.testing.assert_array_equal(pose.apply(v), quat_apply(q, v.copy()) + pose.position)
+    np.testing.assert_array_equal(pose.apply(pts), quat_apply(q, pts.copy()) + pose.position)
     inv = pose.inverse()
-    np.testing.assert_array_equal(inv.position, -rot.inv().apply(pose.position.copy()))
+    np.testing.assert_array_equal(inv.position,
+                                  -quat_apply(quat_conjugate(q), pose.position.copy()))
     assert inv.compose(pose).approx_equal(IDENTITY, tol=1e-12)
 
     np.testing.assert_array_equal(v, v_before)
@@ -135,7 +136,8 @@ def test_product_with_inverse_is_identity_and_matches_matrices():
                                    atol=1e-15)
         assert pa.compose(pa.inverse()).approx_equal(IDENTITY, tol=1e-15)
         np.testing.assert_allclose(pa.inverse().rotvec(), -pa.rotvec(), atol=1e-15)
-        np.testing.assert_allclose(pa.inverse().rotvec(), pa.rotation.inv().as_rotvec(),
+        np.testing.assert_allclose(pa.inverse().rotvec(),
+                                   quat_to_rotvec(quat_conjugate(pa.orientation)),
                                    atol=1e-15)
 
 
@@ -192,13 +194,12 @@ def _stop_condition(arr):
     (_hybrid_move, np.array([0.1, 0.2, 0.3, 0.0, 0.0, 0.1])),
     (_stop_condition, np.array([0.1, 0.2, 0.3, 0.0, 0.0, 0.1])),
     (lambda a: Wrench(a), np.array([1.0, 2.0, 3.0])),
-    (lambda a: FeatureVector(a, np.ones(3)), np.arange(6, dtype=float)),
     (lambda a: AdmittanceParams(mass=a), np.full(6, 2.0)),
     (lambda a: MobilityLabel(Mobility.LIN, axis=a), np.array([0.0, 0.0, 1.0])),
     (lambda a: Component(id="c", semantic=Semantic.GENERIC_GRASPABLE, visual_features=a),
      np.array([[0.0, 0.0, 0.0], [0.01, 0.0, 0.0], [0.0, 0.01, 0.0]])),
 ], ids=["pose.position", "pose.orientation", "with_mask", "hybrid_move",
-        "stop_condition", "wrench", "feature_vector", "admittance", "mobility_label",
+        "stop_condition", "wrench", "admittance", "mobility_label",
         "component.visual_features"])
 def test_constructors_leave_caller_arrays_writeable(build, arr):
     before = arr.copy()
