@@ -102,6 +102,27 @@ class Wrench:
         return np.concatenate([self.force, self.torque])
 
 
+def _check_fields(obj, points: tuple[str, ...], axes: tuple[str, ...],
+                  positives: tuple[str, ...]) -> None:
+    """Validate and store the named fields of a frozen dataclass: ``points``
+    and ``axes`` as read-only copies of finite 3-vectors, each axis within
+    1e-6 of unit length and kept unscaled; ``positives`` as finite positive
+    floats.  Raises ValueError otherwise."""
+    for name in points + axes:
+        v = np.array(getattr(obj, name), dtype=float)
+        if v.shape != (3,) or not np.isfinite(v).all():
+            raise ValueError(f"{name} must be a finite 3-vector, got {v.tolist()}")
+        if name in axes and abs(np.linalg.norm(v) - 1.0) > 1e-6:
+            raise ValueError(f"{name} must be a unit vector, got {v.tolist()}")
+        v.flags.writeable = False
+        object.__setattr__(obj, name, v)
+    for name in positives:
+        x = float(getattr(obj, name))
+        if not (math.isfinite(x) and x > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {x}")
+        object.__setattr__(obj, name, x)
+
+
 @dataclass(frozen=True)
 class ContactPlane:
     """One-sided linear spring: pushes along ``normal`` when penetrated."""
@@ -109,6 +130,9 @@ class ContactPlane:
     point: np.ndarray
     normal: np.ndarray
     stiffness: float = ENV_STIFFNESS
+
+    def __post_init__(self):
+        _check_fields(self, ("point",), ("normal",), ("stiffness",))
 
 
 @dataclass(frozen=True)
@@ -120,6 +144,9 @@ class Retention:
     axis: np.ndarray
     force_n: float = RETENTION_N
     release_dist: float = RELEASE_DIST
+
+    def __post_init__(self):
+        _check_fields(self, ("anchor",), ("axis",), ("force_n", "release_dist"))
 
 
 @dataclass(frozen=True)

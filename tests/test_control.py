@@ -466,18 +466,57 @@ def _ftc_press(press: np.ndarray, timeout_s: float = 60.0) -> SkillPrimitive:
                           component="c", process="press")
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("depth", [0.0, 1e-4])
 def test_run_skill_rejects_non_finite_contact_force(depth):
-    # an infinitely stiff wall: the first penetrating tick (or, if the start
-    # already penetrates, the first observation) has an infinite force
+    # an infinitely stiff wall is refused when it is built
+    with pytest.raises(ValueError, match="finite"):
+        ContactPlane(point=np.array([0.3, 0.0, 0.0]),
+                     normal=np.array([0.0, 0.0, 1.0]), stiffness=float("inf"))
+    # two 1e308 N retentions add up to an infinite force: at the first tick
+    # that enters them or, if the start is already inside, the first observation
     press = np.array([0.0, 0.0, -1.0])
-    wall = ContactPlane(point=np.array([0.3, 0.0, 0.0]),
-                        normal=np.array([0.0, 0.0, 1.0]), stiffness=float("inf"))
+    grip = Retention(anchor=np.array([0.3, 0.0, 0.0]), axis=press, force_n=1e308)
     start = Pose(np.array([0.3, 0.0, -depth]))
     with pytest.raises(ValueError, match="finite"):
         run_skill(_ftc_press(press, timeout_s=1.0),
-                  PlantState(pose=start, contacts=(wall,)))
+                  PlantState(pose=start, retentions=(grip, grip)))
+
+
+_UP = np.array([0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ContactPlane(np.array([0.0, np.nan, 0.0]), _UP),
+    lambda: ContactPlane(np.zeros(3), np.zeros(3)),
+    lambda: ContactPlane(np.zeros(3), np.array([0.0, 0.0, 1.0 + 2e-6])),
+    lambda: ContactPlane(np.zeros(3), np.array([0.0, np.inf, 1.0])),
+    lambda: ContactPlane(np.zeros(3), np.ones(2)),
+    lambda: ContactPlane(np.zeros(3), _UP, stiffness=0.0),
+    lambda: ContactPlane(np.zeros(3), _UP, stiffness=float("nan")),
+    lambda: Retention(np.array([np.inf, 0.0, 0.0]), _UP),
+    lambda: Retention(np.zeros(3), 2.0 * _UP),
+    lambda: Retention(np.zeros(3), _UP, force_n=-1.0),
+    lambda: Retention(np.zeros(3), _UP, force_n=float("inf")),
+    lambda: Retention(np.zeros(3), _UP, release_dist=0.0),
+    lambda: Retention(np.zeros(3), _UP, release_dist=float("nan")),
+], ids=["plane.point", "plane.normal_zero", "plane.normal_long", "plane.normal_inf",
+        "plane.normal_shape", "plane.stiffness_zero", "plane.stiffness_nan",
+        "retention.anchor", "retention.axis", "retention.force_negative",
+        "retention.force_inf", "retention.release_zero", "retention.release_nan"])
+def test_contact_plane_and_retention_reject_bad_values(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_contact_plane_and_retention_store_read_only_unscaled_copies():
+    normal = np.array([0.0, 0.0, 1.0 + 9e-7])
+    wall = ContactPlane(np.zeros(3), normal)
+    ret = Retention(np.zeros(3), normal, force_n=8)
+    for stored in (wall.point, wall.normal, ret.anchor, ret.axis):
+        assert not stored.flags.writeable
+    assert wall.normal is not normal and wall.normal.tobytes() == normal.tobytes()
+    assert ret.axis.tobytes() == normal.tobytes() and ret.force_n == 8.0
 
 
 def test_run_skill_leaves_caller_arrays_unchanged():

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dismantle.control import AdmittanceParams, Wrench
+from dismantle.control import AdmittanceParams, ContactPlane, Retention, Wrench
 from dismantle.dspace import DirectionSet, Mobility, MobilityLabel
 from dismantle.geometry import (IDENTITY, Pose, normalize, pose_step, quat_apply,
                                 quat_conjugate, quat_from_rotvec, quat_matrix,
@@ -195,11 +195,16 @@ def _stop_condition(arr):
     (_stop_condition, np.array([0.1, 0.2, 0.3, 0.0, 0.0, 0.1])),
     (lambda a: Wrench(a), np.array([1.0, 2.0, 3.0])),
     (lambda a: AdmittanceParams(mass=a), np.full(6, 2.0)),
+    (lambda a: ContactPlane(a, np.array([0.0, 0.0, 1.0])), np.array([0.1, 0.2, 0.3])),
+    (lambda a: ContactPlane(np.zeros(3), a), np.array([0.0, 0.6, 0.8])),
+    (lambda a: Retention(a, np.array([0.0, 0.0, 1.0])), np.array([0.1, 0.2, 0.3])),
+    (lambda a: Retention(np.zeros(3), a), np.array([0.0, 0.6, 0.8])),
     (lambda a: MobilityLabel(Mobility.LIN, axis=a), np.array([0.0, 0.0, 1.0])),
     (lambda a: Component(id="c", semantic=Semantic.GENERIC_GRASPABLE, visual_features=a),
      np.array([[0.0, 0.0, 0.0], [0.01, 0.0, 0.0], [0.0, 0.01, 0.0]])),
 ], ids=["pose.position", "pose.orientation", "with_mask", "hybrid_move",
-        "stop_condition", "wrench", "admittance", "mobility_label",
+        "stop_condition", "wrench", "admittance", "contact_plane.point",
+        "contact_plane.normal", "retention.anchor", "retention.axis", "mobility_label",
         "component.visual_features"])
 def test_constructors_leave_caller_arrays_writeable(build, arr):
     before = arr.copy()
