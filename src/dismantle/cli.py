@@ -1,8 +1,8 @@
 """Command-line front end: plan, decompose, simulate and report.
 
 Data goes to stdout or the requested output location; diagnostics go to
-stderr.  Exit codes: 1 parse error or stdout closed early, 2 validation
-error, 3 infeasible plan.
+stderr.  Exit codes: 1 parse error, an output that cannot be written or
+stdout closed early, 2 validation error, 3 infeasible plan.
 All commands are deterministic for a fixed (scenario, samples, seed) triple
 and never modify the scenario file.
 """
@@ -54,10 +54,12 @@ def _graph_summary(graph) -> dict:
 
 
 def _load_and_plan(args):
-    """Preamble of plan, decompose and simulate: check --samples, then load,
-    sample and plan.  Its errors are reported by ``main``."""
+    """Preamble of plan, decompose and simulate: check --samples and --seed,
+    then load, sample and plan.  Its errors are reported by ``main``."""
     if args.samples < 1:
         raise ParseError("--samples must be >= 1")
+    if args.seed < 0:
+        raise ParseError("--seed must be >= 0")
     model = load_model(args.scenario)
     dirs = sample_sphere(args.samples, args.seed)
     return model, dirs, plan_task(model, dirs)
@@ -192,6 +194,9 @@ def main(argv=None) -> int:
         # the reader closed stdout early; point it at devnull so the flush at
         # interpreter exit stays quiet too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except OSError as exc:  # an --out that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -319,6 +319,26 @@ def test_bad_samples_rejected(capsys):
     assert code == 1 and "samples" in err
 
 
+@pytest.mark.parametrize("command", ["plan", "decompose", "simulate"])
+def test_negative_seed_rejected(capsys, command):
+    code, out, err = _run(capsys, command, SCENARIOS / "single_screw.json",
+                          "--samples", 500, "--seed", -1)
+    assert (code, out, err) == (1, "", "error: --seed must be >= 0\n")
+
+
+@pytest.mark.parametrize("command, out", [("plan", "missing/plan.json"),
+                                          ("decompose", "missing/aps.jsonl"),
+                                          ("simulate", "a_file")])
+def test_unwritable_out_exits_one(tmp_path, capsys, command, out):
+    (tmp_path / "a_file").write_text("")
+    reps = ["--reps", 1] if command == "simulate" else []
+    code, stdout, err = _run(capsys, command, SCENARIOS / "single_screw.json",
+                             "--samples", 500, *reps, "--out", tmp_path / out)
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path / out) in err
+
+
 def test_missing_fault_file_fails_cleanly(tmp_path, capsys):
     code, _, err = _run(capsys, "simulate", SCENARIOS / "single_screw.json",
                         "--samples", 500, "--faults", tmp_path / "nope.json")
