@@ -111,12 +111,13 @@ def cmd_simulate(args) -> int:
         print("error: --reps must be >= 1", file=sys.stderr)
         return 1
     collect = args.out is not None
+    if collect:  # an unwritable --out fails before the simulation, not after
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
     report, results = run_experiment(plans, model, repetitions=args.reps,
                                      faults=faults, seed=args.seed,
                                      collect_rows=collect)
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if collect:
         (out / "report.json").write_text(
             json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n",
             encoding="utf-8")

@@ -6,6 +6,15 @@ each direction's score against the contact direction, and multi-contact
 intersections AND the masks together, so the whole pipeline is O(n) in the
 number of sampled directions.
 
+Each sphere memoizes its per-contact masks: the first request for a predicate
+(half space or cone) about an oriented direction scores the sample, later ones
+reuse the mask, so a contact is scored once per sphere however often its
+component's space is asked for.  A cone's mask also serves the opposite axis.
+The memo stores each mask packed to one bit per direction (n / 8 bytes), is
+shared by every set ``with_mask`` derives from the sphere, and lives as long
+as the sphere.  The sphere's directions are read-only, so a stored mask
+cannot go stale.
+
 Classification first tests a few evenly spaced members pairwise: two of them
 farther apart than one cone can hold prove the space is not a cone, so the
 principal-axis pass over all members runs only for spaces that may be one.
@@ -13,7 +22,7 @@ principal-axis pass over all members runs only for spaces that may be one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -36,18 +45,40 @@ CONE_SLACK = np.deg2rad(2.0)  # classification slack on top of EPS_CONE
 DEFAULT_SAMPLES = 10_000
 
 
+def _frozen(a: np.ndarray) -> bool:
+    """True if no array in ``a``'s view chain is writeable, so no caller can
+    change its values; a view of a writeable array is not frozen."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
+
+
 @dataclass(frozen=True)
 class DirectionSet:
-    """Shared sampled unit directions plus a membership mask."""
+    """Shared sampled unit directions plus a membership mask.
+
+    ``directions`` is stored read-only (an input that is, or views, a
+    writeable array is copied first), so the per-contact masks in ``_memo``
+    stay valid for the set's lifetime.
+    """
 
     directions: np.ndarray  # (n, 3), unit rows
     mask: np.ndarray        # (n,) bool
+    # (predicate, oriented direction bytes) -> np.packbits of the contact mask
+    _memo: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
 
     def __post_init__(self):
         if self.directions.ndim != 2 or self.directions.shape[1] != 3:
             raise ValueError("directions must be an (n, 3) array")
         if self.mask.shape != (self.directions.shape[0],):
             raise ValueError("mask length must match directions")
+        if not _frozen(self.directions):
+            directions = self.directions.copy()
+            directions.flags.writeable = False
+            object.__setattr__(self, "directions", directions)
 
     @property
     def n(self) -> int:
@@ -65,7 +96,9 @@ class DirectionSet:
     def with_mask(self, mask: np.ndarray) -> "DirectionSet":
         mask = np.array(mask, dtype=bool)
         mask.flags.writeable = False
-        return DirectionSet(self.directions, mask)
+        derived = DirectionSet(self.directions, mask)
+        object.__setattr__(derived, "_memo", self._memo)
+        return derived
 
 
 def sample_sphere(n: int, seed: int = 0) -> DirectionSet:
@@ -110,11 +143,10 @@ def sample_sphere(n: int, seed: int = 0) -> DirectionSet:
     norm += theta
     np.sqrt(norm, out=norm)
     pts /= norm
-    pts = pts.T
     pts.flags.writeable = False
     mask = np.ones(n, dtype=bool)
     mask.flags.writeable = False
-    return DirectionSet(pts, mask)
+    return DirectionSet(pts.T, mask)
 
 
 # ------------------------------------------------------- per-contact sets
@@ -164,11 +196,39 @@ def intersect_spaces(index_sets: list[np.ndarray], dirs: DirectionSet) -> Direct
     return dirs.with_mask(mask)
 
 
+_PREDICATE = {RelationKind.PLANE_CONTACT: "half", RelationKind.CONGRUENT: "half",
+              RelationKind.CONCENTRIC: "cone"}
+
+
+def _contact_mask(kind: RelationKind, direction: np.ndarray,
+                  dirs: DirectionSet) -> np.ndarray:
+    """``admissible_indices``, looked up in or stored to the sphere's memo."""
+    predicate = _PREDICATE.get(kind)
+    if predicate is None:  # screwed: the all-false mask is cheap to build
+        return admissible_indices(kind, direction, dirs)
+    direction = np.asarray(direction, dtype=float)
+    key = (predicate, direction.tobytes())
+    packed = dirs._memo.get(key)
+    if packed is not None:
+        return np.unpackbits(packed, count=dirs.n).view(bool)
+    mask = admissible_indices(kind, direction, dirs)
+    packed = np.packbits(mask)
+    dirs._memo[key] = packed
+    if predicate == "cone":
+        # directions @ -d is -(directions @ d) bit for bit and the cone test
+        # takes the absolute value, so the opposite axis has the same mask
+        dirs._memo[(predicate, (-direction).tobytes())] = packed
+    return mask
+
+
 def space_from_contacts(contacts: list[tuple[RelationKind, np.ndarray]],
                         dirs: DirectionSet) -> DirectionSet:
-    """Aggregate space for pre-oriented (kind, direction) contact predicates."""
-    sets = [admissible_indices(kind, direction, dirs)
-            for kind, direction in contacts]
+    """Aggregate space for pre-oriented (kind, direction) contact predicates.
+
+    Each contact's mask comes from the sphere's memo, so a contact already
+    scored on this sphere is not scored again.
+    """
+    sets = [_contact_mask(kind, direction, dirs) for kind, direction in contacts]
     return intersect_spaces(sets, dirs)
 
 

@@ -339,6 +339,21 @@ def test_unwritable_out_exits_one(tmp_path, capsys, command, out):
     assert str(tmp_path / out) in err
 
 
+def test_simulate_unwritable_out_fails_before_simulating(tmp_path, capsys,
+                                                         monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("run_experiment called despite an unwritable --out")
+
+    monkeypatch.setattr("dismantle.cli.run_experiment", never)
+    out = tmp_path / "a_file"
+    out.write_bytes(b"kept")
+    code, stdout, err = _run(capsys, "simulate", SCENARIOS / "single_screw.json",
+                             "--samples", 500, "--reps", 2, "--out", out)
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert out.read_bytes() == b"kept"
+
+
 def test_missing_fault_file_fails_cleanly(tmp_path, capsys):
     code, _, err = _run(capsys, "simulate", SCENARIOS / "single_screw.json",
                         "--samples", 500, "--faults", tmp_path / "nope.json")

@@ -201,6 +201,130 @@ def test_determinism_model_level(valve_model):
     assert np.array_equal(a.mask, b.mask)
 
 
+# ---------------------------------------------------------------- memo
+
+def _six_style_stack():
+    """A base plus six parts stacked along a tilted axis, one per joint style:
+    screwed, plane_contact, concentric + plane_contact, plane_contact on the
+    axis and on a side wall, congruent, and concentric."""
+    from dismantle.model import AssemblyModel, Component, Semantic
+    axis = np.array([0.3, -0.2, 1.0]) / np.linalg.norm([0.3, -0.2, 1.0])
+    side = np.cross(axis, [1.0, 0.0, 0.0])
+    side /= np.linalg.norm(side)
+    styles = [[(RelationKind.SCREWED, axis)],
+              [(RelationKind.PLANE_CONTACT, axis)],
+              [(RelationKind.CONCENTRIC, axis), (RelationKind.PLANE_CONTACT, axis)],
+              [(RelationKind.PLANE_CONTACT, axis), (RelationKind.PLANE_CONTACT, side)],
+              [(RelationKind.CONGRUENT, axis)],
+              [(RelationKind.CONCENTRIC, axis)]]
+    components = [Component(id="base", semantic=Semantic.BASE)]
+    relations = []
+    for j, joints in enumerate(styles):
+        cid, below = f"p{j}", components[-1].id
+        components.append(Component(id=cid, semantic=Semantic.GENERIC_GRASPABLE))
+        relations += [_relation(kind, d, (cid, below)) for kind, d in joints]
+    return AssemblyModel(components=tuple(components), relations=tuple(relations))
+
+
+def _label_bits(label):
+    return (label.value, *(None if v is None else v.tobytes()
+                           for v in (label.axis, label.rot_axis)))
+
+
+@pytest.mark.parametrize("which", ["valve", "stack"])
+def test_warm_memo_changes_nothing(valve_model, which):
+    model = valve_model if which == "valve" else _six_style_stack()
+    ids = [c.id for c in model.components]
+    n, seed = 100_000, 3
+
+    cold = {cid: disassembly_space(model, cid, sample_sphere(n, seed)).mask
+            for cid in ids}
+    cold_graph = build_graph(model, sample_sphere(n, seed))
+
+    warm = sample_sphere(n, seed)
+    for cid in reversed(ids):
+        disassembly_space(model, cid, warm)
+    assert warm._memo
+    for cid in ids:
+        assert np.array_equal(disassembly_space(model, cid, warm).mask, cold[cid]), cid
+    graph = build_graph(model, warm)
+    assert graph.edges.keys() == cold_graph.edges.keys()
+    for pair, label in graph.edges.items():
+        assert _label_bits(label) == _label_bits(cold_graph.edges[pair]), pair
+
+    # the memo belongs to one sphere: derived sets share it, new sets do not
+    assert warm.with_mask(warm.mask)._memo is warm._memo
+    # the sphere's read-only sample is kept, not copied
+    assert warm.with_mask(warm.mask).directions is warm.directions
+    assert not warm.directions.base.flags.writeable
+    assert DirectionSet(warm.directions, warm.mask)._memo == {}
+
+
+def test_memo_scores_each_contact_once(monkeypatch, valve_model):
+    from dismantle import dspace
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return admissible_indices(*args)
+
+    monkeypatch.setattr(dspace, "admissible_indices", counted)
+    dirs = sample_sphere(1001, seed=0)
+    first = disassembly_space(valve_model, "hose", dirs)
+    assert calls
+    calls.clear()
+    second = disassembly_space(valve_model, "hose", dirs)
+    assert calls == []
+    assert np.array_equal(first.mask, second.mask)
+    assert dirs._memo
+    for packed in dirs._memo.values():
+        assert packed.dtype == np.uint8 and packed.shape == (-(-dirs.n // 8),)
+
+
+def test_cone_memo_serves_the_opposite_axis(monkeypatch):
+    from dismantle import dspace
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return admissible_indices(*args)
+
+    monkeypatch.setattr(dspace, "admissible_indices", counted)
+    dirs = sample_sphere(100_000, seed=2)
+    rng = np.random.default_rng(5)
+    for axis in [np.array([0.0, 0.0, 1.0])] + [random_unit(rng) for _ in range(5)]:
+        calls.clear()
+        space_from_contacts([(RelationKind.CONCENTRIC, axis)], dirs)
+        got = space_from_contacts([(RelationKind.CONCENTRIC, -axis)], dirs).mask
+        assert len(calls) == 1
+        assert np.array_equal(got, admissible_indices(RelationKind.CONCENTRIC,
+                                                      -axis, dirs))
+
+
+def _read_only_view(a):
+    v = a.view()
+    v.flags.writeable = False
+    return v
+
+
+@pytest.mark.parametrize("given", [lambda a: a, _read_only_view],
+                         ids=["writeable", "read_only_view"])
+def test_directions_insulated_from_caller_array(given):
+    caller = sample_sphere(1000, seed=4).directions.copy()
+    kept = caller.copy()
+    dirs = DirectionSet(given(caller), np.ones(len(caller), dtype=bool))
+    assert not dirs.directions.flags.writeable
+    contacts = [(RelationKind.PLANE_CONTACT, np.array([0.0, 0.0, 1.0])),
+                (RelationKind.CONCENTRIC, np.array([1.0, 0.0, 0.0]))]
+    before = space_from_contacts(contacts, dirs).mask
+    caller[:, 2] *= -1.0
+    caller[:, 0] = 0.0
+    assert np.array_equal(dirs.directions, kept)
+    assert np.array_equal(space_from_contacts(contacts, dirs).mask, before)
+    fresh = DirectionSet(kept, np.ones(len(kept), dtype=bool))
+    assert np.array_equal(space_from_contacts(contacts, fresh).mask, before)
+
+
 # ---------------------------------------------------------------- labels
 
 def test_classify_empty_is_fix(dirs10k):
