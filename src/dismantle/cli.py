@@ -1,8 +1,10 @@
 """Command-line front end: plan, decompose, simulate and report.
 
 Data goes to stdout or the requested output location; diagnostics go to
-stderr.  Exit codes: 1 parse error, an output that cannot be written or
-stdout closed early, 2 validation error, 3 infeasible plan.
+stderr.  Exit codes: 1 parse error (a --samples too large to sample
+included), an output that cannot be written or stdout closed early, 2
+validation error, 3 infeasible plan or, in decompose, a plan step that cannot
+be decomposed (a missing tool station).
 All commands are deterministic for a fixed (scenario, samples, seed) triple
 and never modify the scenario file.
 """
@@ -16,7 +18,8 @@ import sys
 from pathlib import Path
 
 from .dspace import DEFAULT_SAMPLES, build_graph, sample_sphere
-from .errors import ParseError, PlanInfeasible, ValidationError
+from .errors import (ParseError, PlanInfeasible, UnresolvableGoal,
+                     ValidationError)
 from .geometry import Pose
 from .metrics import (aggregate, detection_offsets, load_fault_specs,
                       run_experiment, write_tick_csv, RunResult)
@@ -25,7 +28,8 @@ from .planner import plan_task
 from .skills import (ExecState, SkillName, StepResult, StopKind, interpret)
 
 
-_EXIT_CODES = {ParseError: 1, ValidationError: 2, PlanInfeasible: 3}
+_EXIT_CODES = {ParseError: 1, ValidationError: 2, PlanInfeasible: 3,
+               UnresolvableGoal: 3}
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -61,7 +65,10 @@ def _load_and_plan(args):
     if args.seed < 0:
         raise ParseError("--seed must be >= 0")
     model = load_model(args.scenario)
-    dirs = sample_sphere(args.samples, args.seed)
+    try:
+        dirs = sample_sphere(args.samples, args.seed)
+    except MemoryError:
+        raise ParseError(f"--samples {args.samples} is too large to sample") from None
     return model, dirs, plan_task(model, dirs)
 
 
@@ -155,9 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Plan, decompose and simulate disassembly/assembly tasks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario=True):
-        if scenario:
-            p.add_argument("scenario", help="scenario JSON file")
+    def common(p):
+        p.add_argument("scenario", help="scenario JSON file")
         p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                        help="sphere sample count (default %(default)s)")
         p.add_argument("--seed", type=int, default=0)

@@ -208,24 +208,27 @@ class AssemblyModel:
         if self.target is not None and self.target not in ids:
             raise ValidationError("target references unknown component",
                                   entity=self.target)
-        if len(self.components) > 1:
-            seen = {ids[0]}
-            frontier = [ids[0]]
-            adjacency: dict[str, set[str]] = {i: set() for i in ids}
-            for rel in self.relations:
-                a, b = rel.components
-                adjacency[a].add(b)
-                adjacency[b].add(a)
-            while frontier:
-                nxt = frontier.pop()
-                for nb in adjacency[nxt]:
-                    if nb not in seen:
-                        seen.add(nb)
-                        frontier.append(nb)
-            if seen != set(ids):
-                missing = sorted(set(ids) - seen)
-                raise ValidationError("relation graph is not connected",
-                                      entity=missing[0])
+        missing = sorted(set(ids) - self.reachable(ids[0]))
+        if missing:
+            raise ValidationError("relation graph is not connected",
+                                  entity=missing[0])
+
+    def neighbors(self, component_id: str) -> set[str]:
+        """Components that share a relation with the component."""
+        return {r.other(component_id) for r in self.relations
+                if component_id in r.components}
+
+    def reachable(self, start: str, barrier: str | None = None) -> set[str]:
+        """Components connected to ``start`` through relations, ``start``
+        included, by paths that do not pass through ``barrier``."""
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            for nb in self.neighbors(frontier.pop()):
+                if nb != barrier and nb not in seen:
+                    seen.add(nb)
+                    frontier.append(nb)
+        return seen
 
 
 def contacts_of(model: AssemblyModel, component_id: str) -> list[SpatialRelation]:

@@ -7,9 +7,11 @@ withdraw) followed by a put that releases the part at its storage pose.
 Assembly plans are the exact inverse of disassembly plans with move and put
 roles exchanged.
 
-The symbolic state holds what planning decides with: the removed components
-and the live relations.  A component is removable when its extraction space
-toward its present neighbours is nonempty.  Mobility labels take no part in
+The symbolic state is two sets over the model's relations: the removed
+components and the loose relations, screwed joints a twist has loosened.  A
+relation is live while neither of its components is removed, and a loose one
+constrains as a concentric fit.  A component is removable when its extraction
+space toward its live contacts is nonempty.  Mobility labels take no part in
 planning; the mobility graph of a task comes from ``dspace.build_graph``.
 """
 
@@ -79,48 +81,38 @@ class Plan:
 
 
 @dataclass(frozen=True)
-class LiveRelation:
-    """A relation in the evolving symbolic state.
+class SymbolicState:
+    """Which components are out and which screwed joints a twist loosened.
 
-    ``unscrewed`` marks a screwed joint converted by a twist: the thread no
-    longer blocks and the joint admits translation along its axis.
+    A relation is live while neither of its components is removed, so a
+    removed component has no live contacts.  ``loose`` holds indices into
+    ``relations`` of screwed joints whose thread no longer blocks: a loose
+    joint constrains as ``concentric``, admitting translation along its axis.
     """
 
-    relation: SpatialRelation
-    unscrewed: bool = False
-
-    @property
-    def effective_kind(self) -> RelationKind:
-        if self.unscrewed and self.relation.kind is RelationKind.SCREWED:
-            return RelationKind.CONCENTRIC
-        return self.relation.kind
-
-
-@dataclass(frozen=True)
-class SymbolicState:
+    relations: tuple[SpatialRelation, ...]
     removed: frozenset[str]
-    live: tuple[LiveRelation, ...]
+    loose: frozenset[int]
 
-
-def _live_contacts(state: SymbolicState, component_id: str) -> list[LiveRelation]:
-    out = []
-    for lr in state.live:
-        if component_id in lr.relation.components:
-            if lr.relation.other(component_id) not in state.removed:
-                out.append(lr)
-    return out
+    def contacts(self, component_id: str) -> list[tuple[SpatialRelation, RelationKind]]:
+        """The component's live relations with their effective kinds, in model order."""
+        if component_id in self.removed:
+            return []
+        return [(r, RelationKind.CONCENTRIC if i in self.loose else r.kind)
+                for i, r in enumerate(self.relations)
+                if component_id in r.components
+                and r.other(component_id) not in self.removed]
 
 
 def _component_space(state: SymbolicState, component_id: str,
                      dirs: DirectionSet) -> DirectionSet:
     return space_from_contacts(
-        [(lr.effective_kind, oriented_direction(lr.relation, component_id))
-         for lr in _live_contacts(state, component_id)], dirs)
+        [(kind, oriented_direction(r, component_id))
+         for r, kind in state.contacts(component_id)], dirs)
 
 
 def initial_state(model: AssemblyModel) -> SymbolicState:
-    return SymbolicState(removed=frozenset(),
-                         live=tuple(LiveRelation(r) for r in model.relations))
+    return SymbolicState(model.relations, removed=frozenset(), loose=frozenset())
 
 
 NEAR_TIE_MARGIN = 1e-3  # below lattice resolution at the default sample count
@@ -139,17 +131,16 @@ def _best_direction(state: SymbolicState, component_id: str,
     if space.is_empty():
         return None
     idx = np.flatnonzero(space.mask)
-    contacts = _live_contacts(state, component_id)
+    contacts = state.contacts(component_id)
     if not contacts:
         return dirs.directions[idx[0]].copy()
     margins = np.full(idx.size, np.inf)
     cand = dirs.directions[idx]
     outward = np.zeros(3)
-    for lr in contacts:
-        d = oriented_direction(lr.relation, component_id)
+    for r, kind in contacts:
+        d = oriented_direction(r, component_id)
         outward += d
         scores = cand @ d
-        kind = lr.effective_kind
         if kind in (RelationKind.PLANE_CONTACT, RelationKind.CONGRUENT):
             margins = np.minimum(margins, scores)
         elif kind is RelationKind.CONCENTRIC:
@@ -175,45 +166,19 @@ def removable(state: SymbolicState, component_id: str,
 
 
 def _has_screwed(state: SymbolicState, component_id: str) -> bool:
-    return any(lr.relation.kind is RelationKind.SCREWED and not lr.unscrewed
-               for lr in _live_contacts(state, component_id))
+    return any(kind is RelationKind.SCREWED
+               for _, kind in state.contacts(component_id))
+
+
+def _screws(state: SymbolicState, component_id: str) -> frozenset[int]:
+    """Indices of the component's screwed relations, live or not."""
+    return frozenset(i for i, r in enumerate(state.relations)
+                     if r.kind is RelationKind.SCREWED
+                     and component_id in r.components)
 
 
 def _unscrew(state: SymbolicState, component_id: str) -> SymbolicState:
-    live = []
-    for lr in state.live:
-        if (component_id in lr.relation.components
-                and lr.relation.kind is RelationKind.SCREWED and not lr.unscrewed):
-            live.append(replace(lr, unscrewed=True))
-        else:
-            live.append(lr)
-    return replace(state, live=tuple(live))
-
-
-def _drop_component(state: SymbolicState, component_id: str) -> SymbolicState:
-    live = tuple(lr for lr in state.live
-                 if component_id not in lr.relation.components)
-    return replace(state, live=live, removed=state.removed | {component_id})
-
-
-def _restore_component(state: SymbolicState, model: AssemblyModel,
-                       component_id: str, tightened: bool) -> SymbolicState:
-    """Re-add a component: restore its relations to already-present partners."""
-    removed = state.removed - {component_id}
-    restored = list(state.live)
-    for r in model.relations:
-        if component_id in r.components and r.other(component_id) not in removed:
-            unscrewed = r.kind is RelationKind.SCREWED and not tightened
-            restored.append(LiveRelation(r, unscrewed=unscrewed))
-    return replace(state, live=tuple(restored), removed=removed)
-
-
-def _neighbors(model: AssemblyModel, component_id: str) -> set[str]:
-    out = set()
-    for r in model.relations:
-        if component_id in r.components:
-            out.add(r.other(component_id))
-    return out
+    return replace(state, loose=state.loose | _screws(state, component_id))
 
 
 def transition(state: SymbolicState, mp: ManipulationPrimitive,
@@ -221,62 +186,47 @@ def transition(state: SymbolicState, mp: ManipulationPrimitive,
                assembly: bool = False) -> SymbolicState:
     """Apply one primitive to the symbolic state.
 
-    A twist converts the component's screwed joints and, when the unscrewed
+    A twist loosens the component's screwed joints and, when the loosened
     extraction space is nonempty, removes the part; a pull or move removes a
-    part whose extraction space is nonempty, deleting its relations; a put
-    only checks that the part is out.  In assembly direction the pull and
-    the twist restore the part's relations to the present components.
+    part whose extraction space is nonempty; a put only checks that the part
+    is out.  In assembly direction a pull puts the part back with its screws
+    loose, a twist puts it back if it is out and tightens its screws, and a
+    move or put changes nothing.
     """
     c = mp.component
     if not model.has_component(c):
         raise UnknownComponent(c)
 
     if assembly:
-        return _transition_assembly(state, mp, model)
-
-    if mp.kind is MPKind.TWIST:
-        if c in state.removed:
-            raise InapplicablePrimitive(str(mp), "component already removed")
-        if not _has_screwed(state, c):
-            raise InapplicablePrimitive(str(mp), "no live screwed relation")
-        state = _unscrew(state, c)
-        # the twist primitive's executable form extracts and stores the part;
-        # symbolically that completes when the unscrewed space is nonempty
-        if not _component_space(state, c, dirs).is_empty():
-            state = _drop_component(state, c)
+        # putting a part back sets every one of its screwed joints, so a loose
+        # index left on a relation while it was not live never shows
+        if mp.kind is MPKind.PULL:
+            if c not in state.removed:
+                raise InapplicablePrimitive(str(mp), "component already installed")
+            return replace(state, removed=state.removed - {c},
+                           loose=state.loose | _screws(state, c))
+        if mp.kind is MPKind.TWIST:
+            return replace(state, removed=state.removed - {c},
+                           loose=state.loose - _screws(state, c))
         return state
-
-    if mp.kind in (MPKind.MOVE, MPKind.PULL):
-        if c in state.removed:
-            raise InapplicablePrimitive(str(mp), "component already removed")
-        if _component_space(state, c, dirs).is_empty():
-            raise InapplicablePrimitive(str(mp), "extraction space is empty")
-        return _drop_component(state, c)
 
     if mp.kind is MPKind.PUT:
         if c not in state.removed:
             raise InapplicablePrimitive(str(mp), "component not in hand")
         return state
-
-    raise InapplicablePrimitive(str(mp), "unknown primitive kind")
-
-
-def _transition_assembly(state, mp, model):
-    c = mp.component
-    if mp.kind is MPKind.MOVE or mp.kind is MPKind.PUT:
-        return state
-    if mp.kind is MPKind.PULL:
-        if c not in state.removed:
-            raise InapplicablePrimitive(str(mp), "component already installed")
-        return _restore_component(state, model, c, tightened=False)
+    if c in state.removed:
+        raise InapplicablePrimitive(str(mp), "component already removed")
     if mp.kind is MPKind.TWIST:
-        if c in state.removed:
-            return _restore_component(state, model, c, tightened=True)
-        live = tuple(replace(lr, unscrewed=False)
-                     if c in lr.relation.components else lr
-                     for lr in state.live)
-        return replace(state, live=live)
-    raise InapplicablePrimitive(str(mp), "unknown primitive kind")
+        if not _has_screwed(state, c):
+            raise InapplicablePrimitive(str(mp), "no live screwed relation")
+        state = _unscrew(state, c)
+        # the twist primitive's executable form extracts and stores the part;
+        # symbolically that completes when the loosened space is nonempty
+        if _component_space(state, c, dirs).is_empty():
+            return state
+    elif _component_space(state, c, dirs).is_empty():
+        raise InapplicablePrimitive(str(mp), "extraction space is empty")
+    return replace(state, removed=state.removed | {c})
 
 
 # ------------------------------------------------------------- planning
@@ -315,23 +265,6 @@ def _candidate_for(state: SymbolicState, model: AssemblyModel,
     return _Candidate(cid, twist, direction, cost, order)
 
 
-def _target_cone(model: AssemblyModel, target: str) -> set[str]:
-    """Components reachable from the target without passing through the base."""
-    base = model.base_id
-    seen = {target}
-    frontier = [target]
-    while frontier:
-        cur = frontier.pop()
-        if cur == base:
-            continue
-        for nb in _neighbors(model, cur):
-            if nb != base and nb not in seen:
-                seen.add(nb)
-                frontier.append(nb)
-    seen.discard(base)
-    return seen
-
-
 def plan_disassembly(model: AssemblyModel, dirs: DirectionSet) -> Plan:
     """Greedy nearest-neighbor disassembly plan.
 
@@ -348,7 +281,7 @@ def plan_disassembly(model: AssemblyModel, dirs: DirectionSet) -> Plan:
     if target == base:
         return Plan(steps=())
 
-    cone = _target_cone(model, target) if target else None
+    cone = model.reachable(target, barrier=base) if target else None
     order_index = {c.id: i for i, c in enumerate(model.components)}
     robot_pos = model.robot_start.position.copy()
     held = Tool.NONE
@@ -373,8 +306,9 @@ def plan_disassembly(model: AssemblyModel, dirs: DirectionSet) -> Plan:
                                                  robot_pos, held,
                                                  order_index[cid])) is not None]
         if not candidates:
-            blocking = [lr.relation for lr in state.live
-                        if any(cid in lr.relation.components for cid in pool)]
+            blocking = [r for r in model.relations
+                        if state.removed.isdisjoint(r.components)
+                        and not set(pool).isdisjoint(r.components)]
             what = f"target '{target}'" if target else "full disassembly"
             raise PlanInfeasible(f"{what} cannot be completed", blocking)
 
@@ -382,7 +316,7 @@ def plan_disassembly(model: AssemblyModel, dirs: DirectionSet) -> Plan:
             tiers = [
                 [c for c in candidates if c.component == target],
                 [c for c in candidates
-                 if c.component in _neighbors(model, target)],
+                 if c.component in model.neighbors(target)],
                 candidates,
             ]
             for tier in tiers:

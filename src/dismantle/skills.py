@@ -368,13 +368,11 @@ def _expected_residual_px(noise: np.ndarray | None, source: Component | None,
 # ------------------------------------------------------------ AP constructors
 
 def _pos_move(name: SkillName, goal: Pose, tool_cmd: ToolCommand = IDLE_TOOL,
-              component: str | None = None, process: str | None = None,
-              place_pose: Pose | None = None) -> SkillPrimitive:
+              component: str | None = None) -> SkillPrimitive:
     vec = goal.as_vector()
     hm = HybridMove(TaskFrame.WORLD, (ControlMode.POS,) * 6, vec)
     stop = StopCondition(StopKind.POSE_REACHED, vec, TOL_POS)
-    return SkillPrimitive(name, hm, tool_cmd, stop, component=component,
-                          process=process, place_pose=place_pose)
+    return SkillPrimitive(name, hm, tool_cmd, stop, component=component)
 
 
 def _fine_pos(source: Component, engage: Pose, state: ExecState,

@@ -228,6 +228,15 @@ def test_validation_error_exit_code(tmp_path, capsys):
     assert code == 2 and "missing" in err
 
 
+def test_decompose_missing_station_exits_three(tmp_path, capsys):
+    doc = json.loads((SCENARIOS / "single_screw.json").read_text())
+    doc["tool_stations"] = {}
+    bad = tmp_path / "no_station.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "decompose", bad, "--samples", 500)
+    assert (code, out, err) == (3, "", "error: no tool station for 'screwdriver'\n")
+
+
 def test_decompose_single_screw_gold_stream(capsys):
     code, out, _ = _run(capsys, "decompose", SCENARIOS / "single_screw.json",
                         "--samples", 2000)
@@ -315,8 +324,13 @@ def test_stdout_closed_early_exits_one_without_traceback():
 
 
 def test_bad_samples_rejected(capsys):
-    code, _, err = _run(capsys, "plan", SCENARIOS / "valve.json", "--samples", 0)
-    assert code == 1 and "samples" in err
+    # numpy refuses the 7 PiB array of 10**15 samples without allocating any
+    # of it
+    for samples in (0, 10**15):
+        code, out, err = _run(capsys, "plan", SCENARIOS / "valve.json",
+                              "--samples", samples)
+        assert code == 1 and out == ""
+        assert err.startswith("error: --samples") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["plan", "decompose", "simulate"])

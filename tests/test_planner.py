@@ -1,11 +1,14 @@
+from dataclasses import dataclass, replace
+
 import numpy as np
 import pytest
 
 from conftest import random_feasible_model
 
-from dismantle.dspace import sample_sphere
-from dismantle.errors import InapplicablePrimitive, PlanInfeasible
-from dismantle.model import RelationKind, Tool
+from dismantle.dspace import oriented_direction, sample_sphere, space_from_contacts
+from dismantle.errors import (DismantleError, InapplicablePrimitive,
+                              PlanInfeasible, UnknownComponent)
+from dismantle.model import RelationKind, SpatialRelation, Tool
 from dismantle.planner import (ManipulationPrimitive, MPKind, Plan,
                                initial_state, invert_plan, plan_disassembly,
                                plan_task, removable, replay, transition)
@@ -56,7 +59,8 @@ def test_twist_converts_and_extracts_screw(valve_model, dirs2k):
     mp = ManipulationPrimitive(MPKind.TWIST, "screw_1", Tool.SCREWDRIVER)
     after = transition(state, mp, valve_model, dirs2k)
     assert "screw_1" in after.removed
-    assert not any("screw_1" in lr.relation.components for lr in after.live)
+    # a live relation of screw_1 would be one of its contacts
+    assert after.contacts("screw_1") == []
 
 
 def test_twist_requires_live_screwed_relation(valve_model, dirs2k):
@@ -91,8 +95,9 @@ def test_unscrewed_joint_becomes_linear_axis(dirs2k):
     after = transition(state, mp, model, dirs2k)
     # the side planes leave only an equatorial band: still trapped, not removed
     assert "s" not in after.removed
-    live = [lr for lr in after.live if lr.relation.kind is RelationKind.SCREWED]
-    assert live and all(lr.unscrewed for lr in live)
+    live = [kind for r, kind in after.contacts("s")
+            if r.kind is RelationKind.SCREWED]
+    assert live and all(kind is RelationKind.CONCENTRIC for kind in live)
 
 
 def test_move_on_removed_component_inapplicable(valve_model, dirs2k):
@@ -262,7 +267,7 @@ def test_assembly_replay_restores_everything(valve_model, dirs2k):
     for mp in asm.steps:
         state = transition(state, mp, valve_model, dirs2k, assembly=True)
     assert not state.removed
-    assert not any(lr.unscrewed for lr in state.live)
+    assert not state.loose
 
 
 # ------------------------------------------------------------- heuristics
@@ -270,8 +275,7 @@ def test_assembly_replay_restores_everything(valve_model, dirs2k):
 def _minimal_mp_count(model, dirs):
     """Exhaustive search over removal orders, same action costs as the
     planner (twist = 1 primitive, pull+put = 2)."""
-    from dismantle.planner import (_component_space, _drop_component,
-                                   _has_screwed, _unscrew)
+    from dismantle.planner import _component_space, _has_screwed, _unscrew
     target = model.target
     base = model.base_id
     best = [np.inf]
@@ -293,9 +297,10 @@ def _minimal_mp_count(model, dirs):
             if _has_screwed(state, cid):
                 after = _unscrew(state, cid)
                 if not _component_space(after, cid, dirs).is_empty():
-                    recurse(_drop_component(after, cid), cost + 1)
+                    recurse(replace(after, removed=after.removed | {cid}),
+                            cost + 1)
             elif not _component_space(state, cid, dirs).is_empty():
-                recurse(_drop_component(state, cid), cost + 2)
+                recurse(replace(state, removed=state.removed | {cid}), cost + 2)
 
     recurse(initial_state(model), 0)
     return best[0]
@@ -314,3 +319,141 @@ def test_heuristic_within_twice_optimal():
         assert len(plan) <= 2 * minimal
         checked += 1
     assert checked == 20
+
+
+# ------------------------------------------------------------- state oracle
+
+@dataclass(frozen=True)
+class LiveRelation:
+    """Entry of the earlier symbolic state: a relation still in contact, with
+    a flag for a screwed joint that a twist has converted."""
+
+    relation: SpatialRelation
+    unscrewed: bool = False
+
+    @property
+    def effective_kind(self) -> RelationKind:
+        if self.unscrewed and self.relation.kind is RelationKind.SCREWED:
+            return RelationKind.CONCENTRIC
+        return self.relation.kind
+
+
+@dataclass(frozen=True)
+class OracleState:
+    removed: frozenset
+    live: tuple
+
+
+def _oracle_contacts(state, cid):
+    return [lr for lr in state.live if cid in lr.relation.components
+            and lr.relation.other(cid) not in state.removed]
+
+
+def _oracle_space_empty(state, cid, dirs):
+    return space_from_contacts(
+        [(lr.effective_kind, oriented_direction(lr.relation, cid))
+         for lr in _oracle_contacts(state, cid)], dirs).is_empty()
+
+
+def _oracle_unscrew(state, cid):
+    return replace(state, live=tuple(
+        replace(lr, unscrewed=True)
+        if (cid in lr.relation.components
+            and lr.relation.kind is RelationKind.SCREWED and not lr.unscrewed)
+        else lr for lr in state.live))
+
+
+def _oracle_drop(state, cid):
+    return OracleState(state.removed | {cid},
+                       tuple(lr for lr in state.live
+                             if cid not in lr.relation.components))
+
+
+def _oracle_restore(state, model, cid, tightened):
+    removed = state.removed - {cid}
+    restored = tuple(
+        LiveRelation(r, unscrewed=r.kind is RelationKind.SCREWED and not tightened)
+        for r in model.relations
+        if cid in r.components and r.other(cid) not in removed)
+    return OracleState(removed, state.live + restored)
+
+
+def oracle_transition(state, mp, model, dirs, assembly):
+    """The transition function over a rebuilt tuple of live relations, with
+    a separate path for the assembly direction."""
+    c = mp.component
+    if not model.has_component(c):
+        raise UnknownComponent(c)
+    if assembly:
+        if mp.kind is MPKind.PULL:
+            if c not in state.removed:
+                raise InapplicablePrimitive(str(mp), "component already installed")
+            return _oracle_restore(state, model, c, tightened=False)
+        if mp.kind is MPKind.TWIST:
+            if c in state.removed:
+                return _oracle_restore(state, model, c, tightened=True)
+            return replace(state, live=tuple(
+                replace(lr, unscrewed=False) if c in lr.relation.components
+                else lr for lr in state.live))
+        return state
+    if mp.kind is MPKind.TWIST:
+        if c in state.removed:
+            raise InapplicablePrimitive(str(mp), "component already removed")
+        if not any(lr.relation.kind is RelationKind.SCREWED and not lr.unscrewed
+                   for lr in _oracle_contacts(state, c)):
+            raise InapplicablePrimitive(str(mp), "no live screwed relation")
+        state = _oracle_unscrew(state, c)
+        if not _oracle_space_empty(state, c, dirs):
+            state = _oracle_drop(state, c)
+        return state
+    if mp.kind in (MPKind.MOVE, MPKind.PULL):
+        if c in state.removed:
+            raise InapplicablePrimitive(str(mp), "component already removed")
+        if _oracle_space_empty(state, c, dirs):
+            raise InapplicablePrimitive(str(mp), "extraction space is empty")
+        return _oracle_drop(state, c)
+    if c not in state.removed:
+        raise InapplicablePrimitive(str(mp), "component not in hand")
+    return state
+
+
+def _outcome(step):
+    try:
+        return step(), None
+    except DismantleError as exc:
+        return None, (type(exc), str(exc))
+
+
+def test_transition_matches_live_relation_oracle(dirs2k):
+    """Random primitives in both directions, from any state they reach: the
+    same exceptions, removed sets and live contact kinds per component."""
+    rng = np.random.default_rng(2024)
+    raised = 0
+    for _ in range(300):
+        model = random_feasible_model(rng, max_extra=4)
+        index = {id(r): i for i, r in enumerate(model.relations)}
+        known = [c.id for c in model.components]
+        ids = known + ["ghost"]
+        state = initial_state(model)
+        oracle = OracleState(frozenset(), tuple(LiveRelation(r)
+                                                for r in model.relations))
+        for _ in range(25):
+            mp = ManipulationPrimitive(MPKind(rng.choice([k.value for k in MPKind])),
+                                       ids[int(rng.integers(len(ids)))],
+                                       Tool.GRIPPER)
+            assembly = bool(rng.random() < 0.4)
+            new, err = _outcome(lambda: transition(state, mp, model, dirs2k,
+                                                   assembly=assembly))
+            old, oracle_err = _outcome(lambda: oracle_transition(
+                oracle, mp, model, dirs2k, assembly))
+            assert err == oracle_err, (mp, assembly)
+            if err is not None:
+                raised += 1
+                continue
+            state, oracle = new, old
+            assert state.removed == oracle.removed
+            for cid in known:
+                assert (sorted((index[id(r)], kind) for r, kind in state.contacts(cid))
+                        == sorted((index[id(lr.relation)], lr.effective_kind)
+                                  for lr in _oracle_contacts(oracle, cid))), (mp, cid)
+    assert 1000 < raised < 6500  # of 7,500 steps
