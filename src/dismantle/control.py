@@ -12,11 +12,16 @@ skill loop, once per visual-servoing tick.  Time is simulated, not measured:
 the clock advances in integer units of 10 ms, so 50 Hz and 20 Hz ticks are
 exact (2 and 5 units) and per-bucket time sums are exact integer arithmetic.
 
-``run_skill`` keeps its tick state in bare arrays and builds a ``Pose`` only
-when a skill ends.  Each job has one array kernel, which the loop calls and
-an object-level function wraps: ``_offset``/``_twist`` (``position_step``),
-``_filter_step`` (``admittance_step``; the loop runs it on axis 0), and
-``geometry.integrate_twist`` with ``_contact_force`` (``plant_step``).
+``run_skill`` keeps the tick state of its position and force loops in
+Python floats and builds a ``Pose`` only when a skill ends.  Each job has one
+float kernel, which the loop calls and an object-level function wraps:
+``_offset``/``_twist`` (``position_step``), ``_filter_step``
+(``admittance_step``; the loop runs it on axis 0), and
+``geometry.integrate_twist`` with ``_contact_force`` (``plant_step``).  The
+kernels call numpy only for dot products (``_dot``, ``geometry.vec_norm``):
+BLAS ``ddot`` rounds differently from a Python sum, and the pinned tick bits
+were computed with it.  Visual servoing keeps its array code; only its
+command joins the float state.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ import numpy as np
 
 from .camera import CX, CY, FOCAL_PX, camera_pose, project
 from .errors import SingularJacobian, SkillTimeout
-from .geometry import (Pose, integrate_twist, pose_step, quat_conjugate,
-                       quat_multiply, quat_to_rotvec, unit_orientation)
+from .geometry import (Pose, integrate_twist, pose_step, quat_multiply_f,
+                       quat_to_rotvec_f, unit_orientation_f, vec_norm)
 from .skills import (GRIP_ACTION_S, TOOL_SWAP_S, ControlMode, SkillName,
                      SkillPrimitive, StopKind)
 
@@ -91,8 +96,10 @@ class Wrench:
     torque: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        f = _finite_force(np.array(self.force, dtype=float))
-        t = _finite_force(np.array(self.torque, dtype=float))
+        f = np.array(self.force, dtype=float)
+        t = np.array(self.torque, dtype=float)
+        _finite_force(f.flat)
+        _finite_force(t.flat)
         f.flags.writeable = False
         t.flags.writeable = False
         object.__setattr__(self, "force", f)
@@ -231,57 +238,82 @@ def ibvs_step(target_px: np.ndarray, pixels: np.ndarray,
     return IBVS_GAIN * np.linalg.solve(jtj, jac.T @ err)
 
 
-def _offset(goal_p: np.ndarray, goal_q: np.ndarray, p: np.ndarray,
-            q: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, float]:
+def _rotation_to(goal_q, q) -> tuple[tuple, float]:
+    """Axis-angle rotation from orientation ``q`` to ``goal_q`` (4 floats
+    each), with its norm."""
+    w, x, y, z = q
+    dr = quat_to_rotvec_f(quat_multiply_f(goal_q, (w, -x, -y, -z)))
+    return dr, vec_norm(dr)
+
+
+def _offset(goal_p, goal_q, p, q) -> tuple[tuple, float, tuple, float]:
     """Translation and axis-angle rotation from pose (p, q) to the goal, each
-    with its norm (``Pose.distance``'s two figures)."""
-    dp = goal_p - p
-    dr = quat_to_rotvec(quat_multiply(goal_q, quat_conjugate(q)))
-    return dp, math.sqrt(dp.dot(dp)), dr, math.sqrt(dr.dot(dr))
+    with its norm (``Pose.distance``'s two figures), on floats."""
+    gx, gy, gz = goal_p
+    x, y, z = p
+    dp = (gx - x, gy - y, gz - z)
+    return (dp, vec_norm(dp), *_rotation_to(goal_q, q))
 
 
-def _twist(dp: np.ndarray, dist: float, dr: np.ndarray, ang: float) -> np.ndarray:
-    """Saturated proportional twist along an ``_offset``."""
-    u = np.zeros(6)
-    if dist > 1e-12:
-        u[:3] = dp / dist * min(V_MAX_LIN, KP_POS * dist)
-    if ang > 1e-12:
-        u[3:] = dr / ang * min(V_MAX_ANG, KP_POS * ang)
-    return u
+def _saturate(v, norm: float, v_max: float) -> tuple:
+    """Proportional velocity along ``v`` (3 floats, of norm ``norm``), capped
+    at ``v_max``."""
+    if norm > 1e-12:
+        s = min(v_max, KP_POS * norm)
+        x, y, z = v
+        return (x / norm * s, y / norm * s, z / norm * s)
+    return (0.0, 0.0, 0.0)
+
+
+def _twist(dp, dist: float, dr, ang: float) -> tuple:
+    """Saturated proportional twist along an ``_offset``, as 6 floats."""
+    return _saturate(dp, dist, V_MAX_LIN) + _saturate(dr, ang, V_MAX_ANG)
 
 
 def position_step(goal: Pose, current: Pose) -> np.ndarray:
     """Saturated proportional velocity toward the goal pose (world frame)."""
-    return _twist(*_offset(goal.position, goal.orientation, current.position,
-                           current.orientation))
+    return np.array(_twist(*_offset(*goal.as_floats(), *current.as_floats())))
 
 
 # ------------------------------------------------------------- plant
 
-_ZERO3 = np.zeros(3)
-_ZERO3.flags.writeable = False
+def _dot(v, axis: np.ndarray) -> float:
+    """v . axis for 3 floats ``v``."""
+    return float(np.array(v).dot(axis))  # BLAS ddot, whose rounding the tick pins fix
 
 
-def _contact_force(p: np.ndarray, contacts: tuple[ContactPlane, ...],
-                   retentions: tuple[Retention, ...]) -> np.ndarray:
-    """Spring and retention force on the tool at position ``p``."""
-    force = np.zeros(3)
+def _contact_force(p, contacts: tuple[ContactPlane, ...],
+                   retentions: tuple[Retention, ...]) -> tuple:
+    """Spring and retention force, as 3 floats, on the tool at position ``p``."""
+    x, y, z = p
+    fx = fy = fz = 0.0
     for c in contacts:
-        pen = -(p - c.point) @ c.normal
+        cx, cy, cz = c.point.tolist()
+        pen = _dot((cx - x, cy - y, cz - z), c.normal)
         if pen > 0.0:
-            force += c.stiffness * pen * c.normal
+            k = c.stiffness * pen
+            nx, ny, nz = c.normal.tolist()
+            fx, fy, fz = fx + k * nx, fy + k * ny, fz + k * nz
     for r in retentions:
-        travel = (p - r.anchor) @ r.axis
+        ax, ay, az = r.anchor.tolist()
+        travel = _dot((x - ax, y - ay, z - az), r.axis)
         if 0.0 < travel < r.release_dist:
-            force -= r.force_n * r.axis
-    return force
+            ux, uy, uz = r.axis.tolist()
+            fx, fy, fz = fx - r.force_n * ux, fy - r.force_n * uy, fz - r.force_n * uz
+    return fx, fy, fz
 
 
-def _finite_force(force: np.ndarray) -> np.ndarray:
-    """``force`` (or a torque), after the finiteness check of ``Wrench``."""
-    if not np.isfinite(force).all():
+def _finite_force(force):
+    """``force`` (or a torque; any iterable of floats), after the finiteness
+    check of ``Wrench``."""
+    if not all(map(math.isfinite, force)):
         raise ValueError("wrench entries must be finite")
     return force
+
+
+def _pressing(force, axis: np.ndarray) -> float:
+    """The force the tool presses with along ``axis``: -force . axis."""
+    return -_dot(force, axis)
 
 
 def plant_step(state: PlantState, u: np.ndarray, dt: float,
@@ -291,7 +323,8 @@ def plant_step(state: PlantState, u: np.ndarray, dt: float,
         raise ValueError("dt must be positive")
     u = np.asarray(u, dtype=float)
     pose = pose_step(state.pose, u[:3], u[3:], dt)
-    wrench = Wrench(_contact_force(pose.position, state.contacts, state.retentions))
+    wrench = Wrench(_contact_force(pose.position.tolist(), state.contacts,
+                                   state.retentions))
     return replace(state, pose=pose), wrench
 
 
@@ -327,12 +360,13 @@ class FaultHook:
     feature_dropout: bool = False
     rng: np.random.Generator | None = None
 
-    def disturb_force(self, force: np.ndarray) -> np.ndarray:
-        """The measured force: ``force`` plus one normal draw per axis."""
+    def disturb_force(self, force):
+        """The measured force: ``force`` (3 floats) plus one normal draw per
+        axis."""
         if self.force_noise_sigma <= 0.0 or self.rng is None:
             return force
         noise = self.rng.normal(0.0, self.force_noise_sigma, size=3)
-        return _finite_force(force + noise)
+        return _finite_force((force + noise).tolist())
 
 
 def _primary_controller(ap: SkillPrimitive) -> str:
@@ -354,25 +388,25 @@ def _tool_units(ap: SkillPrimitive) -> int:
     return 0
 
 
-def _wrench_vector(force: np.ndarray) -> np.ndarray:
-    return np.concatenate([force, _ZERO3])
+def _wrench_vector(force) -> np.ndarray:
+    fx, fy, fz = force
+    return np.array((fx, fy, fz, 0.0, 0.0, 0.0))
 
 
-def _pose_at(state: PlantState, p: np.ndarray, q_raw: np.ndarray | None) -> Pose:
+def _pose_at(state: PlantState, p, q_raw) -> Pose:
     """The loop's pose.  ``Pose`` normalises the last un-normalised
     quaternion, as the tick did; with no motion tick yet (``q_raw`` None) it
     is the caller's pose."""
     return state.pose if q_raw is None else Pose(p, q_raw)
 
 
-def _state_at(state: PlantState, p: np.ndarray, q_raw: np.ndarray | None,
-              ) -> PlantState:
+def _state_at(state: PlantState, p, q_raw) -> PlantState:
     """``state`` at the loop's pose; the caller's state before any motion tick."""
     return state if q_raw is None else replace(state, pose=_pose_at(state, p, q_raw))
 
 
 def _abort(exc: Exception, stopped_by: str, state: PlantState, log: StepLog,
-           force: np.ndarray, feat_err: float) -> Exception:
+           force, feat_err: float) -> Exception:
     """Attach the partial plant state and accounting to a skill failure."""
     log.stopped_by = stopped_by
     log.final_wrench = _wrench_vector(force)
@@ -396,9 +430,10 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
     and log.  A pose or contact force that is not finite raises ValueError,
     as ``Pose`` and ``Wrench`` do.
 
-    The tick state is bare arrays: position ``p``, unit quaternion ``q``
-    (with ``q_raw``, the product it was normalised from) and contact force
-    ``f``; the force loop adds its filter's axis-0 scalars.
+    The tick state is Python floats: position ``p``, unit quaternion ``q``
+    (with ``q_raw``, the product it was normalised from), contact force ``f``
+    and the command ``u``; the force loop adds its filter's axis-0 scalars.
+    A tick row stores ``u`` and the wrench as arrays.
     """
     fault = fault or FaultHook()
     controller = _primary_controller(ap)
@@ -422,21 +457,25 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
 
     # goals and setpoints are fixed for the whole skill
     if ap.stop.kind is StopKind.POSE_REACHED:
-        stop_goal = Pose.from_rotvec(ap.stop.target[:3], ap.stop.target[3:])
+        stop_p, stop_q = Pose.from_rotvec(ap.stop.target[:3],
+                                          ap.stop.target[3:]).as_floats()
     if controller == BUCKET_FTC:
         axis = ap.hm.contact_axis
+        ax, ay, az = axis.tolist()
         f_des = float(_finite_force(ap.hm.setpoint[:1])[0])
         # only the orientation of the hold pose is used (the angular command)
-        hold_q = Pose.from_rotvec(state.pose.position, ap.hm.setpoint[3:]).orientation
+        hold_q = Pose.from_rotvec(state.pose.position,
+                                  ap.hm.setpoint[3:]).orientation.tolist()
         u_f = ud_f = 0.0  # admittance filter state on the contact axis
     elif controller == BUCKET_PATH and motion_needed:
-        goal = Pose.from_rotvec(ap.hm.setpoint[:3], ap.hm.setpoint[3:])
+        goal_p, goal_q = Pose.from_rotvec(ap.hm.setpoint[:3],
+                                          ap.hm.setpoint[3:]).as_floats()
         # a move whose stop pose is its setpoint steers by the stop check's offset
         steer_by_stop = (ap.stop.kind is StopKind.POSE_REACHED
                          and np.array_equal(ap.stop.target, ap.hm.setpoint))
     sighted = state.tracked_points is not None and not fault.feature_dropout
 
-    p, q = state.pose.position, state.pose.orientation
+    p, q = state.pose.as_floats()
     q_raw = None
     f = _finite_force(_contact_force(p, state.contacts, state.retentions))
     feat_err = 0.0
@@ -452,7 +491,7 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
 
         # stop-condition check against the latest observations
         if ap.stop.kind is StopKind.POSE_REACHED:
-            stop_offset = _offset(stop_goal.position, stop_goal.orientation, p, q)
+            stop_offset = _offset(stop_p, stop_q, p, q)
             _, dist, _, ang = stop_offset
             if max(dist, 0.1 * ang) <= ap.stop.tolerance:
                 break
@@ -463,7 +502,7 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
                     break
         elif ap.stop.kind is StopKind.FORCE_REACHED:
             assert ap.hm.contact_axis is not None
-            measured = -f @ ap.hm.contact_axis
+            measured = _pressing(f, ap.hm.contact_axis)
             err = abs(measured - float(ap.stop.target[0]))
             if err > 2.0 * ap.stop.tolerance:
                 stop_armed = True
@@ -482,7 +521,7 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
         # controller command
         if controller == BUCKET_VSC:
             if not sighted:
-                u = np.zeros(6)
+                u = (0.0,) * 6
             else:
                 try:
                     u_cam = ibvs_step(ap.stop.target, px, z)
@@ -490,28 +529,25 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
                     _abort(exc, "singular", _state_at(state, p, q_raw), log, f,
                            feat_err)
                     raise
-                u = np.concatenate([cam.rotate(u_cam[:3]),
-                                    cam.rotate(u_cam[3:])])
+                u = cam.rotate(u_cam[:3]).tolist() + cam.rotate(u_cam[3:]).tolist()
         elif controller == BUCKET_FTC:
-            measured = -f @ axis
-            u_f, ud_f = _filter_step(f_des - measured, u_f, ud_f, ADM_MASS,
-                                     ADM_DAMPING, ADM_STIFFNESS, dt)
-            _, _, dr, ang = _offset(p, hold_q, p, q)  # orientation only
-            u = _twist(_ZERO3, 0.0, dr, ang)
-            u[:3] = axis * u_f
+            u_f, ud_f = _filter_step(f_des - _pressing(f, axis), u_f, ud_f,
+                                     ADM_MASS, ADM_DAMPING, ADM_STIFFNESS, dt)
+            u = (ax * u_f, ay * u_f, az * u_f) + _saturate(
+                *_rotation_to(hold_q, q), V_MAX_ANG)
         elif steer_by_stop:
             u = _twist(*stop_offset)
         else:
-            u = _twist(*_offset(goal.position, goal.orientation, p, q))
+            u = _twist(*_offset(goal_p, goal_q, p, q))
 
         # plant: integrate the twist, then read the contact force there
         p, q_raw = integrate_twist(p, q, u[:3], u[3:], dt)
-        q = unit_orientation(p, q_raw)
+        q = unit_orientation_f(p, q_raw)
         f = fault.disturb_force(
             _finite_force(_contact_force(p, state.contacts, state.retentions)))
         elapsed += tick_units
         log.buckets[controller] += tick_units
-        log.rows.append(TickRow(start_units + elapsed, controller, u,
+        log.rows.append(TickRow(start_units + elapsed, controller, np.array(u),
                                 _wrench_vector(f), feat_err))
         if spin_ticks_left is not None:
             spin_ticks_left -= 1

@@ -3,6 +3,17 @@
 The quaternion functions follow the Hamilton convention of Solà,
 "Quaternion kinematics for the error-state Kalman filter" (arXiv:1711.02508):
 ``quat_multiply(a, b)`` rotates by ``b`` first, then by ``a``.
+
+Each formula the skill loop needs exists once, as a float core on sequences
+of Python floats that returns a tuple: ``quat_multiply_f``,
+``quat_from_rotvec_f``, ``quat_to_rotvec_f``, ``unit_orientation_f`` and
+``integrate_twist``.  The array functions ``quat_multiply``,
+``quat_from_rotvec``, ``quat_to_rotvec``, ``unit_orientation`` and
+``pose_step`` are one-line wrappers over them.  Elementwise ``+ - * /``,
+``math.sqrt`` and negation round the same on Python floats as on numpy
+arrays, so the cores give the array functions' bits.  A dot product does not:
+``ndarray.dot`` on short vectors goes through the BLAS ``ddot`` kernel, whose
+rounding differs from a plain Python sum, so ``vec_norm`` keeps that call.
 """
 
 from __future__ import annotations
@@ -31,37 +42,54 @@ def normalize(v: np.ndarray) -> np.ndarray:
     return v / nrm
 
 
-def unit_orientation(position: np.ndarray, orientation: np.ndarray) -> np.ndarray:
+def vec_norm(v) -> float:
+    """Euclidean norm of a sequence of floats, bit for bit ``np.linalg.norm``."""
+    a = np.array(v)
+    return math.sqrt(a.dot(a))  # BLAS ddot, whose rounding the tick pins fix
+
+
+def unit_orientation_f(position, orientation) -> tuple:
     """A pose's orientation as ``Pose`` stores it: q / |q|, negated if w < 0.
 
-    Raises ValueError unless every entry of ``position`` and ``orientation``
-    is finite and |q| is within 1e-6 of 1.  The skill loop calls it on its
-    bare arrays once per tick, so a tick checks and rounds exactly as a
-    ``Pose`` would.
+    Takes 3 and 4 floats and returns 4.  Raises ValueError unless every entry
+    of ``position`` and ``orientation`` is finite and |q| is within 1e-6 of 1.
+    The skill loop calls it once per tick, so a tick checks and rounds exactly
+    as a ``Pose`` would.
     """
-    p, q = position, orientation
-    if not (np.isfinite(p).all() and np.isfinite(q).all()):
-        raise ValueError(f"pose entries must be finite: position {p.tolist()}, "
-                         f"orientation {q.tolist()}")
-    nrm = math.sqrt(q.dot(q))  # np.linalg.norm's own formula, bit for bit
+    if not all(map(math.isfinite, (*position, *orientation))):
+        raise ValueError(f"pose entries must be finite: position {list(position)}, "
+                         f"orientation {list(orientation)}")
+    nrm = vec_norm(orientation)
     if abs(nrm - 1.0) > 1e-6:
-        raise ValueError(f"orientation quaternion not unit norm: {q}")
-    q = q / nrm
+        raise ValueError("orientation quaternion not unit norm: "
+                         f"{np.array(orientation)}")
+    w, x, y, z = orientation
+    q = (w / nrm, x / nrm, y / nrm, z / nrm)
     if q[0] < 0.0:
-        q = -q
+        q = (-q[0], -q[1], -q[2], -q[3])
     return q
+
+
+def unit_orientation(position: np.ndarray, orientation: np.ndarray) -> np.ndarray:
+    """``unit_orientation_f`` on arrays."""
+    return np.array(unit_orientation_f(position.tolist(), orientation.tolist()))
 
 
 # ------------------------------------------------------------- quaternions
 
+def quat_multiply_f(a, b) -> tuple:
+    """Hamilton product a * b of two 4-sequences of floats."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + bw * ax + (ay * bz - az * by),
+            aw * by + bw * ay + (az * bx - ax * bz),
+            aw * bz + bw * az + (ax * by - ay * bx))
+
+
 def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product a * b."""
-    aw, ax, ay, az = a.tolist()
-    bw, bx, by, bz = b.tolist()
-    return np.array([aw * bw - ax * bx - ay * by - az * bz,
-                     aw * bx + bw * ax + (ay * bz - az * by),
-                     aw * by + bw * ay + (az * bx - ax * bz),
-                     aw * bz + bw * az + (ax * by - ay * bx)])
+    return np.array(quat_multiply_f(a.tolist(), b.tolist()))
 
 
 def quat_conjugate(q: np.ndarray) -> np.ndarray:
@@ -69,21 +97,26 @@ def quat_conjugate(q: np.ndarray) -> np.ndarray:
     return q * _CONJUGATE_SIGNS
 
 
-def quat_from_rotvec(rotvec) -> np.ndarray:
-    """Unit quaternion of the axis-angle vector ``rotvec``."""
-    x, y, z = np.asarray(rotvec, dtype=float).tolist()
+def quat_from_rotvec_f(rotvec) -> tuple:
+    """Unit quaternion of the axis-angle vector ``rotvec`` (3 floats)."""
+    x, y, z = rotvec
     angle = math.sqrt(x * x + y * y + z * z)
     if angle <= SMALL_ANGLE:
         angle2 = angle * angle
         scale = 0.5 - angle2 / 48 + angle2 * angle2 / 3840
     else:
         scale = math.sin(angle / 2) / angle
-    return np.array([math.cos(angle / 2), scale * x, scale * y, scale * z])
+    return (math.cos(angle / 2), scale * x, scale * y, scale * z)
 
 
-def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
-    """Axis-angle vector of a unit quaternion, with angle in [0, pi]."""
-    w, x, y, z = q.tolist()
+def quat_from_rotvec(rotvec) -> np.ndarray:
+    """Unit quaternion of the axis-angle vector ``rotvec``."""
+    return np.array(quat_from_rotvec_f(np.asarray(rotvec, dtype=float).tolist()))
+
+
+def quat_to_rotvec_f(q) -> tuple:
+    """Axis-angle vector of a unit quaternion (4 floats), with angle in [0, pi]."""
+    w, x, y, z = q
     if w < 0.0:
         w, x, y, z = -w, -x, -y, -z
     angle = 2.0 * math.atan2(math.sqrt(x * x + y * y + z * z), w)
@@ -92,7 +125,12 @@ def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
         scale = 2 + angle2 / 12 + 7 * angle2 * angle2 / 2880
     else:
         scale = angle / math.sin(angle / 2)
-    return np.array([scale * x, scale * y, scale * z])
+    return (scale * x, scale * y, scale * z)
+
+
+def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
+    """Axis-angle vector of a unit quaternion, with angle in [0, pi]."""
+    return np.array(quat_to_rotvec_f(q.tolist()))
 
 
 def quat_matrix(q: np.ndarray) -> np.ndarray:
@@ -183,6 +221,10 @@ class Pose:
     def translated(self, offset: np.ndarray) -> "Pose":
         return Pose(self.position + np.asarray(offset, dtype=float), self.orientation)
 
+    def as_floats(self) -> tuple[list, list]:
+        """Position and orientation as lists of Python floats."""
+        return self.position.tolist(), self.orientation.tolist()
+
     def as_vector(self) -> np.ndarray:
         """6-vector [x, y, z, rx, ry, rz] with axis-angle orientation."""
         return np.concatenate([self.position, self.rotvec()])
@@ -205,19 +247,23 @@ class Pose:
 IDENTITY = Pose()
 
 
-def integrate_twist(position: np.ndarray, orientation: np.ndarray,
-                    linear: np.ndarray, angular: np.ndarray,
-                    dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Position and un-normalised quaternion after a world-frame twist over dt
-    (rotation composed on the left); ``unit_orientation`` normalises it."""
-    dq = quat_from_rotvec(np.asarray(angular, dtype=float) * dt)
-    return (position + np.asarray(linear, dtype=float) * dt,
-            quat_multiply(dq, orientation))
+def integrate_twist(position, orientation, linear, angular,
+                    dt: float) -> tuple[tuple, tuple]:
+    """Position and un-normalised quaternion, as float tuples, after a
+    world-frame twist over dt (rotation composed on the left); takes
+    sequences of floats, and ``unit_orientation_f`` normalises the result."""
+    x, y, z = position
+    vx, vy, vz = linear
+    wx, wy, wz = angular
+    dq = quat_from_rotvec_f((wx * dt, wy * dt, wz * dt))
+    return (x + vx * dt, y + vy * dt, z + vz * dt), quat_multiply_f(dq, orientation)
 
 
 def pose_step(pose: Pose, linear: np.ndarray, angular: np.ndarray, dt: float) -> Pose:
     """Integrate a world-frame twist over dt (rotation composed on the left)."""
-    return Pose(*integrate_twist(pose.position, pose.orientation, linear, angular, dt))
+    return Pose(*integrate_twist(*pose.as_floats(),
+                                 np.asarray(linear, dtype=float).tolist(),
+                                 np.asarray(angular, dtype=float).tolist(), dt))
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

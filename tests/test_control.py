@@ -483,6 +483,29 @@ def test_run_skill_rejects_non_finite_contact_force(depth):
                   PlantState(pose=start, retentions=(grip, grip)))
 
 
+def _huge_path_move():
+    # the offset overflows to -inf, so the command and then the pose are NaN
+    return _rough_pos(Pose(np.array([-1e308, 0.0, 0.2]))), Pose(np.array([1e308, 0.0, 0.2]))
+
+
+def _huge_press():
+    # a 1e308 N setpoint drives the second tick's position past the float range
+    hm = HybridMove(TaskFrame.TCP, (ControlMode.FTC,) * 3 + (ControlMode.POS,) * 3,
+                    np.array([1e308, 0, 0, 0, 0, 0]), contact_axis=np.array([1.0, 0, 0]))
+    ap = SkillPrimitive(SkillName.PROCESS_OBJ, hm, IDLE_TOOL,
+                        StopCondition(StopKind.FORCE_REACHED, np.array([10.0]), 0.2,
+                                      timeout_s=1.0),
+                        component="c", process="press")
+    return ap, Pose(np.array([np.finfo(float).max, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("build", [_huge_path_move, _huge_press], ids=["path", "ftc"])
+def test_run_skill_rejects_non_finite_pose(build):
+    ap, start = build()
+    with pytest.raises(ValueError, match="pose entries must be finite"):
+        run_skill(ap, PlantState(pose=start))
+
+
 _UP = np.array([0.0, 0.0, 1.0])
 
 

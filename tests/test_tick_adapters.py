@@ -1,0 +1,103 @@
+"""The object-level adapters reproduce ``run_skill``'s ticks bit for bit.
+
+``position_step``, ``admittance_step``, ``pose_step`` and ``plant_step`` wrap
+the float kernels the position and force loops run.  Chaining them tick by
+tick must give every row's command and wrench, and the end pose, as the same
+raw float64 bytes as ``run_skill``: the loop and the adapters compose the
+kernels the same way.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dismantle.control import (CLOCK_UNIT_S, UNITS_PER_POS_TICK, AdmittanceParams,
+                               ContactPlane, PlantState, Wrench, admittance_step,
+                               plant_step, position_step, run_skill)
+from dismantle.errors import SkillTimeout
+from dismantle.geometry import Pose, pose_step
+from dismantle.model import Tool
+from dismantle.skills import (IDLE_TOOL, ControlMode, HybridMove, SkillName,
+                              SkillPrimitive, StopCondition, StopKind, TaskFrame,
+                              ToolCmd, ToolCommand)
+
+TICKS = 3
+DT = UNITS_PER_POS_TICK * CLOCK_UNIT_S
+EXAMPLES = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+vec3 = st.tuples(*[st.floats(-0.5, 0.5)] * 3).map(np.array)
+rotvec = st.tuples(*[st.floats(-2.0, 2.0)] * 3).map(np.array)
+unit = (st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array)
+        .filter(lambda v: np.linalg.norm(v) > 0.1).map(lambda v: v / np.linalg.norm(v)))
+gap = st.floats(-0.003, 0.01)  # start height over the plane; negative: penetrating
+
+
+def _run_to_end(ap: SkillPrimitive, state: PlantState):
+    """(state, log) of run_skill, also when the skill times out."""
+    try:
+        return run_skill(ap, state)
+    except SkillTimeout as exc:
+        return exc.state, exc.log
+
+
+def _assert_same_pose(a: Pose, b: Pose):
+    assert a.position.tobytes() == b.position.tobytes()
+    assert a.orientation.tobytes() == b.orientation.tobytes()
+
+
+@EXAMPLES
+@given(p0=vec3, rv0=rotvec, offset=vec3, goal_rv=rotvec, normal=unit, height=gap)
+def test_path_ticks_equal_position_and_plant_steps(p0, rv0, offset, goal_rv, normal,
+                                                   height):
+    plane = ContactPlane(point=p0 - height * normal, normal=normal)
+    vec = np.concatenate([p0 + offset, goal_rv])
+    # a stop band no pose reaches, so the move runs TICKS ticks and times out
+    hm = HybridMove(TaskFrame.WORLD, (ControlMode.POS,) * 6, vec)
+    ap = SkillPrimitive(SkillName.ROUGH_POS, hm, IDLE_TOOL,
+                        StopCondition(StopKind.POSE_REACHED, vec, 1e-300,
+                                      timeout_s=TICKS * DT))
+    state = PlantState(pose=Pose.from_rotvec(p0, rv0), contacts=(plane,))
+    end, log = _run_to_end(ap, state)
+    goal = Pose.from_rotvec(vec[:3], vec[3:])
+    for row in log.rows:
+        u = position_step(goal, state.pose)
+        assert row.u.tobytes() == u.tobytes()
+        stepped = pose_step(state.pose, u[:3], u[3:], DT)
+        state, wrench = plant_step(state, u, DT)
+        _assert_same_pose(stepped, state.pose)
+        assert row.wrench.tobytes() == wrench.as_vector().tobytes()
+    _assert_same_pose(end.pose, state.pose)
+
+
+@EXAMPLES
+@given(p0=vec3, rv0=rotvec, twist=st.tuples(vec3, rotvec), hold_rv=rotvec, normal=unit,
+       height=gap, f_des=st.floats(0.0, 30.0))
+def test_force_ticks_equal_admittance_and_plant_steps(p0, rv0, twist, hold_rv, normal,
+                                                      height, f_des):
+    plane = ContactPlane(point=p0 - height * normal, normal=normal)
+    # a plant step into the start, so its wrench is the first observation
+    state, wrench = plant_step(PlantState(pose=Pose.from_rotvec(p0, rv0),
+                                          contacts=(plane,)),
+                               np.concatenate(twist) * 0.1, DT)
+    hm = HybridMove(TaskFrame.TCP, (ControlMode.FTC,) * 3 + (ControlMode.POS,) * 3,
+                    np.concatenate([[f_des, 0.0, 0.0], hold_rv]), contact_axis=-normal)
+    axis = hm.contact_axis  # stored normalised
+    ap = SkillPrimitive(SkillName.PROCESS_OBJ, hm,
+                        ToolCommand(Tool.SCREWDRIVER, ToolCmd.SPIN_CCW),
+                        StopCondition(StopKind.TOOL_DONE, np.array([TICKS * DT]), 1e-9),
+                        component="c", process="unscrew")
+    end, log = run_skill(ap, state)
+    assert len(log.rows) == TICKS
+    params = AdmittanceParams()
+    filt = (np.zeros(6), np.zeros(6))
+    for row in log.rows:
+        measured = -wrench.force @ axis
+        u6, filt = admittance_step(params, Wrench(np.array([f_des, 0.0, 0.0])),
+                                   Wrench(np.array([measured, 0.0, 0.0])), filt)
+        # the angular command holds the orientation, as a position step does
+        hold = position_step(Pose.from_rotvec(state.pose.position, hold_rv), state.pose)
+        u = np.concatenate([axis * u6[0], hold[3:]])
+        assert row.u.tobytes() == u.tobytes()
+        state, wrench = plant_step(state, u, DT)
+        assert row.wrench.tobytes() == wrench.as_vector().tobytes()
+    _assert_same_pose(end.pose, state.pose)
