@@ -13,15 +13,15 @@ the clock advances in integer units of 10 ms, so 50 Hz and 20 Hz ticks are
 exact (2 and 5 units) and per-bucket time sums are exact integer arithmetic.
 
 ``run_skill`` keeps the tick state of its position and force loops in
-Python floats and builds a ``Pose`` only when a skill ends.  Each job has one
-float kernel, which the loop calls and an object-level function wraps:
-``_offset``/``_twist`` (``position_step``), ``_filter_step``
-(``admittance_step``; the loop runs it on axis 0), and
-``geometry.integrate_twist`` with ``_contact_force`` (``plant_step``).  The
-kernels call numpy only for dot products (``_dot``, ``geometry.vec_norm``):
-BLAS ``ddot`` rounds differently from a Python sum, and the pinned tick bits
-were computed with it.  Visual servoing keeps its array code; only its
-command joins the float state.
+Python floats and builds a ``Pose`` only when a skill ends.  Two layers, as in
+``geometry``: each job has one float kernel, which the loop calls and an
+object-level function wraps.  ``geometry.pose_offset`` with ``_twist`` steers
+(``position_step``), ``_filter_step`` filters force error (``admittance_step``;
+the loop runs it on axis 0), and ``geometry.integrate_twist`` with
+``_contact_force`` moves the plant (``plant_step``).  Dot products go through
+``geometry.vec_dot`` and ``geometry.vec_norm``, whose module docstring says
+why.  Visual servoing keeps its array code; only its command joins the float
+state.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ import numpy as np
 
 from .camera import CX, CY, FOCAL_PX, camera_pose, project
 from .errors import SingularJacobian, SkillTimeout
-from .geometry import (Pose, integrate_twist, pose_step, quat_multiply_f,
-                       quat_to_rotvec_f, unit_orientation_f, vec_norm)
+from .geometry import (Pose, integrate_twist, pose_error, pose_offset, pose_step,
+                       rotation_offset, unit_orientation_f, vec_dot)
 from .skills import (GRIP_ACTION_S, TOOL_SWAP_S, ControlMode, SkillName,
                      SkillPrimitive, StopKind)
 
@@ -238,23 +238,6 @@ def ibvs_step(target_px: np.ndarray, pixels: np.ndarray,
     return IBVS_GAIN * np.linalg.solve(jtj, jac.T @ err)
 
 
-def _rotation_to(goal_q, q) -> tuple[tuple, float]:
-    """Axis-angle rotation from orientation ``q`` to ``goal_q`` (4 floats
-    each), with its norm."""
-    w, x, y, z = q
-    dr = quat_to_rotvec_f(quat_multiply_f(goal_q, (w, -x, -y, -z)))
-    return dr, vec_norm(dr)
-
-
-def _offset(goal_p, goal_q, p, q) -> tuple[tuple, float, tuple, float]:
-    """Translation and axis-angle rotation from pose (p, q) to the goal, each
-    with its norm (``Pose.distance``'s two figures), on floats."""
-    gx, gy, gz = goal_p
-    x, y, z = p
-    dp = (gx - x, gy - y, gz - z)
-    return (dp, vec_norm(dp), *_rotation_to(goal_q, q))
-
-
 def _saturate(v, norm: float, v_max: float) -> tuple:
     """Proportional velocity along ``v`` (3 floats, of norm ``norm``), capped
     at ``v_max``."""
@@ -266,21 +249,16 @@ def _saturate(v, norm: float, v_max: float) -> tuple:
 
 
 def _twist(dp, dist: float, dr, ang: float) -> tuple:
-    """Saturated proportional twist along an ``_offset``, as 6 floats."""
+    """Saturated proportional twist along a ``pose_offset``, as 6 floats."""
     return _saturate(dp, dist, V_MAX_LIN) + _saturate(dr, ang, V_MAX_ANG)
 
 
 def position_step(goal: Pose, current: Pose) -> np.ndarray:
     """Saturated proportional velocity toward the goal pose (world frame)."""
-    return np.array(_twist(*_offset(*goal.as_floats(), *current.as_floats())))
+    return np.array(_twist(*pose_offset(*goal.as_floats(), *current.as_floats())))
 
 
 # ------------------------------------------------------------- plant
-
-def _dot(v, axis: np.ndarray) -> float:
-    """v . axis for 3 floats ``v``."""
-    return float(np.array(v).dot(axis))  # BLAS ddot, whose rounding the tick pins fix
-
 
 def _contact_force(p, contacts: tuple[ContactPlane, ...],
                    retentions: tuple[Retention, ...]) -> tuple:
@@ -289,14 +267,14 @@ def _contact_force(p, contacts: tuple[ContactPlane, ...],
     fx = fy = fz = 0.0
     for c in contacts:
         cx, cy, cz = c.point.tolist()
-        pen = _dot((cx - x, cy - y, cz - z), c.normal)
+        pen = vec_dot((cx - x, cy - y, cz - z), c.normal)
         if pen > 0.0:
             k = c.stiffness * pen
             nx, ny, nz = c.normal.tolist()
             fx, fy, fz = fx + k * nx, fy + k * ny, fz + k * nz
     for r in retentions:
         ax, ay, az = r.anchor.tolist()
-        travel = _dot((x - ax, y - ay, z - az), r.axis)
+        travel = vec_dot((x - ax, y - ay, z - az), r.axis)
         if 0.0 < travel < r.release_dist:
             ux, uy, uz = r.axis.tolist()
             fx, fy, fz = fx - r.force_n * ux, fy - r.force_n * uy, fz - r.force_n * uz
@@ -309,11 +287,6 @@ def _finite_force(force):
     if not all(map(math.isfinite, force)):
         raise ValueError("wrench entries must be finite")
     return force
-
-
-def _pressing(force, axis: np.ndarray) -> float:
-    """The force the tool presses with along ``axis``: -force . axis."""
-    return -_dot(force, axis)
 
 
 def plant_step(state: PlantState, u: np.ndarray, dt: float,
@@ -459,9 +432,9 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
     if ap.stop.kind is StopKind.POSE_REACHED:
         stop_p, stop_q = Pose.from_rotvec(ap.stop.target[:3],
                                           ap.stop.target[3:]).as_floats()
+    press_axis = ap.hm.contact_axis  # declared by every force-guarded move
     if controller == BUCKET_FTC:
-        axis = ap.hm.contact_axis
-        ax, ay, az = axis.tolist()
+        ax, ay, az = press_axis.tolist()
         f_des = float(_finite_force(ap.hm.setpoint[:1])[0])
         # only the orientation of the hold pose is used (the angular command)
         hold_q = Pose.from_rotvec(state.pose.position,
@@ -488,12 +461,14 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
                     f"{ap.name.value}: a tracked feature is not in front of "
                     "the camera"), "singular", _state_at(state, p, q_raw), log,
                     f, feat_err)
+        if press_axis is not None:  # the force the tool presses with: -f . axis
+            pressed = -vec_dot(f, press_axis)
 
         # stop-condition check against the latest observations
         if ap.stop.kind is StopKind.POSE_REACHED:
-            stop_offset = _offset(stop_p, stop_q, p, q)
+            stop_offset = pose_offset(stop_p, stop_q, p, q)
             _, dist, _, ang = stop_offset
-            if max(dist, 0.1 * ang) <= ap.stop.tolerance:
+            if pose_error(dist, ang) <= ap.stop.tolerance:
                 break
         elif ap.stop.kind is StopKind.FEATURE_REACHED:
             if sighted:
@@ -501,9 +476,8 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
                 if feat_err <= ap.stop.tolerance:
                     break
         elif ap.stop.kind is StopKind.FORCE_REACHED:
-            assert ap.hm.contact_axis is not None
-            measured = _pressing(f, ap.hm.contact_axis)
-            err = abs(measured - float(ap.stop.target[0]))
+            assert press_axis is not None
+            err = abs(pressed - float(ap.stop.target[0]))
             if err > 2.0 * ap.stop.tolerance:
                 stop_armed = True
             elif stop_armed and err <= ap.stop.tolerance:
@@ -531,14 +505,14 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
                     raise
                 u = cam.rotate(u_cam[:3]).tolist() + cam.rotate(u_cam[3:]).tolist()
         elif controller == BUCKET_FTC:
-            u_f, ud_f = _filter_step(f_des - _pressing(f, axis), u_f, ud_f,
+            u_f, ud_f = _filter_step(f_des - pressed, u_f, ud_f,
                                      ADM_MASS, ADM_DAMPING, ADM_STIFFNESS, dt)
             u = (ax * u_f, ay * u_f, az * u_f) + _saturate(
-                *_rotation_to(hold_q, q), V_MAX_ANG)
+                *rotation_offset(hold_q, q), V_MAX_ANG)
         elif steer_by_stop:
             u = _twist(*stop_offset)
         else:
-            u = _twist(*_offset(goal_p, goal_q, p, q))
+            u = _twist(*pose_offset(goal_p, goal_q, p, q))
 
         # plant: integrate the twist, then read the contact force there
         p, q_raw = integrate_twist(p, q, u[:3], u[3:], dt)

@@ -2,18 +2,22 @@
 
 The quaternion functions follow the Hamilton convention of Solà,
 "Quaternion kinematics for the error-state Kalman filter" (arXiv:1711.02508):
-``quat_multiply(a, b)`` rotates by ``b`` first, then by ``a``.
+``quat_multiply_f(a, b)`` rotates by ``b`` first, then by ``a``.
 
-Each formula the skill loop needs exists once, as a float core on sequences
-of Python floats that returns a tuple: ``quat_multiply_f``,
-``quat_from_rotvec_f``, ``quat_to_rotvec_f``, ``unit_orientation_f`` and
-``integrate_twist``.  The array functions ``quat_multiply``,
-``quat_from_rotvec``, ``quat_to_rotvec``, ``unit_orientation`` and
-``pose_step`` are one-line wrappers over them.  Elementwise ``+ - * /``,
-``math.sqrt`` and negation round the same on Python floats as on numpy
-arrays, so the cores give the array functions' bits.  A dot product does not:
+Two layers.  Each formula exists once, as a float core on sequences of Python
+floats that returns floats or tuples: ``quat_multiply_f``,
+``quat_from_rotvec_f``, ``quat_to_rotvec_f``, ``unit_orientation_f``,
+``integrate_twist``, ``rotation_offset``/``pose_offset`` (the translation and
+rotation from one pose to another) and ``pose_error`` (their scalar
+weighting).  ``Pose``, ``Rotation`` and ``pose_step`` hold arrays and call the
+cores on ``tolist()`` floats; ``control``'s skill loop calls the cores on its
+float tick state.  Elementwise ``+ - * /``, ``math.sqrt`` and negation round
+the same on Python floats as on numpy arrays.  A dot product does not:
 ``ndarray.dot`` on short vectors goes through the BLAS ``ddot`` kernel, whose
-rounding differs from a plain Python sum, so ``vec_norm`` keeps that call.
+rounding differs from a plain Python sum.  The pinned tick bits were computed
+with ``ddot`` for the norms of offsets and quaternions and for the contact
+dot products, so those go through ``vec_norm`` and ``vec_dot``, the only two
+functions that call it.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 SMALL_ANGLE = 1e-3  # below this, rotvec <-> quaternion use Taylor series
-_CONJUGATE_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
+ANGLE_WEIGHT_M = 0.1  # meters of pose error per radian of rotation
 
 
 def _as_vec(v, n, name):
@@ -37,15 +41,21 @@ def _as_vec(v, n, name):
 def normalize(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     nrm = np.linalg.norm(v)
-    if nrm == 0.0:
-        raise ValueError("cannot normalize a zero vector")
+    if not 0.0 < nrm < math.inf:  # also false for NaN
+        raise ValueError(f"cannot normalize a zero or non-finite vector: {v}")
     return v / nrm
+
+
+def vec_dot(v, w: np.ndarray) -> float:
+    """v . w for a sequence of floats ``v`` and an array ``w``, through BLAS
+    ``ddot`` (see the module docstring)."""
+    return float(np.array(v).dot(w))
 
 
 def vec_norm(v) -> float:
     """Euclidean norm of a sequence of floats, bit for bit ``np.linalg.norm``."""
-    a = np.array(v)
-    return math.sqrt(a.dot(a))  # BLAS ddot, whose rounding the tick pins fix
+    a = np.array(v)  # converted once: this runs about three times per tick
+    return math.sqrt(a.dot(a))
 
 
 def unit_orientation_f(position, orientation) -> tuple:
@@ -70,11 +80,6 @@ def unit_orientation_f(position, orientation) -> tuple:
     return q
 
 
-def unit_orientation(position: np.ndarray, orientation: np.ndarray) -> np.ndarray:
-    """``unit_orientation_f`` on arrays."""
-    return np.array(unit_orientation_f(position.tolist(), orientation.tolist()))
-
-
 # ------------------------------------------------------------- quaternions
 
 def quat_multiply_f(a, b) -> tuple:
@@ -87,16 +92,6 @@ def quat_multiply_f(a, b) -> tuple:
             aw * bz + bw * az + (ax * by - ay * bx))
 
 
-def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product a * b."""
-    return np.array(quat_multiply_f(a.tolist(), b.tolist()))
-
-
-def quat_conjugate(q: np.ndarray) -> np.ndarray:
-    """Inverse of a unit quaternion."""
-    return q * _CONJUGATE_SIGNS
-
-
 def quat_from_rotvec_f(rotvec) -> tuple:
     """Unit quaternion of the axis-angle vector ``rotvec`` (3 floats)."""
     x, y, z = rotvec
@@ -107,11 +102,6 @@ def quat_from_rotvec_f(rotvec) -> tuple:
     else:
         scale = math.sin(angle / 2) / angle
     return (math.cos(angle / 2), scale * x, scale * y, scale * z)
-
-
-def quat_from_rotvec(rotvec) -> np.ndarray:
-    """Unit quaternion of the axis-angle vector ``rotvec``."""
-    return np.array(quat_from_rotvec_f(np.asarray(rotvec, dtype=float).tolist()))
 
 
 def quat_to_rotvec_f(q) -> tuple:
@@ -128,9 +118,27 @@ def quat_to_rotvec_f(q) -> tuple:
     return (scale * x, scale * y, scale * z)
 
 
-def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
-    """Axis-angle vector of a unit quaternion, with angle in [0, pi]."""
-    return np.array(quat_to_rotvec_f(q.tolist()))
+def rotation_offset(goal_q, q) -> tuple[tuple, float]:
+    """Axis-angle rotation from orientation ``q`` to ``goal_q`` (4 floats
+    each), with its norm."""
+    w, x, y, z = q
+    dr = quat_to_rotvec_f(quat_multiply_f(goal_q, (w, -x, -y, -z)))
+    return dr, vec_norm(dr)
+
+
+def pose_offset(goal_p, goal_q, p, q) -> tuple[tuple, float, tuple, float]:
+    """Translation and axis-angle rotation from pose (p, q) to the goal, as
+    floats, each with its norm; the norms are ``Pose.distance``."""
+    gx, gy, gz = goal_p
+    x, y, z = p
+    dp = (gx - x, gy - y, gz - z)
+    return (dp, vec_norm(dp), *rotation_offset(goal_q, q))
+
+
+def pose_error(dist: float, ang: float) -> float:
+    """Scalar pose error of a ``Pose.distance``: the larger of the distance in
+    meters and ``ANGLE_WEIGHT_M`` per radian of rotation."""
+    return max(dist, ANGLE_WEIGHT_M * ang)
 
 
 def quat_matrix(q: np.ndarray) -> np.ndarray:
@@ -162,10 +170,11 @@ class Rotation:
         self.quat = quat
 
     def __mul__(self, other: "Rotation") -> "Rotation":
-        return Rotation(quat_multiply(self.quat, other.quat))
+        return Rotation(np.array(quat_multiply_f(self.quat.tolist(),
+                                                 other.quat.tolist())))
 
     def as_rotvec(self) -> np.ndarray:
-        return quat_to_rotvec(self.quat)
+        return np.array(quat_to_rotvec_f(self.quat.tolist()))
 
 
 # ------------------------------------------------------------- poses
@@ -179,7 +188,8 @@ class Pose:
 
     def __post_init__(self):
         p = _as_vec(self.position, 3, "position")
-        q = unit_orientation(p, _as_vec(self.orientation, 4, "orientation"))
+        q = np.array(unit_orientation_f(
+            p.tolist(), _as_vec(self.orientation, 4, "orientation").tolist()))
         p.flags.writeable = False
         q.flags.writeable = False
         object.__setattr__(self, "position", p)
@@ -198,21 +208,22 @@ class Pose:
     def compose(self, other: "Pose") -> "Pose":
         """self * other: other expressed in self's frame, result in the parent frame."""
         return Pose(self.apply(other.position),
-                    quat_multiply(self.orientation, other.orientation))
+                    quat_multiply_f(self.orientation.tolist(),
+                                    other.orientation.tolist()))
 
     def inverse(self) -> "Pose":
-        q_inv = quat_conjugate(self.orientation)
+        w, x, y, z = self.orientation.tolist()
+        q_inv = np.array((w, -x, -y, -z))
         return Pose(-quat_apply(q_inv, self.position), q_inv)
 
     def rotvec(self) -> np.ndarray:
-        return quat_to_rotvec(self.orientation)
+        return self.rotation.as_rotvec()
 
     def distance(self, other: "Pose") -> tuple[float, float]:
         """(translational, angular) distance: the norms of the translation and
         of the axis-angle rotation taking self to other."""
-        rotation = quat_multiply(other.orientation, quat_conjugate(self.orientation))
-        return (float(np.linalg.norm(other.position - self.position)),
-                float(np.linalg.norm(quat_to_rotvec(rotation))))
+        _, dist, _, ang = pose_offset(*other.as_floats(), *self.as_floats())
+        return dist, ang
 
     def approx_equal(self, other: "Pose", tol: float = 1e-9) -> bool:
         d, a = self.distance(other)
@@ -241,7 +252,8 @@ class Pose:
 
     @staticmethod
     def from_rotvec(position, rotvec) -> "Pose":
-        return Pose(position, quat_from_rotvec(rotvec))
+        return Pose(position,
+                    quat_from_rotvec_f(np.asarray(rotvec, dtype=float).tolist()))
 
 
 IDENTITY = Pose()

@@ -30,7 +30,7 @@ import numpy as np
 
 from .camera import FOCAL_PX, camera_pose, project
 from .errors import ErrorType, UnresolvableGoal
-from .geometry import IDENTITY, Pose
+from .geometry import IDENTITY, Pose, normalize, pose_error
 from .model import AssemblyModel, Component, Semantic, Tool
 from .planner import PROCESS_KINDS, ManipulationPrimitive, MPKind, Plan
 
@@ -116,8 +116,7 @@ class HybridMove:
         object.__setattr__(self, "setpoint", sp)
         object.__setattr__(self, "control", tuple(self.control))
         if self.contact_axis is not None:
-            ax = np.asarray(self.contact_axis, dtype=float)
-            ax = ax / np.linalg.norm(ax)
+            ax = normalize(self.contact_axis)  # ValueError if zero or not finite
             ax.flags.writeable = False
             object.__setattr__(self, "contact_axis", ax)
 
@@ -259,7 +258,7 @@ def rule_put_tool(held: Tool, mp_next: ManipulationPrimitive | None) -> bool:
 
 def rule_rough_pos(goal: Pose, robot: Pose) -> bool:
     """Position-controlled approach needed while the goal is not reached."""
-    return pose_error(goal, robot) > TOL_POS
+    return pose_error(*goal.distance(robot)) > TOL_POS
 
 
 def rule_fine_pos(has_features: bool, expected_residual_px: float) -> bool:
@@ -279,13 +278,6 @@ def rule_put_obj(carried: str | None, mp: ManipulationPrimitive,
 def rule_get_obj(assembly: bool, carried: str | None, component: str) -> bool:
     """Objects are fetched from storage only in assembly direction."""
     return assembly and carried != component
-
-
-def pose_error(a: Pose, b: Pose) -> float:
-    """Scalar pose error: the larger of the distance in meters and 0.1 m per
-    radian of rotation."""
-    d, ang = a.distance(b)
-    return max(d, 0.1 * ang)
 
 
 # ------------------------------------------------------------ goal resolution

@@ -10,8 +10,7 @@ from dismantle.control import (AdmittanceParams, ContactPlane, PlantState,
                                IBVS_GAIN, RATE_VSC_HZ,
                                UNITS_PER_POS_TICK, UNITS_PER_VSC_TICK)
 from dismantle.errors import SingularJacobian, SkillTimeout
-from dismantle.geometry import (Pose, pose_step, quat_conjugate, quat_multiply,
-                                quat_to_rotvec)
+from dismantle.geometry import Pose, pose_step, rotation_offset
 from dismantle.model import Tool
 from dismantle.skills import (GRIP_ACTION_S, IDLE_TOOL, ControlMode,
                               HybridMove, SkillName, SkillPrimitive,
@@ -303,13 +302,13 @@ def test_run_skill_pose_reached_and_path_bucket():
 
 def test_run_skill_offsets_once_per_path_tick(monkeypatch):
     calls = []
-    offset = control._offset
+    offset = control.pose_offset
 
     def counting_offset(*args):
         calls.append(args)
         return offset(*args)
 
-    monkeypatch.setattr(control, "_offset", counting_offset)
+    monkeypatch.setattr(control, "pose_offset", counting_offset)
     start = Pose(np.array([0.0, 0.0, 0.2]))
     goal = Pose.from_rotvec(np.array([0.2, 0.0, 0.2]), np.array([0.3, 0.0, 0.0]))
     _, log = run_skill(_rough_pos(goal), PlantState(pose=start))
@@ -366,8 +365,8 @@ def test_run_skill_force_spin_returns_to_hold_orientation():
     new, log = run_skill(ap, PlantState(pose=start, contacts=(wall,)))
     assert log.buckets == {"path": 0, "vsc": 0, "ftc": units(4.0), "n": 0}
     assert np.linalg.norm(log.rows[0].u[3:]) == pytest.approx(0.5)  # saturated
-    to_hold = quat_multiply(hold.orientation, quat_conjugate(new.pose.orientation))
-    assert quat_to_rotvec(to_hold) == pytest.approx(np.zeros(3), abs=1e-6)
+    to_hold, _ = rotation_offset(hold.orientation.tolist(), new.pose.orientation.tolist())
+    assert to_hold == pytest.approx(np.zeros(3), abs=1e-6)
     np.testing.assert_array_equal(new.pose.position[:2], start.position[:2])
     forces = np.array([-row.wrench[:3] @ press for row in log.rows])
     assert np.all(np.abs(forces - 10.0) <= 0.5)

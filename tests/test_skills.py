@@ -133,6 +133,21 @@ def test_ftc_requires_contact_axis():
                    (ControlMode.FTC,) * 3 + (ControlMode.POS,) * 3, np.zeros(6))
 
 
+@pytest.mark.parametrize("axis", [[0.0, 0.0, 0.0], [0.0, np.nan, 1.0],
+                                  [np.inf, 0.0, 0.0]], ids=["zero", "nan", "inf"])
+def test_bad_contact_axis_rejected(axis):
+    with pytest.raises(ValueError, match="zero or non-finite"):
+        HybridMove(TaskFrame.TCP, (ControlMode.FTC,) * 3 + (ControlMode.POS,) * 3,
+                   np.zeros(6), contact_axis=axis)
+
+
+def test_contact_axis_stored_normalised():
+    hm = HybridMove(TaskFrame.TCP, (ControlMode.FTC,) * 3 + (ControlMode.POS,) * 3,
+                    np.zeros(6), contact_axis=[0, 3, -4])
+    np.testing.assert_array_equal(hm.contact_axis, [0.0, 0.6, -0.8])
+    assert not hm.contact_axis.flags.writeable
+
+
 def test_toolless_command_must_idle():
     with pytest.raises(ValueError):
         ToolCommand(Tool.NONE, ToolCmd.CLOSE)

@@ -5,6 +5,10 @@ the float kernels the position and force loops run.  Chaining them tick by
 tick must give every row's command and wrench, and the end pose, as the same
 raw float64 bytes as ``run_skill``: the loop and the adapters compose the
 kernels the same way.
+
+``Pose`` and ``Rotation`` call ``geometry``'s float cores directly; the array
+expressions they replaced are kept here as an oracle, and the methods must
+give its bits.
 """
 
 import numpy as np
@@ -15,7 +19,8 @@ from dismantle.control import (CLOCK_UNIT_S, UNITS_PER_POS_TICK, AdmittanceParam
                                ContactPlane, PlantState, Wrench, admittance_step,
                                plant_step, position_step, run_skill)
 from dismantle.errors import SkillTimeout
-from dismantle.geometry import Pose, pose_step
+from dismantle.geometry import (Pose, Rotation, pose_step, quat_apply,
+                                quat_from_rotvec_f, quat_multiply_f, quat_to_rotvec_f)
 from dismantle.model import Tool
 from dismantle.skills import (IDLE_TOOL, ControlMode, HybridMove, SkillName,
                               SkillPrimitive, StopCondition, StopKind, TaskFrame,
@@ -30,6 +35,12 @@ rotvec = st.tuples(*[st.floats(-2.0, 2.0)] * 3).map(np.array)
 unit = (st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array)
         .filter(lambda v: np.linalg.norm(v) > 0.1).map(lambda v: v / np.linalg.norm(v)))
 gap = st.floats(-0.003, 0.01)  # start height over the plane; negative: penetrating
+# rotation vectors of any angle up to 2*sqrt(3) rad, or near the small-angle series
+any_rotvec = st.one_of(rotvec, st.tuples(*[st.floats(-1e-3, 1e-3)] * 3).map(np.array))
+pose = st.builds(Pose.from_rotvec, vec3, any_rotvec)
+# raw unit quaternions, w < 0 included, so Pose's sign flip is exercised
+quat = (st.tuples(*[st.floats(-1.0, 1.0)] * 4).map(np.array)
+        .filter(lambda q: np.linalg.norm(q) > 0.1).map(lambda q: q / np.linalg.norm(q)))
 
 
 def _run_to_end(ap: SkillPrimitive, state: PlantState):
@@ -101,3 +112,56 @@ def test_force_ticks_equal_admittance_and_plant_steps(p0, rv0, twist, hold_rv, n
         state, wrench = plant_step(state, u, DT)
         assert row.wrench.tobytes() == wrench.as_vector().tobytes()
     _assert_same_pose(end.pose, state.pose)
+
+
+# ------------------------------------------------------------- pose oracle
+
+_CONJUGATE_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def _quat_multiply(a, b):
+    return np.array(quat_multiply_f(a.tolist(), b.tolist()))
+
+
+def _quat_conjugate(q):
+    return q * _CONJUGATE_SIGNS
+
+
+def _quat_from_rotvec(rv):
+    return np.array(quat_from_rotvec_f(np.asarray(rv, dtype=float).tolist()))
+
+
+def _quat_to_rotvec(q):
+    return np.array(quat_to_rotvec_f(q.tolist()))
+
+
+def _oracle_compose(a: Pose, b: Pose) -> Pose:
+    return Pose(a.apply(b.position), _quat_multiply(a.orientation, b.orientation))
+
+
+def _oracle_inverse(a: Pose) -> Pose:
+    q_inv = _quat_conjugate(a.orientation)
+    return Pose(-quat_apply(q_inv, a.position), q_inv)
+
+
+def _oracle_distance(a: Pose, b: Pose) -> np.ndarray:
+    rotation = _quat_multiply(b.orientation, _quat_conjugate(a.orientation))
+    return np.array([float(np.linalg.norm(b.position - a.position)),
+                     float(np.linalg.norm(_quat_to_rotvec(rotation)))])
+
+
+@EXAMPLES
+@given(a=pose, b=pose, p=vec3, q=quat, rv=any_rotvec)
+def test_pose_methods_equal_array_oracle(a, b, p, q, rv):
+    raw = Pose(p, q)
+    for x, y in ((a, b), (b, a), (raw, a), (a, raw)):
+        _assert_same_pose(x.compose(y), _oracle_compose(x, y))
+        _assert_same_pose(x.inverse(), _oracle_inverse(x))
+        assert x.rotvec().tobytes() == _quat_to_rotvec(x.orientation).tobytes()
+        assert np.array(x.distance(y)).tobytes() == _oracle_distance(x, y).tobytes()
+        product = x.rotation * y.rotation
+        assert isinstance(product, Rotation)
+        assert product.quat.tobytes() == _quat_multiply(x.orientation,
+                                                        y.orientation).tobytes()
+        assert product.as_rotvec().tobytes() == _quat_to_rotvec(product.quat).tobytes()
+    _assert_same_pose(Pose.from_rotvec(p, rv), Pose(p, _quat_from_rotvec(rv)))
