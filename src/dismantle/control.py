@@ -18,10 +18,11 @@ Python floats and builds a ``Pose`` only when a skill ends.  Two layers, as in
 object-level function wraps.  ``geometry.pose_offset`` with ``_twist`` steers
 (``position_step``), ``_filter_step`` filters force error (``admittance_step``;
 the loop runs it on axis 0), and ``geometry.integrate_twist`` with
-``_contact_force`` moves the plant (``plant_step``).  Dot products go through
-``geometry.vec_dot`` and ``geometry.vec_norm``, whose module docstring says
-why.  Visual servoing keeps its array code; only its command joins the float
-state.
+``_spring_force`` moves the plant (``plant_step``, through ``_contact_force``).
+The loop reads the contacts into floats once per skill (``_contact_floats``)
+and allocates no array per tick.  Dot products go through ``geometry.vec_dot``
+and ``geometry.vec_norm``, whose module docstring says why.  Visual servoing
+keeps its array code; only its command joins the float state.
 """
 
 from __future__ import annotations
@@ -260,25 +261,38 @@ def position_step(goal: Pose, current: Pose) -> np.ndarray:
 
 # ------------------------------------------------------------- plant
 
+def _contact_floats(contacts: tuple[ContactPlane, ...],
+                    retentions: tuple[Retention, ...]) -> tuple[tuple, tuple]:
+    """The contact planes and retentions as ``_spring_force`` reads them:
+    floats, plus each normal or axis array for the ``ddot``."""
+    planes = tuple((*c.point.tolist(), c.normal, c.stiffness, *c.normal.tolist())
+                   for c in contacts)
+    holds = tuple((*r.anchor.tolist(), r.axis, r.force_n, r.release_dist,
+                   *r.axis.tolist()) for r in retentions)
+    return planes, holds
+
+
+def _spring_force(p, planes: tuple, holds: tuple) -> tuple:
+    """Spring and retention force, as 3 floats, on the tool at position ``p``,
+    from the ``_contact_floats`` of the contacts."""
+    x, y, z = p
+    fx = fy = fz = 0.0
+    for cx, cy, cz, normal, stiffness, nx, ny, nz in planes:
+        pen = vec_dot((cx - x, cy - y, cz - z), normal)
+        if pen > 0.0:
+            k = stiffness * pen
+            fx, fy, fz = fx + k * nx, fy + k * ny, fz + k * nz
+    for ax, ay, az, axis, force_n, release_dist, ux, uy, uz in holds:
+        travel = vec_dot((x - ax, y - ay, z - az), axis)
+        if 0.0 < travel < release_dist:
+            fx, fy, fz = fx - force_n * ux, fy - force_n * uy, fz - force_n * uz
+    return fx, fy, fz
+
+
 def _contact_force(p, contacts: tuple[ContactPlane, ...],
                    retentions: tuple[Retention, ...]) -> tuple:
     """Spring and retention force, as 3 floats, on the tool at position ``p``."""
-    x, y, z = p
-    fx = fy = fz = 0.0
-    for c in contacts:
-        cx, cy, cz = c.point.tolist()
-        pen = vec_dot((cx - x, cy - y, cz - z), c.normal)
-        if pen > 0.0:
-            k = c.stiffness * pen
-            nx, ny, nz = c.normal.tolist()
-            fx, fy, fz = fx + k * nx, fy + k * ny, fz + k * nz
-    for r in retentions:
-        ax, ay, az = r.anchor.tolist()
-        travel = vec_dot((x - ax, y - ay, z - az), r.axis)
-        if 0.0 < travel < r.release_dist:
-            ux, uy, uz = r.axis.tolist()
-            fx, fy, fz = fx - r.force_n * ux, fy - r.force_n * uy, fz - r.force_n * uz
-    return fx, fy, fz
+    return _spring_force(p, *_contact_floats(contacts, retentions))
 
 
 def _finite_force(force):
@@ -303,13 +317,27 @@ def plant_step(state: PlantState, u: np.ndarray, dt: float,
 
 # ------------------------------------------------------------- skill loop
 
-@dataclass
+@dataclass(slots=True)
 class TickRow:
+    """One tick of a skill, or its tool action (controller ``BUCKET_N``).
+
+    ``u_floats`` is the commanded twist and ``wrench_floats`` the measured
+    wrench, 6 floats each; ``u`` and ``wrench`` build them as float64 arrays.
+    """
+
     t_units: int
     controller: str
-    u: np.ndarray
-    wrench: np.ndarray
+    u_floats: tuple
+    wrench_floats: tuple
     feat_err_px: float
+
+    @property
+    def u(self) -> np.ndarray:
+        return np.array(self.u_floats)
+
+    @property
+    def wrench(self) -> np.ndarray:
+        return np.array(self.wrench_floats)
 
 
 @dataclass
@@ -333,13 +361,13 @@ class FaultHook:
     feature_dropout: bool = False
     rng: np.random.Generator | None = None
 
-    def disturb_force(self, force):
+    def disturb_force(self, force: tuple) -> tuple:
         """The measured force: ``force`` (3 floats) plus one normal draw per
         axis."""
         if self.force_noise_sigma <= 0.0 or self.rng is None:
             return force
         noise = self.rng.normal(0.0, self.force_noise_sigma, size=3)
-        return _finite_force((force + noise).tolist())
+        return _finite_force(tuple((force + noise).tolist()))
 
 
 def _primary_controller(ap: SkillPrimitive) -> str:
@@ -361,9 +389,7 @@ def _tool_units(ap: SkillPrimitive) -> int:
     return 0
 
 
-def _wrench_vector(force) -> np.ndarray:
-    fx, fy, fz = force
-    return np.array((fx, fy, fz, 0.0, 0.0, 0.0))
+_NO_TORQUE = (0.0, 0.0, 0.0)
 
 
 def _pose_at(state: PlantState, p, q_raw) -> Pose:
@@ -382,7 +408,7 @@ def _abort(exc: Exception, stopped_by: str, state: PlantState, log: StepLog,
            force, feat_err: float) -> Exception:
     """Attach the partial plant state and accounting to a skill failure."""
     log.stopped_by = stopped_by
-    log.final_wrench = _wrench_vector(force)
+    log.final_wrench = np.array(force + _NO_TORQUE)
     log.final_feat_err = feat_err
     exc.state = state
     exc.log = log
@@ -406,32 +432,42 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
     The tick state is Python floats: position ``p``, unit quaternion ``q``
     (with ``q_raw``, the product it was normalised from), contact force ``f``
     and the command ``u``; the force loop adds its filter's axis-0 scalars.
-    A tick row stores ``u`` and the wrench as arrays.
+    A tick row stores ``u`` and the wrench as 6-float tuples.  The stop
+    condition, the contacts and the fault hook are read once, before the loop.
     """
     fault = fault or FaultHook()
     controller = _primary_controller(ap)
     log = StepLog(controller=controller)
-    log.buckets = {BUCKET_PATH: 0, BUCKET_VSC: 0, BUCKET_FTC: 0, BUCKET_N: 0}
+    log.buckets = buckets = {BUCKET_PATH: 0, BUCKET_VSC: 0, BUCKET_FTC: 0,
+                             BUCKET_N: 0}
+    append_row = log.rows.append
 
     tick_units = (UNITS_PER_VSC_TICK if controller == BUCKET_VSC
                   else UNITS_PER_POS_TICK)
     dt = tick_units * CLOCK_UNIT_S
-    budget = units(ap.stop.timeout_s)
+    stop = ap.stop
+    stop_kind, tolerance = stop.kind, stop.tolerance
+    # the stop kind as flags: reading an enum member costs 0.1 us
+    pose_stop, feature_stop, force_stop, done_stop = (
+        stop_kind is kind for kind in (StopKind.POSE_REACHED, StopKind.FEATURE_REACHED,
+                                       StopKind.FORCE_REACHED, StopKind.TOOL_DONE))
+    budget = units(stop.timeout_s)
 
     elapsed = 0
     stop_armed = False
     spin_ticks_left = None
-    if ap.stop.kind is StopKind.TOOL_DONE and ControlMode.FTC in ap.hm.control:
-        spin_ticks_left = int(round(float(ap.stop.target[0]) / dt))
+    if done_stop and ControlMode.FTC in ap.hm.control:
+        spin_ticks_left = int(round(float(stop.target[0]) / dt))
 
     # stationary tool actions skip the motion loop entirely
-    motion_needed = not (ap.stop.kind is StopKind.TOOL_DONE
-                         and ControlMode.FTC not in ap.hm.control)
+    motion_needed = not (done_stop and ControlMode.FTC not in ap.hm.control)
 
-    # goals and setpoints are fixed for the whole skill
-    if ap.stop.kind is StopKind.POSE_REACHED:
-        stop_p, stop_q = Pose.from_rotvec(ap.stop.target[:3],
-                                          ap.stop.target[3:]).as_floats()
+    # goals, setpoints and contacts are fixed for the whole skill
+    if pose_stop:
+        stop_p, stop_q = Pose.from_rotvec(stop.target[:3],
+                                          stop.target[3:]).as_floats()
+    elif force_stop:
+        stop_force = float(stop.target[0])
     press_axis = ap.hm.contact_axis  # declared by every force-guarded move
     if controller == BUCKET_FTC:
         ax, ay, az = press_axis.tolist()
@@ -444,13 +480,14 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
         goal_p, goal_q = Pose.from_rotvec(ap.hm.setpoint[:3],
                                           ap.hm.setpoint[3:]).as_floats()
         # a move whose stop pose is its setpoint steers by the stop check's offset
-        steer_by_stop = (ap.stop.kind is StopKind.POSE_REACHED
-                         and np.array_equal(ap.stop.target, ap.hm.setpoint))
+        steer_by_stop = pose_stop and np.array_equal(stop.target, ap.hm.setpoint)
     sighted = state.tracked_points is not None and not fault.feature_dropout
+    planes, holds = _contact_floats(state.contacts, state.retentions)
+    disturb_force = fault.disturb_force
 
     p, q = state.pose.as_floats()
     q_raw = None
-    f = _finite_force(_contact_force(p, state.contacts, state.retentions))
+    f = _finite_force(_spring_force(p, planes, holds))
     feat_err = 0.0
     while motion_needed:
         if sighted:
@@ -465,31 +502,31 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
             pressed = -vec_dot(f, press_axis)
 
         # stop-condition check against the latest observations
-        if ap.stop.kind is StopKind.POSE_REACHED:
+        if pose_stop:
             stop_offset = pose_offset(stop_p, stop_q, p, q)
             _, dist, _, ang = stop_offset
-            if pose_error(dist, ang) <= ap.stop.tolerance:
+            if pose_error(dist, ang) <= tolerance:
                 break
-        elif ap.stop.kind is StopKind.FEATURE_REACHED:
+        elif feature_stop:
             if sighted:
-                feat_err = float(np.max(np.abs(px - ap.stop.target)))
-                if feat_err <= ap.stop.tolerance:
+                feat_err = float(np.max(np.abs(px - stop.target)))
+                if feat_err <= tolerance:
                     break
-        elif ap.stop.kind is StopKind.FORCE_REACHED:
+        elif force_stop:
             assert press_axis is not None
-            err = abs(pressed - float(ap.stop.target[0]))
-            if err > 2.0 * ap.stop.tolerance:
+            err = abs(pressed - stop_force)
+            if err > 2.0 * tolerance:
                 stop_armed = True
-            elif stop_armed and err <= ap.stop.tolerance:
+            elif stop_armed and err <= tolerance:
                 break
-        elif ap.stop.kind is StopKind.TOOL_DONE:
+        elif done_stop:
             if spin_ticks_left is not None and spin_ticks_left <= 0:
                 break
 
         if elapsed >= budget:
             raise _abort(SkillTimeout(
-                f"{ap.name.value} stop condition {ap.stop.kind.value} "
-                f"not met within {ap.stop.timeout_s:.0f} s"),
+                f"{ap.name.value} stop condition {stop_kind.value} "
+                f"not met within {stop.timeout_s:.0f} s"),
                 "timeout", _state_at(state, p, q_raw), log, f, feat_err)
 
         # controller command
@@ -498,12 +535,13 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
                 u = (0.0,) * 6
             else:
                 try:
-                    u_cam = ibvs_step(ap.stop.target, px, z)
+                    u_cam = ibvs_step(stop.target, px, z)
                 except SingularJacobian as exc:
                     _abort(exc, "singular", _state_at(state, p, q_raw), log, f,
                            feat_err)
                     raise
-                u = cam.rotate(u_cam[:3]).tolist() + cam.rotate(u_cam[3:]).tolist()
+                u = (*cam.rotate(u_cam[:3]).tolist(),
+                     *cam.rotate(u_cam[3:]).tolist())
         elif controller == BUCKET_FTC:
             u_f, ud_f = _filter_step(f_des - pressed, u_f, ud_f,
                                      ADM_MASS, ADM_DAMPING, ADM_STIFFNESS, dt)
@@ -517,23 +555,22 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
         # plant: integrate the twist, then read the contact force there
         p, q_raw = integrate_twist(p, q, u[:3], u[3:], dt)
         q = unit_orientation_f(p, q_raw)
-        f = fault.disturb_force(
-            _finite_force(_contact_force(p, state.contacts, state.retentions)))
+        f = disturb_force(_finite_force(_spring_force(p, planes, holds)))
         elapsed += tick_units
-        log.buckets[controller] += tick_units
-        log.rows.append(TickRow(start_units + elapsed, controller, np.array(u),
-                                _wrench_vector(f), feat_err))
+        buckets[controller] += tick_units
+        append_row(TickRow(start_units + elapsed, controller, u, f + _NO_TORQUE,
+                           feat_err))
         if spin_ticks_left is not None:
             spin_ticks_left -= 1
 
     # tool actuation: fixed non-motion time
     action = _tool_units(ap)
     if action > 0:
-        log.buckets[BUCKET_N] += action
+        buckets[BUCKET_N] += action
         elapsed += action
-        log.rows.append(TickRow(start_units + elapsed, BUCKET_N,
-                                np.zeros(6), _wrench_vector(f), feat_err))
+        append_row(TickRow(start_units + elapsed, BUCKET_N, (0.0,) * 6,
+                           f + _NO_TORQUE, feat_err))
 
-    log.final_wrench = _wrench_vector(f)
+    log.final_wrench = np.array(f + _NO_TORQUE)
     log.final_feat_err = feat_err
     return _state_at(state, p, q_raw), log

@@ -17,12 +17,17 @@ the same on Python floats as on numpy arrays.  A dot product does not:
 rounding differs from a plain Python sum.  The pinned tick bits were computed
 with ``ddot`` for the norms of offsets and quaternions and for the contact
 dot products, so those go through ``vec_norm`` and ``vec_dot``, the only two
-functions that call it.
+functions that call it.  They build no array: each stores its 3 or 4 floats
+elementwise into a preallocated contiguous float64 array and calls ``.dot``
+on it, the same kernel on the same operands as on a fresh array.  Each thread
+owns its scratch arrays (a ``threading.local``), so no other thread can store
+into them between a caller's stores and its ``.dot``.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,22 +44,44 @@ def _as_vec(v, n, name):
 
 
 def normalize(v: np.ndarray) -> np.ndarray:
+    """``v`` over its norm; ValueError if that norm is zero, overflows or is
+    not finite."""
     v = np.asarray(v, dtype=float)
-    nrm = np.linalg.norm(v)
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+        nrm = np.linalg.norm(v)
     if not 0.0 < nrm < math.inf:  # also false for NaN
-        raise ValueError(f"cannot normalize a zero or non-finite vector: {v}")
+        raise ValueError(f"cannot normalize a zero or non-finite vector, "
+                         f"or one whose norm overflows: {v}")
     return v / nrm
 
 
+class _Scratch(threading.local):
+    """One thread's ``ddot`` operands: contiguous float64 arrays of 3 and 4."""
+
+    def __init__(self):
+        self.v3 = np.zeros(3)
+        self.v4 = np.zeros(4)
+
+
+_SCRATCH = _Scratch()
+
+
 def vec_dot(v, w: np.ndarray) -> float:
-    """v . w for a sequence of floats ``v`` and an array ``w``, through BLAS
-    ``ddot`` (see the module docstring)."""
-    return float(np.array(v).dot(w))
+    """v . w for 3 floats ``v`` and an array ``w``, through BLAS ``ddot`` (see
+    the module docstring)."""
+    a = _SCRATCH.v3
+    a[0], a[1], a[2] = v
+    return float(a.dot(w))
 
 
 def vec_norm(v) -> float:
-    """Euclidean norm of a sequence of floats, bit for bit ``np.linalg.norm``."""
-    a = np.array(v)  # converted once: this runs about three times per tick
+    """Euclidean norm of 3 or 4 floats, bit for bit ``np.linalg.norm``."""
+    if len(v) == 3:
+        a = _SCRATCH.v3
+        a[0], a[1], a[2] = v
+    else:
+        a = _SCRATCH.v4
+        a[0], a[1], a[2], a[3] = v
     return math.sqrt(a.dot(a))
 
 
@@ -66,15 +93,18 @@ def unit_orientation_f(position, orientation) -> tuple:
     The skill loop calls it once per tick, so a tick checks and rounds exactly
     as a ``Pose`` would.
     """
-    if not all(map(math.isfinite, (*position, *orientation))):
+    x, y, z = position
+    w, qx, qy, qz = orientation
+    # a finite sum has finite terms; only an overflowing one needs the full check
+    if (not math.isfinite(x + y + z + w + qx + qy + qz)
+            and not all(map(math.isfinite, (x, y, z, w, qx, qy, qz)))):
         raise ValueError(f"pose entries must be finite: position {list(position)}, "
                          f"orientation {list(orientation)}")
     nrm = vec_norm(orientation)
     if abs(nrm - 1.0) > 1e-6:
         raise ValueError("orientation quaternion not unit norm: "
                          f"{np.array(orientation)}")
-    w, x, y, z = orientation
-    q = (w / nrm, x / nrm, y / nrm, z / nrm)
+    q = (w / nrm, qx / nrm, qy / nrm, qz / nrm)
     if q[0] < 0.0:
         q = (-q[0], -q[1], -q[2], -q[3])
     return q

@@ -358,7 +358,7 @@ def write_tick_csv(rows: list[TickRow], path) -> None:
         fh.write(header + "\n")
         for row in rows:
             vals = [f"{row.t_units * CLOCK_UNIT_S:.2f}", row.controller]
-            vals += [f"{x:.9f}" for x in row.u]
-            vals += [f"{x:.6f}" for x in row.wrench]
+            vals += [f"{x:.9f}" for x in row.u_floats]
+            vals += [f"{x:.6f}" for x in row.wrench_floats]
             vals.append(f"{row.feat_err_px:.6f}")
             fh.write(",".join(vals) + "\n")

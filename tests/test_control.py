@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -575,3 +578,60 @@ def test_run_skill_grip_returns_start_pose_bits():
     assert log.rows and all(row.controller == "n" for row in log.rows)
     assert new.pose.position.tobytes() == pose.position.tobytes()
     assert new.pose.orientation.tobytes() == pose.orientation.tobytes()
+
+
+def _spin_and_path_skills():
+    """A force spin (400 ticks) and a path move (about 300 ticks), each against
+    a contact plane that it penetrates."""
+    press = np.array([0.0, 0.0, -1.0])
+    hold_rv = np.array([0.0, 0.0, 0.5])
+    wall = ContactPlane(point=np.array([0.3, 0.0, 0.0]),
+                        normal=np.array([0.0, 0.0, 1.0]))
+    hm = HybridMove(TaskFrame.TCP, (ControlMode.FTC,) * 3 + (ControlMode.POS,) * 3,
+                    np.concatenate([[10.0, 0.0, 0.0], hold_rv]), contact_axis=press)
+    spin = SkillPrimitive(SkillName.PROCESS_OBJ, hm,
+                          ToolCommand(Tool.SCREWDRIVER, ToolCmd.SPIN_CCW),
+                          StopCondition(StopKind.TOOL_DONE, np.array([8.0]), 1e-9),
+                          component="c", process="unscrew")
+    spin_start = Pose.from_rotvec(np.array([0.3, 0.0, -0.0005]), np.array([0.2, 0.0, 0.0]))
+    ceiling = ContactPlane(point=np.array([0.0, 0.0, 0.2005]),
+                           normal=np.array([0.0, 0.0, 1.0]))
+    goal = Pose.from_rotvec(np.array([0.5, 0.1, 0.19]), np.array([0.0, 0.4, 0.2]))
+    return [(spin, PlantState(pose=spin_start, contacts=(wall,))),
+            (_rough_pos(goal), PlantState(pose=Pose(np.array([0.0, 0.0, 0.2])),
+                                          contacts=(ceiling,)))]
+
+
+def _run_bytes(ap, state):
+    """Every row of a skill and its end pose, as raw bytes."""
+    new, log = run_skill(ap, state)
+    return ([(row.t_units, row.controller, row.u.tobytes(), row.wrench.tobytes(),
+              row.feat_err_px) for row in log.rows],
+            new.pose.position.tobytes() + new.pose.orientation.tobytes())
+
+
+def test_run_skill_in_two_threads_equals_serial_runs():
+    # the ddot helpers store into scratch arrays; each thread must own its own
+    skills = _spin_and_path_skills()
+    serial = [_run_bytes(ap, state) for ap, state in skills]
+    assert len(serial[0][0]) == 400 and len(serial[1][0]) > 250
+    assert {row[3] for row in serial[0][0]} != {serial[0][0][0][3]}  # forces vary
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the GIL over as often as possible
+    try:
+        for _ in range(3):
+            results = [None, None]
+            start = threading.Barrier(2)
+
+            def run(i):
+                start.wait()
+                results[i] = _run_bytes(*skills[i])
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert results == serial
+    finally:
+        sys.setswitchinterval(switch)

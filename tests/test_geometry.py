@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,22 @@ def test_pose_step_integrates_linear_and_angular():
 def test_normalize_rejects_zero():
     with pytest.raises(ValueError):
         normalize(np.zeros(3))
+
+
+@pytest.mark.parametrize("v", [[1e200, 1e200, 0.0], [0.0, -1e300, 0.0, 1e300]],
+                         ids=["3", "4"])
+def test_normalize_rejects_overflowing_norm_without_warning(v):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="cannot normalize"):
+            normalize(v)
+
+
+@pytest.mark.parametrize("v", [[0.3, -0.5, 0.8], [1e150, -3e150, 2e150],
+                               [1e-150, 0.0, 4e-151], [0.1, 0.2, -0.3, 0.4]])
+def test_normalize_divides_by_the_numpy_norm(v):
+    a = np.array(v)
+    assert normalize(v).tobytes() == (a / np.linalg.norm(a)).tobytes()
 
 
 def test_distance_components():

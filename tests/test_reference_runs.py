@@ -121,7 +121,7 @@ def _skill_entry(ap, log, end_pose) -> dict:
             "sha256": h.hexdigest()}
 
 
-def first_moved_skill(expected: list[dict], actual: list[dict]) -> str | None:
+def _first_moved_skill(expected: list[dict], actual: list[dict]) -> str | None:
     """Where two runs' per-skill entries first differ, in words; None if
     they agree."""
     for i, (want, got) in enumerate(zip(expected, actual)):
@@ -219,7 +219,7 @@ def test_reference_runs_unchanged():
     expected = json.loads(REFERENCE.read_text(encoding="utf-8"))
     actual = collect()
     for run, skills in expected["skill_sha256"].items():
-        moved = first_moved_skill(skills, actual["skill_sha256"][run])
+        moved = _first_moved_skill(skills, actual["skill_sha256"][run])
         assert moved is None, f"{run}: {moved}"
     assert actual == expected
 
@@ -229,13 +229,13 @@ def test_first_moved_skill_names_the_skill_and_what_moved():
              "ticks": 40, "sha256": "a"}
     bits = dict(entry, sha256="b")
     count = dict(entry, ticks=41, sha256="b")
-    assert first_moved_skill([entry, entry], [entry, entry]) is None
-    assert first_moved_skill([entry, entry], [entry, bits]) == (
+    assert _first_moved_skill([entry, entry], [entry, entry]) is None
+    assert _first_moved_skill([entry, entry], [entry, bits]) == (
         "skill 1 (rough_pos, path) kept its 40 ticks, but its bits moved")
-    assert first_moved_skill([entry, entry], [count, bits]) == (
+    assert _first_moved_skill([entry, entry], [count, bits]) == (
         "skill 0 (rough_pos, path) moved its tick count: 40 ticks, stopped by "
         "stop; now 41, stop")
-    assert first_moved_skill([entry], [entry, entry]) == "1 skills ran, now 2"
+    assert _first_moved_skill([entry], [entry, entry]) == "1 skills ran, now 2"
 
 
 if __name__ == "__main__":
