@@ -10,8 +10,7 @@ from .errors import (DegenerateSpace, DismantleError, ErrorType,
 from .geometry import Pose
 from .metrics import (FaultSpec, MetricsReport, execute_once, run_experiment)
 from .model import (AssemblyModel, Component, FeatureGeometry, RelationKind,
-                    Semantic, SpatialRelation, Tool, contacts_of, load_model,
-                    models_equal, write_model)
+                    Semantic, SpatialRelation, Tool, contacts_of, load_model)
 from .planner import (ManipulationPrimitive, MPKind, Plan, invert_plan,
                       plan_disassembly, plan_task, removable, transition)
 from .skills import (ExecState, HybridMove, SkillPrimitive, StopCondition,

@@ -384,11 +384,3 @@ def build_graph(model: AssemblyModel, dirs: DirectionSet) -> MobilityGraph:
         edges[(b, a)] = label
     nodes = tuple(c.id for c in model.components)
     return MobilityGraph(nodes=nodes, edges=edges)
-
-
-def dump_directions(space: DirectionSet, path) -> None:
-    """Debug CSV dump (x,y,z,member) for external visualization."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,y,z,member\n")
-        for d, m in zip(space.directions, space.mask):
-            fh.write(f"{d[0]:.9f},{d[1]:.9f},{d[2]:.9f},{int(m)}\n")

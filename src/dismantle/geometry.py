@@ -277,10 +277,6 @@ class Pose:
         }
 
     @staticmethod
-    def from_json(obj: dict) -> "Pose":
-        return Pose(obj["position"], obj["orientation"])
-
-    @staticmethod
     def from_rotvec(position, rotvec) -> "Pose":
         return Pose(position,
                     quat_from_rotvec_f(np.asarray(rotvec, dtype=float).tolist()))

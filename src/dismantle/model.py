@@ -295,7 +295,8 @@ def _relation_pair(obj: dict, path: str) -> tuple[str, str]:
 
 def _parse_pose(obj, path, field_name) -> Pose:
     try:
-        return Pose.from_json(obj)
+        return Pose([_number(x, path, field_name) for x in obj["position"]],
+                    [_number(x, path, field_name) for x in obj["orientation"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad pose: {exc}", path=path, field=field_name) from None
 
@@ -364,8 +365,8 @@ def load_model_dict(doc: dict, path: str = "<dict>") -> AssemblyModel:
     if not isinstance(doc, dict):
         raise ParseError("scenario document must be a JSON object", path=path)
     version = _require(doc, "format_version", path)
-    if version != FORMAT_VERSION:
-        raise ParseError(f"unsupported format_version {version}", path=path,
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ParseError(f"unsupported format_version {version!r:.40}", path=path,
                          field="format_version")
     components = [_parse_component(c, path)
                   for c in _object_list(doc, "components", path)]
@@ -434,93 +435,3 @@ def load_model(path) -> AssemblyModel:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
                          f"{exc.msg}", path=str(path)) from None
     return load_model_dict(doc, path=str(path))
-
-
-def model_to_dict(model: AssemblyModel) -> dict:
-    comps = []
-    for c in model.components:
-        entry = {"id": c.id, "semantic": c.semantic.value, "pose": c.pose.to_json()}
-        if not c.grasp_offset.approx_equal(IDENTITY):
-            entry["grasp_offset"] = c.grasp_offset.to_json()
-        if c.visual_features is not None:
-            entry["visual_features"] = [[float(x) for x in p] for p in c.visual_features]
-        if c.put_pose is not None:
-            entry["put_pose"] = c.put_pose.to_json()
-        comps.append(entry)
-
-    rels = []
-    for r in model.relations:
-        # write geometry back in the first component's local frame so that a
-        # reload transforms it to the identical world-frame relation
-        anchor_inv = model.component(r.components[0]).pose.inverse()
-        frame_local = anchor_inv.compose(r.geometry.frame)
-        direction_local = anchor_inv.rotate(r.geometry.direction)
-        rels.append({
-            "kind": r.kind.value,
-            "components": list(r.components),
-            "geometry": {
-                "kind": r.geometry.kind.value,
-                "frame": frame_local.to_json(),
-                "direction": [float(x) for x in direction_local],
-            },
-        })
-
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "components": comps,
-        "relations": rels,
-        "tool_stations": {k: v.to_json() for k, v in model.tool_stations.items()},
-        "target": model.target,
-        "robot_start": model.robot_start.to_json(),
-        "reassemble": model.reassemble,
-        "vision_noise": model.vision_noise,
-    }
-    non_default = {k.value: v.value for k, v in model.tool_map.items()
-                   if DEFAULT_TOOL_MAP.get(k) != v}
-    if non_default:
-        doc["tool_map"] = non_default
-    return doc
-
-
-def write_model(model: AssemblyModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def models_equal(a: AssemblyModel, b: AssemblyModel, tol: float = 1e-9) -> bool:
-    """Structural equality up to numerical tolerance on poses and vectors."""
-    if len(a.components) != len(b.components) or len(a.relations) != len(b.relations):
-        return False
-    for ca, cb in zip(a.components, b.components):
-        if (ca.id, ca.semantic) != (cb.id, cb.semantic):
-            return False
-        if not ca.pose.approx_equal(cb.pose, tol):
-            return False
-        if not ca.grasp_offset.approx_equal(cb.grasp_offset, tol):
-            return False
-        if (ca.put_pose is None) != (cb.put_pose is None):
-            return False
-        if ca.put_pose is not None and not ca.put_pose.approx_equal(cb.put_pose, tol):
-            return False
-        fa, fb = ca.visual_features, cb.visual_features
-        if (fa is None) != (fb is None):
-            return False
-        if fa is not None and not np.allclose(fa, fb, atol=tol):
-            return False
-    for ra, rb in zip(a.relations, b.relations):
-        if ra.kind != rb.kind or ra.components != rb.components:
-            return False
-        if ra.geometry.kind != rb.geometry.kind:
-            return False
-        if not np.allclose(ra.direction, rb.direction, atol=tol):
-            return False
-        if not ra.geometry.frame.approx_equal(rb.geometry.frame, tol=1e-6):
-            return False
-    if set(a.tool_stations) != set(b.tool_stations):
-        return False
-    for name in a.tool_stations:
-        if not a.tool_stations[name].approx_equal(b.tool_stations[name], tol):
-            return False
-    return (a.target == b.target and a.reassemble == b.reassemble
-            and a.tool_map == b.tool_map)

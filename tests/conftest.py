@@ -1,5 +1,5 @@
-"""Shared fixtures: scenario paths, sampled spheres, independent oracles and
-random model generators."""
+"""Shared fixtures: scenario paths, sampled spheres, independent oracles,
+random model generators and the scenario document writer."""
 
 from __future__ import annotations
 
@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from dismantle.dspace import EPS_ANG, EPS_CONE, DirectionSet, sample_sphere
-from dismantle.geometry import Pose
-from dismantle.model import (AssemblyModel, Component, FeatureGeometry,
-                             GeometryKind, RelationKind, Semantic,
-                             SpatialRelation, contacts_of, load_model)
+from dismantle.geometry import IDENTITY, Pose
+from dismantle.model import (DEFAULT_TOOL_MAP, FORMAT_VERSION, AssemblyModel,
+                             Component, FeatureGeometry, GeometryKind,
+                             RelationKind, Semantic, SpatialRelation,
+                             contacts_of, load_model)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -220,3 +221,53 @@ def random_feasible_model(rng: np.random.Generator,
                           robot_start=Pose(np.array([0.0, -0.1, 0.35])))
     model.validate()
     return model
+
+
+# --------------------------------------------------------- scenario documents
+
+def model_to_dict(model: AssemblyModel) -> dict:
+    """The scenario document of ``model``: ``load_model_dict`` of it gives the
+    model back."""
+    comps = []
+    for c in model.components:
+        entry = {"id": c.id, "semantic": c.semantic.value, "pose": c.pose.to_json()}
+        if not c.grasp_offset.approx_equal(IDENTITY):
+            entry["grasp_offset"] = c.grasp_offset.to_json()
+        if c.visual_features is not None:
+            entry["visual_features"] = [[float(x) for x in p] for p in c.visual_features]
+        if c.put_pose is not None:
+            entry["put_pose"] = c.put_pose.to_json()
+        comps.append(entry)
+
+    rels = []
+    for r in model.relations:
+        # write geometry back in the first component's local frame so that a
+        # reload transforms it to the identical world-frame relation
+        anchor_inv = model.component(r.components[0]).pose.inverse()
+        frame_local = anchor_inv.compose(r.geometry.frame)
+        direction_local = anchor_inv.rotate(r.geometry.direction)
+        rels.append({
+            "kind": r.kind.value,
+            "components": list(r.components),
+            "geometry": {
+                "kind": r.geometry.kind.value,
+                "frame": frame_local.to_json(),
+                "direction": [float(x) for x in direction_local],
+            },
+        })
+
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "components": comps,
+        "relations": rels,
+        "tool_stations": {k: v.to_json() for k, v in model.tool_stations.items()},
+        "target": model.target,
+        "robot_start": model.robot_start.to_json(),
+        "reassemble": model.reassemble,
+        "vision_noise": model.vision_noise,
+    }
+    non_default = {k.value: v.value for k, v in model.tool_map.items()
+                   if DEFAULT_TOOL_MAP.get(k) != v}
+    if non_default:
+        doc["tool_map"] = non_default
+    return doc

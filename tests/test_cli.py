@@ -134,6 +134,10 @@ def _set_pair(value):
     return lambda doc: doc["relations"][0].update(components=value)
 
 
+def _set_pose(key, value):
+    return lambda doc: doc["components"][1]["pose"].update({key: value})
+
+
 @pytest.mark.parametrize("command", ["plan", "decompose", "simulate"])
 @pytest.mark.parametrize("edit, field", [
     (_set_relation_entry, "relations[0]"),
@@ -156,11 +160,19 @@ def _set_pair(value):
     (_set_pair(None), "relations[].components"),
     (_set_pair([[1], "base"]), "relations[].components"),
     (lambda doc: doc.update(reassemble="no"), "reassemble"),
+    (_set_pose("position", ["0.3", "0", "0.02"]), "components[screw_1].pose"),
+    (_set_pose("orientation", [True, False, False, False]),
+     "components[screw_1].pose"),
+    (_set_pose("position", [10 ** 400, 0, 0.02]), "components[screw_1].pose"),
+    (lambda doc: doc.update(format_version=True), "format_version"),
+    (lambda doc: doc.update(format_version=1.0), "format_version"),
 ], ids=["relation_entry", "component_entry", "geometry", "relations_str",
         "components_obj", "tool_stations_list", "tool_map_list",
         "component_id_list", "component_id_obj", "features_str",
         "features_ragged", "features_non_numeric", "features_nan",
-        "pair_int", "pair_null", "pair_holds_list", "reassemble_str"])
+        "pair_int", "pair_null", "pair_holds_list", "reassemble_str",
+        "pose_str", "pose_bool", "pose_huge_int", "format_version_true",
+        "format_version_float"])
 def test_mistyped_collection_is_parse_error(tmp_path, capsys, command, edit, field):
     doc = json.loads((SCENARIOS / "single_screw.json").read_text())
     edit(doc)
@@ -366,6 +378,23 @@ def test_simulate_unwritable_out_fails_before_simulating(tmp_path, capsys,
     assert code == 1 and stdout == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert out.read_bytes() == b"kept"
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--reps", "0", "error: --reps must be >= 1\n"),
+    ("--faults", "nope.json", "error: bad fault specification: "),
+], ids=["reps", "faults"])
+def test_simulate_checks_its_flags_before_planning(tmp_path, capsys, monkeypatch,
+                                                   flag, value, message):
+    def never(*args, **kwargs):
+        raise AssertionError("plan_task called despite a bad " + flag)
+
+    monkeypatch.setattr("dismantle.cli.plan_task", never)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _run(capsys, "simulate", SCENARIOS / "valve.json",
+                          "--samples", 500, flag, value)
+    assert code == 1 and out == ""
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 def test_missing_fault_file_fails_cleanly(tmp_path, capsys):

@@ -7,9 +7,9 @@ from conftest import (brute_force_space, random_contact_model, random_unit,
 from dismantle.dspace import (CONE_SLACK, EPS_ANG, EPS_CONE, DirectionSet,
                               Mobility, MobilityLabel, _principal_axis,
                               admissible_indices, build_graph, classify_sdof,
-                              disassembly_space, dump_directions,
-                              intersect_spaces, oriented_direction,
-                              sample_sphere, space_from_contacts)
+                              disassembly_space, intersect_spaces,
+                              oriented_direction, sample_sphere,
+                              space_from_contacts)
 from dismantle.errors import DegenerateSpace, UnknownComponent
 from dismantle.model import (AXIAL_KINDS, FeatureGeometry, GeometryKind,
                              RelationKind, SpatialRelation)
@@ -513,15 +513,3 @@ def test_graph_no_edge_without_relation(valve_model, dirs10k):
     g = build_graph(valve_model, dirs10k)
     assert ("screw_1", "screw_2") not in g.edges
     assert ("hose", "base") not in g.edges
-
-
-def test_dump_directions_csv(tmp_path, dirs2k):
-    rel = _relation(RelationKind.PLANE_CONTACT, [0, 0, 1])
-    space = _space_of(rel, dirs2k)
-    out = tmp_path / "space.csv"
-    dump_directions(space, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "x,y,z,member"
-    assert len(lines) == dirs2k.n + 1
-    members = sum(int(line.rsplit(",", 1)[1]) for line in lines[1:])
-    assert members == np.count_nonzero(space.mask)

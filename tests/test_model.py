@@ -1,14 +1,17 @@
+import dataclasses
 import json
 import warnings
 
 import numpy as np
 import pytest
 
+from conftest import (SCENARIOS, model_to_dict, random_contact_model,
+                      random_feasible_model)
+
 from dismantle.errors import ParseError, UnknownComponent, ValidationError
 from dismantle.model import (AssemblyModel, Component, FeatureGeometry,
                              GeometryKind, RelationKind, Semantic,
-                             Tool, contacts_of, load_model, load_model_dict,
-                             model_to_dict, models_equal, write_model)
+                             Tool, contacts_of, load_model, load_model_dict)
 
 
 def test_single_screw_scenario_loads(single_screw_model):
@@ -139,24 +142,126 @@ def test_contact_handshake(valve_model):
     assert total == 2 * len(valve_model.relations)
 
 
-def test_round_trip(tmp_path, valve_model, single_screw_model):
-    for i, m in enumerate((valve_model, single_screw_model)):
-        path = tmp_path / f"rt{i}.json"
-        write_model(m, path)
-        again = load_model(path)
-        assert models_equal(m, again, tol=1e-9)
+def _first_difference(a: AssemblyModel, b: AssemblyModel, tol: float = 1e-9):
+    """The first field in which two models differ, or None.
+
+    Ids, semantics, relation kinds and pairs, geometry kinds, station names,
+    target, reassemble and tool_map must match exactly; poses, features,
+    relation directions and station poses agree within ``tol``, and relation
+    frames within 1e-6.
+    """
+    if len(a.components) != len(b.components):
+        return "components"
+    for ca, cb in zip(a.components, b.components):
+        where = f"components[{ca.id}]"
+        if (ca.id, ca.semantic) != (cb.id, cb.semantic):
+            return f"{where}.id/semantic"
+        for name in ("pose", "grasp_offset", "put_pose"):
+            pa, pb = getattr(ca, name), getattr(cb, name)
+            if (pa is None) != (pb is None) or (
+                    pa is not None and not pa.approx_equal(pb, tol)):
+                return f"{where}.{name}"
+        fa, fb = ca.visual_features, cb.visual_features
+        if (fa is None) != (fb is None) or (
+                fa is not None and not np.allclose(fa, fb, rtol=0, atol=tol)):
+            return f"{where}.visual_features"
+    if len(a.relations) != len(b.relations):
+        return "relations"
+    for i, (ra, rb) in enumerate(zip(a.relations, b.relations)):
+        if (ra.kind, ra.components, ra.geometry.kind) != (
+                rb.kind, rb.components, rb.geometry.kind):
+            return f"relations[{i}].kind/components"
+        if not np.allclose(ra.direction, rb.direction, rtol=0, atol=tol):
+            return f"relations[{i}].direction"
+        if not ra.geometry.frame.approx_equal(rb.geometry.frame, tol=1e-6):
+            return f"relations[{i}].geometry.frame"
+    if set(a.tool_stations) != set(b.tool_stations):
+        return "tool_stations"
+    for name in a.tool_stations:
+        if not a.tool_stations[name].approx_equal(b.tool_stations[name], tol):
+            return f"tool_stations.{name}"
+    for name in ("target", "reassemble", "tool_map"):
+        if getattr(a, name) != getattr(b, name):
+            return name
+    return None
 
 
-def test_round_trip_with_rotated_component(tmp_path, single_screw_path):
+def _document(m: AssemblyModel) -> dict:
+    """The scenario document of ``m`` after a pass through JSON text."""
+    return json.loads(json.dumps(model_to_dict(m)))
+
+
+def _assert_round_trip(m: AssemblyModel) -> AssemblyModel:
+    """Reload ``m`` from its document; the document must be a fixed point and
+    every field must agree.  Returns the reloaded model."""
+    d = _document(m)
+    again = load_model_dict(d)
+    assert model_to_dict(again) == d
+    assert _first_difference(m, again) is None
+    return again
+
+
+def test_round_trip():
+    paths = sorted(SCENARIOS.glob("*.json"))
+    assert len(paths) == 4
+    for path in paths:
+        _assert_round_trip(load_model(path))
+
+
+def test_round_trip_with_rotated_component(single_screw_path):
     doc = json.loads(single_screw_path.read_text())
     s = np.sqrt(0.5)
     doc["components"][1]["pose"]["orientation"] = [s, 0, s, 0]
-    path = tmp_path / "rot.json"
-    path.write_text(json.dumps(doc))
-    m = load_model(path)
-    out = tmp_path / "rt.json"
-    write_model(m, out)
-    assert models_equal(m, load_model(out), tol=1e-9)
+    _assert_round_trip(load_model_dict(doc))
+
+
+def test_random_feasible_models_round_trip():
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        _assert_round_trip(random_feasible_model(rng))
+
+
+def test_random_contact_models_round_trip_their_fields():
+    # a reload re-normalises each relation direction, which can move its last
+    # bit, so only the fields are compared here, not the document
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        m = random_contact_model(rng)
+        assert _first_difference(m, load_model_dict(_document(m))) is None
+
+
+def test_first_difference_names_the_field(single_screw_model):
+    m = single_screw_model
+    screw = m.components[1]
+    rel = m.relations[0]
+
+    def moved(pose, dx):
+        return pose.translated([dx, 0.0, 0.0])
+
+    def with_screw(**kw):
+        return dataclasses.replace(
+            m, components=(m.components[0], dataclasses.replace(screw, **kw)))
+
+    def with_frame(frame):
+        geo = dataclasses.replace(rel.geometry, frame=frame)
+        return dataclasses.replace(
+            m, relations=(dataclasses.replace(rel, geometry=geo),))
+
+    assert _first_difference(m, with_screw(pose=moved(screw.pose, 5e-10))) is None
+    assert (_first_difference(m, with_screw(pose=moved(screw.pose, 2e-9)))
+            == "components[screw_1].pose")
+    assert (_first_difference(m, with_screw(put_pose=None))
+            == "components[screw_1].put_pose")
+    assert (_first_difference(m, with_screw(
+        visual_features=screw.visual_features + 2e-9))
+            == "components[screw_1].visual_features")
+    assert _first_difference(m, with_frame(moved(rel.geometry.frame, 5e-7))) is None
+    assert (_first_difference(m, with_frame(moved(rel.geometry.frame, 2e-6)))
+            == "relations[0].geometry.frame")
+    assert (_first_difference(m, dataclasses.replace(m, target=None))
+            == "target")
+    assert (_first_difference(m, dataclasses.replace(m, tool_map={}))
+            == "tool_map")
 
 
 def test_tool_inference_default_and_override(valve_model, single_screw_path):
@@ -168,18 +273,8 @@ def test_tool_inference_default_and_override(valve_model, single_screw_path):
     assert m.tool_for("screw_1") is Tool.GRIPPER
 
 
-def test_tool_map_override_round_trips(tmp_path, single_screw_path):
+def test_tool_map_override_round_trips(single_screw_path):
     doc = json.loads(single_screw_path.read_text())
     doc["tool_map"] = {"screw": "gripper"}
-    src = tmp_path / "override.json"
-    src.write_text(json.dumps(doc))
-    m = load_model(src)
-    out = tmp_path / "rt.json"
-    write_model(m, out)
-    again = load_model(out)
-    assert models_equal(m, again)
+    again = _assert_round_trip(load_model_dict(doc))
     assert again.tool_for("screw_1") is Tool.GRIPPER
-
-
-def test_model_to_dict_is_json_serializable(valve_model):
-    json.dumps(model_to_dict(valve_model))
