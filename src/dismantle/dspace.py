@@ -15,6 +15,19 @@ shared by every set ``with_mask`` derives from the sphere, and lives as long
 as the sphere.  The sphere's directions are read-only, so a stored mask
 cannot go stale.
 
+Sampling the sphere and scoring it against a contact both run by chunks of
+2^15 rows (``_by_chunks``), spread over the CPUs the process may run on: the
+calling thread takes one share of the chunks and a plain thread each takes
+the others.  A chunk's scratch stays in a core's L2 cache, so each pass over
+it reads what the previous pass wrote without a trip to memory, and no
+full-size temporary is made.  The BLAS products run per chunk too, one call
+per chunk on the thread that owns it.  One full-size product would be handed
+to OpenBLAS's own threads, which spin around that single call while the
+elementwise passes get one core.  Chunk bounds depend on n alone, so every
+BLAS call and ufunc sees the same operands however many workers there are,
+and each element goes through the same operations as in one full-size pass
+(``tests/test_dspace.py`` keeps that pass as the oracle).
+
 Classification first tests a few evenly spaced members pairwise: two of them
 farther apart than one cone can hold prove the space is not a cone, so the
 principal-axis pass over all members runs only for spaces that may be one.
@@ -22,6 +35,8 @@ principal-axis pass over all members runs only for spaces that may be one.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -43,6 +58,9 @@ EPS_CONE = np.deg2rad(5.0)
 CONE_SLACK = np.deg2rad(2.0)  # classification slack on top of EPS_CONE
 
 DEFAULT_SAMPLES = 10_000
+# Rows per chunk of the sphere's kernels: a chunk's float64 scores (256 KiB)
+# and its sphere lattice (768 KiB) stay in a core's L2 cache.
+_CHUNK = 1 << 15
 
 
 def _frozen(a: np.ndarray) -> bool:
@@ -101,48 +119,109 @@ class DirectionSet:
         return derived
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity set, where there is one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _by_chunks(n: int, rows: int, fill) -> None:
+    """Call ``fill(buf, lo, hi)`` for each chunk ``[lo, hi)`` of ``range(n)``.
+
+    Chunk j starts at row ``j * _CHUNK`` and the last runs to n.  The chunks
+    are dealt by stride to ``min(usable CPUs, chunks)`` shares: the calling
+    thread runs share 0 and one ``threading.Thread`` each runs the others,
+    so a single chunk starts no thread.  ``buf`` is the share's own
+    ``(rows, hi - lo)`` float64 scratch, allocated by the calling thread.
+    Every share has stopped when this returns or raises, and an exception
+    raised in any share is raised here.
+    """
+    # a last row on its own would be a one-row product, which numpy sends to
+    # a different BLAS routine (ddot, gemv) than the full-size one, so it
+    # joins the chunk before it
+    chunks = max(1, -(-(n - 1) // _CHUNK))
+    shares = min(_usable_cpus(), chunks)
+    bufs = np.empty((shares, rows, min(n, _CHUNK + 1)))
+    errors = []
+
+    def run(share):
+        try:
+            for j in range(share, chunks, shares):
+                lo = j * _CHUNK
+                hi = n if j == chunks - 1 else lo + _CHUNK
+                fill(bufs[share, :, :hi - lo], lo, hi)
+        except BaseException as exc:  # raised in the caller below
+            errors.append(exc)
+
+    workers = []
+    try:
+        for share in range(1, shares):
+            worker = threading.Thread(target=run, args=(share,))
+            worker.start()
+            workers.append(worker)
+        run(0)
+    finally:
+        for worker in workers:
+            worker.join()
+    if errors:
+        raise errors[0]
+
+
 def sample_sphere(n: int, seed: int = 0) -> DirectionSet:
     """Deterministic low-discrepancy sample of the unit sphere.
 
-    A Fibonacci lattice provides near-uniform coverage; the seed selects a
-    random rigid rotation of the whole lattice, so distinct seeds decorrelate
-    the sample without losing uniformity.  The initial mask is all-true: with
-    no contacts every direction is an admissible extraction direction.
+    A Fibonacci lattice (González, Math. Geosciences 42, 2010) provides
+    near-uniform coverage; the seed selects a random rigid rotation of the
+    whole lattice, so distinct seeds decorrelate the sample without losing
+    uniformity.  The initial mask is all-true: with no contacts every
+    direction is an admissible extraction direction.
 
-    The lattice is built, rotated and normalised as one ``(3, n)`` block, one
-    coordinate per row, and returned as its read-only ``(n, 3)`` transpose.
+    The sample is a ``(3, n)`` block, one coordinate per row, returned as its
+    read-only ``(n, 3)`` transpose.  Each chunk's lattice is built in its
+    share's 768 KiB scratch, with the block's own chunk holding the angles,
+    rotated straight into the block by one BLAS product and normalised
+    there (see the module docstring).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    rot = quat_matrix(random_rotation(np.random.default_rng(seed)))
     golden = np.pi * (3.0 - np.sqrt(5.0))
-    theta = np.arange(n, dtype=float)
-    lattice = np.empty((3, n))
-    x, y, z = lattice
-    # z = 1 - 2 (i + 1/2) / n with i in theta; r = sqrt(max(1 - z^2, 0)) in y
-    np.add(theta, 0.5, out=z)
-    z *= 2.0
-    z /= n
-    np.subtract(1.0, z, out=z)
-    np.multiply(z, z, out=y)
-    np.subtract(1.0, y, out=y)
-    np.clip(y, 0.0, None, out=y)
-    np.sqrt(y, out=y)
-    theta *= golden
-    np.cos(theta, out=x)
-    x *= y
-    np.sin(theta, out=theta)
-    y *= theta
+    ramp = np.arange(min(n, _CHUNK + 1), dtype=float)
+    pts = np.empty((3, n))
 
-    pts = quat_matrix(random_rotation(np.random.default_rng(seed))) @ lattice
-    # column norms, summed in np.linalg.norm's order (x^2 + y^2) + z^2, in
-    # the lattice rows the rotation has consumed
-    norm = np.multiply(pts[0], pts[0], out=x)
-    np.multiply(pts[1], pts[1], out=theta)
-    norm += theta
-    np.multiply(pts[2], pts[2], out=theta)
-    norm += theta
-    np.sqrt(norm, out=norm)
-    pts /= norm
+    def fill(lattice, lo, hi):
+        x, y, z = lattice
+        p = pts[:, lo:hi]
+        theta = p[0]  # free until the rotation writes the chunk
+        np.add(ramp[:hi - lo], lo, out=theta)  # the indices lo..hi-1, exactly
+        # z = 1 - 2 (i + 1/2) / n with i in theta; r = sqrt(max(1 - z^2, 0)) in y
+        np.add(theta, 0.5, out=z)
+        z *= 2.0
+        z /= n
+        np.subtract(1.0, z, out=z)
+        np.multiply(z, z, out=y)
+        np.subtract(1.0, y, out=y)
+        np.clip(y, 0.0, None, out=y)
+        np.sqrt(y, out=y)
+        theta *= golden
+        np.cos(theta, out=x)
+        x *= y
+        np.sin(theta, out=theta)
+        y *= theta
+
+        np.matmul(rot, lattice, out=p)
+        # column norms, summed in np.linalg.norm's order (x^2 + y^2) + z^2,
+        # in the lattice rows the rotation has consumed
+        norm = np.multiply(p[0], p[0], out=x)
+        np.multiply(p[1], p[1], out=y)
+        norm += y
+        np.multiply(p[2], p[2], out=y)
+        norm += y
+        np.sqrt(norm, out=norm)
+        p /= norm
+
+    _by_chunks(n, 3, fill)
     pts.flags.writeable = False
     mask = np.ones(n, dtype=bool)
     mask.flags.writeable = False
@@ -174,15 +253,29 @@ def admissible_indices(kind: RelationKind, direction: np.ndarray,
     joint axis, either way, within EPS_CONE.  screwed: nothing; the thread
     blocks translation until a twist converts the joint.  The mask is a fresh
     writable array and ignores ``dirs.mask``; numpy accepts it as an index.
+
+    Each chunk's scores go to its share's scratch and are compared from
+    there straight into the mask, the only full-size array made.
     """
     if kind is RelationKind.SCREWED:
         return np.zeros(dirs.n, dtype=bool)
-    scores = dirs.directions @ np.asarray(direction, dtype=float)
     if kind in (RelationKind.PLANE_CONTACT, RelationKind.CONGRUENT):
-        return scores >= -EPS_ANG
-    if kind is RelationKind.CONCENTRIC:
-        return np.abs(scores) >= np.cos(EPS_CONE)
-    raise ValueError(f"unhandled relation kind: {kind}")
+        bound, cone = -EPS_ANG, False
+    elif kind is RelationKind.CONCENTRIC:
+        bound, cone = np.cos(EPS_CONE), True
+    else:
+        raise ValueError(f"unhandled relation kind: {kind}")
+    direction = np.asarray(direction, dtype=float)
+    mask = np.empty(dirs.n, dtype=bool)
+
+    def fill(buf, lo, hi):
+        scores = np.matmul(dirs.directions[lo:hi], direction, out=buf[0])
+        if cone:
+            np.abs(scores, out=scores)
+        np.greater_equal(scores, bound, out=mask[lo:hi])
+
+    _by_chunks(dirs.n, 1, fill)
+    return mask
 
 
 def intersect_spaces(index_sets: list[np.ndarray], dirs: DirectionSet) -> DirectionSet:

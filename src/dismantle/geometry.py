@@ -218,8 +218,14 @@ class Pose:
 
     def __post_init__(self):
         p = _as_vec(self.position, 3, "position")
-        q = np.array(unit_orientation_f(
-            p.tolist(), _as_vec(self.orientation, 4, "orientation").tolist()))
+        q = _as_vec(self.orientation, 4, "orientation").tolist()
+        # a finite entry above 2 already rules out a unit norm; rejecting it
+        # here keeps a huge one from overflowing the norm's ddot, which would
+        # warn before the error.  A NaN or infinite maximum is left to the
+        # finiteness check, which runs before the norm.
+        if 2.0 < max(map(abs, q)) < math.inf:
+            raise ValueError(f"orientation quaternion not unit norm: {np.array(q)}")
+        q = np.array(unit_orientation_f(p.tolist(), q))
         p.flags.writeable = False
         q.flags.writeable = False
         object.__setattr__(self, "position", p)

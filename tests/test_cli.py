@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -164,6 +165,8 @@ def _set_pose(key, value):
     (_set_pose("orientation", [True, False, False, False]),
      "components[screw_1].pose"),
     (_set_pose("position", [10 ** 400, 0, 0.02]), "components[screw_1].pose"),
+    # finite, but its squared norm overflows
+    (_set_pose("orientation", [1e300, 1e300, 0, 0]), "components[screw_1].pose"),
     (lambda doc: doc.update(format_version=True), "format_version"),
     (lambda doc: doc.update(format_version=1.0), "format_version"),
 ], ids=["relation_entry", "component_entry", "geometry", "relations_str",
@@ -171,7 +174,8 @@ def _set_pose(key, value):
         "component_id_list", "component_id_obj", "features_str",
         "features_ragged", "features_non_numeric", "features_nan",
         "pair_int", "pair_null", "pair_holds_list", "reassemble_str",
-        "pose_str", "pose_bool", "pose_huge_int", "format_version_true",
+        "pose_str", "pose_bool", "pose_huge_int", "pose_huge_orientation",
+        "format_version_true",
         "format_version_float"])
 def test_mistyped_collection_is_parse_error(tmp_path, capsys, command, edit, field):
     doc = json.loads((SCENARIOS / "single_screw.json").read_text())
@@ -333,6 +337,40 @@ def test_stdout_closed_early_exits_one_without_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 1
     assert err == b""
+
+
+def test_memory_error_on_a_worker_is_the_samples_error(capsys, monkeypatch):
+    from dismantle import dspace
+    monkeypatch.setattr(dspace, "_usable_cpus", lambda: 2)
+    chunked = dspace._by_chunks
+    failed_on = []
+
+    def last_chunk_fails(n, rows, fill):
+        def fill_or_fail(buf, lo, hi):
+            if hi == n:
+                failed_on.append(threading.current_thread())
+                raise MemoryError
+            fill(buf, lo, hi)
+        chunked(n, rows, fill_or_fail)
+
+    monkeypatch.setattr(dspace, "_by_chunks", last_chunk_fails)
+    before = threading.active_count()
+    samples = 2 * dspace._CHUNK  # two chunks: the last one is the worker's
+    code, out, err = _run(capsys, "plan", SCENARIOS / "valve.json",
+                          "--samples", samples)
+    assert code == 1 and out == ""
+    assert err == f"error: --samples {samples} is too large to sample\n"
+    assert len(failed_on) == 1 and failed_on[0] is not threading.main_thread()
+    assert threading.active_count() == before
+
+
+def test_cli_import_does_not_load_concurrent_futures():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "import sys, dismantle.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def test_bad_samples_rejected(capsys):

@@ -1,9 +1,13 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from conftest import (brute_force_space, random_contact_model, random_unit,
                       sorted_set_space)
 
+from dismantle import dspace
 from dismantle.dspace import (CONE_SLACK, EPS_ANG, EPS_CONE, DirectionSet,
                               Mobility, MobilityLabel, _principal_axis,
                               admissible_indices, build_graph, classify_sdof,
@@ -11,6 +15,7 @@ from dismantle.dspace import (CONE_SLACK, EPS_ANG, EPS_CONE, DirectionSet,
                               oriented_direction, sample_sphere,
                               space_from_contacts)
 from dismantle.errors import DegenerateSpace, UnknownComponent
+from dismantle.geometry import quat_matrix, random_rotation
 from dismantle.model import (AXIAL_KINDS, FeatureGeometry, GeometryKind,
                              RelationKind, SpatialRelation)
 
@@ -57,6 +62,143 @@ def test_sample_deterministic():
     c = sample_sphere(500, seed=43)
     assert np.array_equal(a.directions, b.directions)
     assert not np.allclose(a.directions, c.directions)
+
+
+# ---------------------------------------------------------------- chunks
+
+C = dspace._CHUNK
+
+
+def _sphere_oracle(n, seed):
+    """sample_sphere as one full-size pass, as it was before chunking."""
+    golden = np.pi * (3.0 - np.sqrt(5.0))
+    theta = np.arange(n, dtype=float)
+    lattice = np.empty((3, n))
+    x, y, z = lattice
+    np.add(theta, 0.5, out=z)
+    z *= 2.0
+    z /= n
+    np.subtract(1.0, z, out=z)
+    np.multiply(z, z, out=y)
+    np.subtract(1.0, y, out=y)
+    np.clip(y, 0.0, None, out=y)
+    np.sqrt(y, out=y)
+    theta *= golden
+    np.cos(theta, out=x)
+    x *= y
+    np.sin(theta, out=theta)
+    y *= theta
+    pts = quat_matrix(random_rotation(np.random.default_rng(seed))) @ lattice
+    norm = np.multiply(pts[0], pts[0], out=x)
+    np.multiply(pts[1], pts[1], out=theta)
+    norm += theta
+    np.multiply(pts[2], pts[2], out=theta)
+    norm += theta
+    np.sqrt(norm, out=norm)
+    pts /= norm
+    return pts.T
+
+
+def _admissible_oracle(kind, direction, dirs):
+    """admissible_indices as one full-size product, as it was before chunking."""
+    scores = dirs.directions @ np.asarray(direction, dtype=float)
+    if kind in (RelationKind.PLANE_CONTACT, RelationKind.CONGRUENT):
+        return scores >= -EPS_ANG
+    return np.abs(scores) >= np.cos(EPS_CONE)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, C - 1, C, C + 1, 2 * C + 1, 3 * C + 7])
+def test_chunked_kernels_equal_one_pass_oracle(monkeypatch, n, workers):
+    monkeypatch.setattr(dspace, "_usable_cpus", lambda: workers)
+    rng = np.random.default_rng(n)
+    for seed in (0, 7, 2024):
+        dirs = sample_sphere(n, seed)
+        assert dirs.directions.tobytes() == _sphere_oracle(n, seed).tobytes()
+        # the sphere's own (3, n)-block layout, and the row-major copy a
+        # caller may pass
+        rows = DirectionSet(np.ascontiguousarray(dirs.directions), dirs.mask)
+        for ds in (dirs, rows):
+            for d in (random_unit(rng), random_unit(rng)):
+                for kind in (RelationKind.PLANE_CONTACT, RelationKind.CONGRUENT,
+                             RelationKind.CONCENTRIC):
+                    got = admissible_indices(kind, d, ds)
+                    assert got.tobytes() == _admissible_oracle(kind, d, ds).tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, C, C + 1, 2 * C + 1, 3 * C + 7])
+def test_by_chunks_bounds_and_shares(monkeypatch, n, workers):
+    monkeypatch.setattr(dspace, "_usable_cpus", lambda: workers)
+    calls = []
+
+    def fill(buf, lo, hi):
+        assert buf.shape == (2, hi - lo)
+        calls.append((lo, hi, threading.current_thread()))
+
+    dspace._by_chunks(n, 2, fill)
+    bounds = sorted((lo, hi) for lo, hi, _ in calls)
+    starts = [lo for lo, _ in bounds]
+    assert starts == list(range(0, max(n - 1, 1), C))
+    assert [hi for _, hi in bounds] == starts[1:] + [n]
+    # no chunk is a lone row: numpy scores one row with another BLAS routine
+    assert all(hi - lo >= min(n, 2) for lo, hi in bounds)
+    shares = min(workers, len(bounds))
+    for lo, _, thread in calls:
+        on_main = thread is threading.main_thread()
+        assert on_main == ((lo // C) % shares == 0), (lo, thread)
+    assert len({thread for _, _, thread in calls}) == shares
+
+
+def test_by_chunks_reraises_a_worker_error_after_joining(monkeypatch):
+    monkeypatch.setattr(dspace, "_usable_cpus", lambda: 2)
+    before = threading.active_count()
+    done = []
+
+    def fill(buf, lo, hi):
+        if hi == 4 * C:
+            assert threading.current_thread() is not threading.main_thread()
+            raise MemoryError("last chunk")
+        done.append(lo)
+
+    with pytest.raises(MemoryError, match="last chunk"):
+        dspace._by_chunks(4 * C, 1, fill)
+    assert sorted(done) == [0, C, 2 * C]
+    assert threading.active_count() == before
+
+
+def test_sample_sphere_leaves_no_thread_running(monkeypatch):
+    monkeypatch.setattr(dspace, "_usable_cpus", lambda: 2)
+    before = threading.active_count()
+    dirs = sample_sphere(3 * C + 7, 5)
+    admissible_indices(RelationKind.PLANE_CONTACT, np.array([0.0, 0.0, 1.0]), dirs)
+    assert threading.active_count() == before
+
+
+def test_concurrent_spheres_are_identical(monkeypatch):
+    # four callers with a worker each: eight threads, more than a small host
+    # has cores; a chunk written to the wrong block or through another
+    # share's scratch would change some caller's bytes
+    monkeypatch.setattr(dspace, "_usable_cpus", lambda: 2)
+    start = threading.Barrier(4, timeout=60)
+    spheres = [None] * 4
+
+    def sample(k):
+        start.wait()
+        spheres[k] = sample_sphere(200_000, 7).directions.tobytes()
+
+    threads = [threading.Thread(target=sample, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert spheres == [sample_sphere(200_000, 7).directions.tobytes()] * 4
 
 
 # ---------------------------------------------------------------- contacts

@@ -199,6 +199,21 @@ def test_non_finite_pose_rejected(position, orientation):
         Pose(np.array(position), np.array(orientation))
 
 
+@pytest.mark.parametrize("orientation, message", [
+    ([1e300, 1e300, 0.0, 0.0], "not unit norm"),
+    ([0.0, 0.0, -1e200, 0.0], "not unit norm"),
+    ([1.0, 0.0, 0.0, 2.5], "not unit norm"),
+    ([1e300, np.nan, 0.0, 0.0], "not unit norm"),
+    ([np.nan, 1e300, 0.0, 0.0], "finite"),
+    ([1e300, np.inf, 0.0, 0.0], "finite"),
+])
+def test_large_orientation_entry_rejected_without_warning(orientation, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            Pose(np.zeros(3), orientation)
+
+
 def _with_mask(arr):
     DirectionSet(np.eye(3), np.ones(3, dtype=bool)).with_mask(arr)
 
