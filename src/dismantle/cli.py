@@ -108,14 +108,10 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:  # a bad --faults or --reps fails before planning, not after
-        faults = load_fault_specs(args.faults) if args.faults else []
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        print(f"error: bad fault specification: {exc}", file=sys.stderr)
-        return 1
+    # a bad --faults or --reps fails before planning, not after
+    faults = load_fault_specs(args.faults) if args.faults else []
     if args.reps < 1:
-        print("error: --reps must be >= 1", file=sys.stderr)
-        return 1
+        raise ParseError("--reps must be >= 1")
     model, _, plans = _load_and_plan(args)
     collect = args.out is not None
     if collect:  # an unwritable --out fails before the simulation, not after

@@ -7,10 +7,12 @@ error to velocity, run at 50 Hz) and an image-based visual-servoing controller
 inverse, run at 20 Hz; the lower rate models feature-extraction cost).
 
 The plant is a velocity-integrating Cartesian robot over a contact-spring
-environment; it reports the contact wrench.  The flange camera is read by the
-skill loop, once per visual-servoing tick.  Time is simulated, not measured:
-the clock advances in integer units of 10 ms, so 50 Hz and 20 Hz ticks are
-exact (2 and 5 units) and per-bucket time sums are exact integer arithmetic.
+environment; it reports the contact wrench, through its force-sensor model
+(``PlantState.force_noise``) if it has one.  The flange camera is read by the
+skill loop, once per visual-servoing tick; it sees the plant's tracked points,
+if any.  Time is simulated, not measured: the clock advances in integer units
+of 10 ms, so 50 Hz and 20 Hz ticks are exact (2 and 5 units) and per-bucket
+time sums are exact integer arithmetic.
 
 ``run_skill`` keeps the tick state of its position and force loops in
 Python floats and builds a ``Pose`` only when a skill ends.  Two layers, as in
@@ -28,6 +30,7 @@ keeps its array code; only its command joins the float state.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -163,6 +166,8 @@ class PlantState:
     contacts: tuple[ContactPlane, ...] = ()
     retentions: tuple[Retention, ...] = ()
     tracked_points: np.ndarray | None = None  # world points seen by the camera
+    # the force sensor: true contact force -> measured, 3 floats (None: exact)
+    force_noise: Callable[[tuple], tuple] | None = None
 
 
 # ------------------------------------------------------------- controllers
@@ -322,7 +327,7 @@ class TickRow:
     """One tick of a skill, or its tool action (controller ``BUCKET_N``).
 
     ``u_floats`` is the commanded twist and ``wrench_floats`` the measured
-    wrench, 6 floats each; ``u`` and ``wrench`` build them as float64 arrays.
+    wrench, 6 floats each.
     """
 
     t_units: int
@@ -330,14 +335,6 @@ class TickRow:
     u_floats: tuple
     wrench_floats: tuple
     feat_err_px: float
-
-    @property
-    def u(self) -> np.ndarray:
-        return np.array(self.u_floats)
-
-    @property
-    def wrench(self) -> np.ndarray:
-        return np.array(self.wrench_floats)
 
 
 @dataclass
@@ -351,23 +348,6 @@ class StepLog:
 
     def total_units(self) -> int:
         return sum(self.buckets.values())
-
-
-@dataclass
-class FaultHook:
-    """Per-skill executor-side disturbances used by the fault harness."""
-
-    force_noise_sigma: float = 0.0
-    feature_dropout: bool = False
-    rng: np.random.Generator | None = None
-
-    def disturb_force(self, force: tuple) -> tuple:
-        """The measured force: ``force`` (3 floats) plus one normal draw per
-        axis."""
-        if self.force_noise_sigma <= 0.0 or self.rng is None:
-            return force
-        noise = self.rng.normal(0.0, self.force_noise_sigma, size=3)
-        return _finite_force(tuple((force + noise).tolist()))
 
 
 def _primary_controller(ap: SkillPrimitive) -> str:
@@ -416,8 +396,7 @@ def _abort(exc: Exception, stopped_by: str, state: PlantState, log: StepLog,
 
 
 def run_skill(ap: SkillPrimitive, state: PlantState,
-              start_units: int = 0,
-              fault: FaultHook | None = None) -> tuple[PlantState, StepLog]:
+              start_units: int = 0) -> tuple[PlantState, StepLog]:
     """Drive one skill primitive to its stop condition on the simulated plant.
 
     The controller is selected per the hybrid move's per-axis modes; position
@@ -426,16 +405,17 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
     SkillTimeout if the stop condition never fires within the skill's time
     budget, and SingularJacobian if a tracked point is not in front of the
     camera or the features are degenerate; both carry the partial plant state
-    and log.  A pose or contact force that is not finite raises ValueError,
-    as ``Pose`` and ``Wrench`` do.
+    and log.  A pose or contact force (true or measured) that is not finite
+    raises ValueError, as ``Pose`` and ``Wrench`` do.
 
     The tick state is Python floats: position ``p``, unit quaternion ``q``
     (with ``q_raw``, the product it was normalised from), contact force ``f``
     and the command ``u``; the force loop adds its filter's axis-0 scalars.
     A tick row stores ``u`` and the wrench as 6-float tuples.  The stop
-    condition, the contacts and the fault hook are read once, before the loop.
+    condition and the plant's contacts and sensors are read once, before the
+    loop.  Each motion tick's force reading goes through the plant's
+    ``force_noise``, if set; the reading before the first tick is the true one.
     """
-    fault = fault or FaultHook()
     controller = _primary_controller(ap)
     log = StepLog(controller=controller)
     log.buckets = buckets = {BUCKET_PATH: 0, BUCKET_VSC: 0, BUCKET_FTC: 0,
@@ -481,9 +461,9 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
                                           ap.hm.setpoint[3:]).as_floats()
         # a move whose stop pose is its setpoint steers by the stop check's offset
         steer_by_stop = pose_stop and np.array_equal(stop.target, ap.hm.setpoint)
-    sighted = state.tracked_points is not None and not fault.feature_dropout
+    sighted = state.tracked_points is not None
     planes, holds = _contact_floats(state.contacts, state.retentions)
-    disturb_force = fault.disturb_force
+    force_noise = state.force_noise
 
     p, q = state.pose.as_floats()
     q_raw = None
@@ -555,7 +535,8 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
         # plant: integrate the twist, then read the contact force there
         p, q_raw = integrate_twist(p, q, u[:3], u[3:], dt)
         q = unit_orientation_f(p, q_raw)
-        f = disturb_force(_finite_force(_spring_force(p, planes, holds)))
+        f = _spring_force(p, planes, holds)
+        f = _finite_force(f if force_noise is None else force_noise(f))
         elapsed += tick_units
         buckets[controller] += tick_units
         append_row(TickRow(start_units + elapsed, controller, u, f + _NO_TORQUE,

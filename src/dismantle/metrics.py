@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import (BUCKET_FTC, BUCKET_N, BUCKET_PATH, BUCKET_VSC,
-                      CLOCK_UNIT_S, RELEASE_DIST, ContactPlane, FaultHook,
-                      PlantState, Retention, TickRow, run_skill)
-from .errors import (ErrorType, InapplicablePrimitive, SingularJacobian,
-                     SkillTimeout, UnresolvableGoal)
+                      CLOCK_UNIT_S, RELEASE_DIST, ContactPlane, PlantState,
+                      Retention, TickRow, run_skill)
+from .errors import (ErrorType, InapplicablePrimitive, ParseError,
+                     SingularJacobian, SkillTimeout, UnresolvableGoal)
 from .model import AssemblyModel
 from .planner import Plan
 from .skills import (ControlMode, ExecState, SkillName, SkillPrimitive,
@@ -43,8 +43,9 @@ class FaultSpec:
     process step), force_noise (sense_and_control: noisy force readings fire
     guard conditions early) or feature_dropout (sense_and_control: features
     unavailable, servoing starves until timeout).  ``repetition`` selects the
-    run; ``ap_index`` optionally pins the fault to the n-th affected skill
-    primitive of that run (default: the first eligible one).
+    run; ``ap_index`` optionally pins the fault to the n-th eligible skill
+    primitive of that run.  Without it a slip hits the first eligible one, and
+    noise or dropout every eligible one.
     """
 
     kind: str
@@ -68,17 +69,22 @@ class FaultSpec:
 
 
 def load_fault_specs(path) -> list[FaultSpec]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("fault file must hold a JSON object")
-    specs = []
-    for f in doc.get("faults", []):
-        if not isinstance(f, dict):
-            raise ValueError(f"fault entry {f!r:.40} is not an object")
-        specs.append(FaultSpec(kind=f["kind"], repetition=f["repetition"],
-                               ap_index=f.get("ap_index"),
-                               sigma=f.get("sigma", 6.0)))
+    """The faults of a fault file.  Raises ParseError, with one line, if the
+    file is unreadable, is not JSON or holds anything but valid faults."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("fault file must hold a JSON object")
+        specs = []
+        for f in doc.get("faults", []):
+            if not isinstance(f, dict):
+                raise ValueError(f"fault entry {f!r:.40} is not an object")
+            specs.append(FaultSpec(kind=f["kind"], repetition=f["repetition"],
+                                   ap_index=f.get("ap_index"),
+                                   sigma=f.get("sigma", 6.0)))
+    except (OSError, RecursionError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad fault specification: {exc}") from None
     return specs
 
 
@@ -112,7 +118,9 @@ def _hits(fault: FaultSpec, seen: int) -> bool:
 
 class _Executor:
     """Binds the simulated plant to the interpreter callback and keeps the
-    repetition's per-bucket tally of clock units."""
+    repetition's per-bucket tally of clock units.  It alone knows what a fault
+    does: a slip fails its step, a feature dropout leaves the camera nothing to
+    track, and force noise adds one normal draw per axis to each measured force."""
 
     def __init__(self, model: AssemblyModel, seed: int, repetition: int,
                  faults: list[FaultSpec], collect_rows: bool = False):
@@ -139,12 +147,14 @@ class _Executor:
                 hits[kind] = fault
         return hits
 
-    def _environment(self, ap: SkillPrimitive, state: ExecState) -> PlantState:
+    def _environment(self, ap: SkillPrimitive, state: ExecState,
+                     hits: dict[str, FaultSpec]) -> PlantState:
         contacts: list[ContactPlane] = []
         retentions: list[Retention] = []
-        tracked = None
+        tracked = force_noise = None
         pos = state.robot_pose.position
-        if ap.name is SkillName.FINE_POS and ap.component is not None:
+        if (ap.name is SkillName.FINE_POS and ap.component is not None
+                and "feature_dropout" not in hits):
             comp = self.model.component(ap.component)
             obj_pose = state.object_poses.get(comp.id, comp.pose)
             tracked = obj_pose.apply(comp.visual_features)
@@ -155,22 +165,20 @@ class _Executor:
         if ap.process == "extract":
             retentions.append(Retention(anchor=pos.copy(),
                                         axis=ap.hm.contact_axis))
+        if "force_noise" in hits:
+            sigma, rng = hits["force_noise"].sigma, self.noise_rng
+
+            def force_noise(force: tuple) -> tuple:
+                return tuple((force + rng.normal(0.0, sigma, size=3)).tolist())
         return PlantState(pose=state.robot_pose, contacts=tuple(contacts),
-                          retentions=tuple(retentions), tracked_points=tracked)
+                          retentions=tuple(retentions), tracked_points=tracked,
+                          force_noise=force_noise)
 
     def __call__(self, ap: SkillPrimitive, state: ExecState) -> StepResult:
         hits = self._faults_for(ap)
-        hook = FaultHook()
-        if "force_noise" in hits:
-            hook = FaultHook(force_noise_sigma=hits["force_noise"].sigma,
-                             rng=self.noise_rng)
-        if "feature_dropout" in hits:
-            hook = FaultHook(feature_dropout=True)
-
         try:
-            plant, log = run_skill(ap, self._environment(ap, state),
-                                   start_units=sum(self.buckets.values()),
-                                   fault=hook)
+            plant, log = run_skill(ap, self._environment(ap, state, hits),
+                                   start_units=sum(self.buckets.values()))
         except (SkillTimeout, SingularJacobian) as exc:
             self._absorb(exc.log)
             return StepResult(ok=False, end_pose=exc.state.pose,

@@ -15,10 +15,10 @@ from dismantle.control import (AdmittanceParams, ContactPlane, PlantState,
 from dismantle.errors import SingularJacobian, SkillTimeout
 from dismantle.geometry import Pose, pose_step, rotation_offset
 from dismantle.model import Tool
-from dismantle.skills import (GRIP_ACTION_S, IDLE_TOOL, ControlMode,
-                              HybridMove, SkillName, SkillPrimitive,
-                              StopCondition, StopKind, TaskFrame, ToolCmd,
-                              ToolCommand)
+from dismantle.skills import (AP_TIMEOUT_S, GRIP_ACTION_S, IDLE_TOOL,
+                              ControlMode, HybridMove, SkillName,
+                              SkillPrimitive, StopCondition, StopKind,
+                              TaskFrame, ToolCmd, ToolCommand)
 
 
 # ------------------------------------------------------------- admittance
@@ -367,11 +367,11 @@ def test_run_skill_force_spin_returns_to_hold_orientation():
                         component="c", process="unscrew")
     new, log = run_skill(ap, PlantState(pose=start, contacts=(wall,)))
     assert log.buckets == {"path": 0, "vsc": 0, "ftc": units(4.0), "n": 0}
-    assert np.linalg.norm(log.rows[0].u[3:]) == pytest.approx(0.5)  # saturated
+    assert np.linalg.norm(log.rows[0].u_floats[3:]) == pytest.approx(0.5)  # saturated
     to_hold, _ = rotation_offset(hold.orientation.tolist(), new.pose.orientation.tolist())
     assert to_hold == pytest.approx(np.zeros(3), abs=1e-6)
     np.testing.assert_array_equal(new.pose.position[:2], start.position[:2])
-    forces = np.array([-row.wrench[:3] @ press for row in log.rows])
+    forces = np.array([-press @ row.wrench_floats[:3] for row in log.rows])
     assert np.all(np.abs(forces - 10.0) <= 0.5)
 
 
@@ -380,11 +380,13 @@ FINE_POINTS = np.array([[0.35, 0.05, 0.02], [0.25, 0.05, 0.02],
 FINE_GOAL = Pose(np.array([0.3, 0.0, 0.20]))
 
 
-def _fine_pos(goal: Pose = FINE_GOAL, pts: np.ndarray = FINE_POINTS) -> SkillPrimitive:
+def _fine_pos(goal: Pose = FINE_GOAL, pts: np.ndarray = FINE_POINTS,
+              timeout_s: float = AP_TIMEOUT_S) -> SkillPrimitive:
     f_des, _ = project(pts, camera_pose(goal))
     hm = HybridMove(TaskFrame.RGBD, (ControlMode.VSC,) * 8, f_des)
     return SkillPrimitive(SkillName.FINE_POS, hm, IDLE_TOOL,
-                          StopCondition(StopKind.FEATURE_REACHED, f_des, 0.5),
+                          StopCondition(StopKind.FEATURE_REACHED, f_des, 0.5,
+                                        timeout_s=timeout_s),
                           component="c")
 
 
@@ -483,6 +485,50 @@ def test_run_skill_rejects_non_finite_contact_force(depth):
     with pytest.raises(ValueError, match="finite"):
         run_skill(_ftc_press(press, timeout_s=1.0),
                   PlantState(pose=start, retentions=(grip, grip)))
+
+
+def test_run_skill_fine_pos_without_tracked_points_starves_until_timeout():
+    # a plant with no tracked points: the camera sees nothing to servo on
+    start = Pose(FINE_GOAL.position + np.array([0.05, 0.0, 0.0]))
+    with pytest.raises(SkillTimeout) as exc:
+        run_skill(_fine_pos(timeout_s=2.0), PlantState(pose=start), start_units=40)
+    log, pose = exc.value.log, exc.value.state.pose
+    assert log.stopped_by == "timeout"
+    assert log.buckets == {"path": 0, "vsc": units(2.0), "ftc": 0, "n": 0}
+    assert len(log.rows) == units(2.0) // UNITS_PER_VSC_TICK
+    assert all(row.u_floats == (0.0,) * 6 for row in log.rows)
+    assert log.rows[-1].t_units == 40 + units(2.0)
+    np.testing.assert_array_equal(pose.position, start.position)
+    np.testing.assert_array_equal(pose.orientation, start.orientation)
+
+
+def test_run_skill_force_noise_is_the_measured_force():
+    # free space, so the true force is zero and the loop sees only the sensor
+    press = np.array([0.0, 0.0, -1.0])
+    true_forces, measured = [], []
+
+    def force_noise(force):
+        true_forces.append(force)
+        pressed = 3.0 if len(true_forces) < 5 else 10.0  # 3 N, then the stop force
+        measured.append((0.1 * len(true_forces), 0.0, pressed))
+        return measured[-1]
+
+    _, log = run_skill(_ftc_press(press), PlantState(pose=Pose(np.zeros(3)),
+                                                     force_noise=force_noise))
+    assert true_forces == [(0.0, 0.0, 0.0)] * 5 and len(log.rows) == 5
+    assert [row.wrench_floats for row in log.rows] == [
+        f + (0.0, 0.0, 0.0) for f in measured]
+    # the admittance filter reacts to the reading before each tick: the true
+    # force before the first, then the measured ones
+    u_f = ud_f = 0.0
+    for row, f in zip(log.rows, [(0.0, 0.0, 0.0)] + measured):
+        u_f, ud_f = control._filter_step(10.0 - f[2], u_f, ud_f, control.ADM_MASS,
+                                         control.ADM_DAMPING, control.ADM_STIFFNESS,
+                                         UNITS_PER_POS_TICK * control.CLOCK_UNIT_S)
+        assert row.u_floats[:3] == tuple((press * u_f).tolist())
+    with pytest.raises(ValueError, match="finite"):
+        run_skill(_ftc_press(press), PlantState(
+            pose=Pose(np.zeros(3)), force_noise=lambda f: (float("nan"), 0.0, 0.0)))
 
 
 def _huge_path_move():
@@ -605,8 +651,9 @@ def _spin_and_path_skills():
 def _run_bytes(ap, state):
     """Every row of a skill and its end pose, as raw bytes."""
     new, log = run_skill(ap, state)
-    return ([(row.t_units, row.controller, row.u.tobytes(), row.wrench.tobytes(),
-              row.feat_err_px) for row in log.rows],
+    return ([(row.t_units, row.controller, np.array(row.u_floats).tobytes(),
+              np.array(row.wrench_floats).tobytes(), row.feat_err_px)
+             for row in log.rows],
             new.pose.position.tobytes() + new.pose.orientation.tobytes())
 
 

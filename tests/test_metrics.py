@@ -4,7 +4,7 @@ import pytest
 
 from dismantle import metrics
 from dismantle.control import CLOCK_UNIT_S, run_skill
-from dismantle.errors import ErrorType, SingularJacobian
+from dismantle.errors import ErrorType, ParseError, SingularJacobian
 from dismantle.metrics import (BUCKETS, FaultSpec, RunResult, aggregate,
                                execute_once, load_fault_specs, run_experiment)
 from dismantle.model import load_model_dict
@@ -66,8 +66,8 @@ def test_singular_jacobian_books_partial_log(screw_task, monkeypatch):
     plans, model = screw_task
     ended = []
 
-    def singular_fine_pos(ap, state, start_units=0, fault=None):
-        new, log = run_skill(ap, state, start_units=start_units, fault=fault)
+    def singular_fine_pos(ap, state, start_units=0):
+        new, log = run_skill(ap, state, start_units=start_units)
         if ap.name is SkillName.FINE_POS:
             ended.append(new.pose)
             exc = SingularJacobian("feature set is degenerate for servoing")
@@ -192,10 +192,24 @@ def test_fault_spec_loading(tmp_path):
     assert len(specs) == 2
     assert specs[0].kind == "tool_slip" and specs[0].repetition == 2
     assert specs[1].sigma == 4.5
-    for bad in ([], "x", {"faults": [5]}):
-        doc.write_text(json.dumps(bad))
-        with pytest.raises(ValueError):
-            load_fault_specs(doc)
+
+
+@pytest.mark.parametrize("text", [
+    None, b"\xff", "{", "[" * 100_000, "[]", '"x"', '{"faults": 5}',
+    '{"faults": [5]}', '{"faults": [{"kind": "tool_slip"}]}',
+    '{"faults": [{"kind": ["tool_slip"], "repetition": 0}]}',
+    '{"faults": [{"kind": "force_noise", "repetition": 0, "sigma": -1}]}',
+], ids=["unreadable", "not_utf8", "bad_json", "too_deep", "doc_list", "doc_str",
+        "faults_int", "entry_int", "missing_key", "kind_list", "sigma_negative"])
+def test_load_fault_specs_raises_parse_error(tmp_path, text):
+    doc = tmp_path / "faults.json"
+    if isinstance(text, str):
+        doc.write_text(text)
+    elif text is not None:
+        doc.write_bytes(text)
+    with pytest.raises(ParseError, match="^bad fault specification: ") as exc:
+        load_fault_specs(doc)
+    assert "\n" not in str(exc.value)
 
 
 def test_unknown_fault_kind_rejected():

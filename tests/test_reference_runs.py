@@ -27,6 +27,8 @@ import struct
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from dismantle import metrics
 from dismantle.cli import _dry_executor, _graph_summary
 from dismantle.control import BUCKET_N
@@ -90,8 +92,8 @@ def _summary(res) -> dict:
 def _hash_rows(h, rows) -> None:
     for row in rows:
         h.update(f"{row.t_units} {row.controller}\n".encode("utf-8"))
-        h.update(row.u.tobytes())
-        h.update(row.wrench.tobytes())
+        h.update(np.array(row.u_floats).tobytes())
+        h.update(np.array(row.wrench_floats).tobytes())
         h.update(struct.pack("<d", row.feat_err_px))
 
 

@@ -72,11 +72,11 @@ def test_path_ticks_equal_position_and_plant_steps(p0, rv0, offset, goal_rv, nor
     goal = Pose.from_rotvec(vec[:3], vec[3:])
     for row in log.rows:
         u = position_step(goal, state.pose)
-        assert row.u.tobytes() == u.tobytes()
+        assert np.array(row.u_floats).tobytes() == u.tobytes()
         stepped = pose_step(state.pose, u[:3], u[3:], DT)
         state, wrench = plant_step(state, u, DT)
         _assert_same_pose(stepped, state.pose)
-        assert row.wrench.tobytes() == wrench.as_vector().tobytes()
+        assert np.array(row.wrench_floats).tobytes() == wrench.as_vector().tobytes()
     _assert_same_pose(end.pose, state.pose)
 
 
@@ -108,9 +108,9 @@ def test_force_ticks_equal_admittance_and_plant_steps(p0, rv0, twist, hold_rv, n
         # the angular command holds the orientation, as a position step does
         hold = position_step(Pose.from_rotvec(state.pose.position, hold_rv), state.pose)
         u = np.concatenate([axis * u6[0], hold[3:]])
-        assert row.u.tobytes() == u.tobytes()
+        assert np.array(row.u_floats).tobytes() == u.tobytes()
         state, wrench = plant_step(state, u, DT)
-        assert row.wrench.tobytes() == wrench.as_vector().tobytes()
+        assert np.array(row.wrench_floats).tobytes() == wrench.as_vector().tobytes()
     _assert_same_pose(end.pose, state.pose)
 
 
