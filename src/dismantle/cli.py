@@ -23,7 +23,7 @@ from .errors import (ParseError, PlanInfeasible, UnresolvableGoal,
 from .geometry import Pose
 from .metrics import (aggregate, detection_offsets, load_fault_specs,
                       run_experiment, write_tick_csv, RunResult)
-from .model import load_model
+from .model import load_model, read_json
 from .planner import plan_task
 from .skills import (ExecState, SkillName, StepResult, StopKind, interpret)
 
@@ -139,15 +139,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_report(args) -> int:
     runs_path = Path(args.out) / "runs.json"
+    what = f"cannot aggregate {runs_path}"
+    doc = read_json(runs_path, what)
     try:
-        doc = json.loads(runs_path.read_text(encoding="utf-8"))
         mp_count = doc["mp_count"]
         if type(mp_count) is not int or mp_count < 0:
             raise ValueError(f"mp_count must be an int >= 0: {mp_count!r:.40}")
         report = aggregate([RunResult.from_json(e) for e in doc["runs"]], mp_count)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        print(f"error: cannot aggregate {runs_path}: {exc}", file=sys.stderr)
-        return 1
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{what}: {exc}") from None
     print(report.format_table())
     return 0
 

@@ -4,7 +4,9 @@ Three controllers produce velocity commands: a position controller, an
 admittance controller for force tracking (a second-order filter mapping force
 error to velocity, run at 50 Hz) and an image-based visual-servoing controller
 (P-control on pixel feature error through the interaction-matrix pseudo
-inverse, run at 20 Hz; the lower rate models feature-extraction cost).
+inverse, run at 20 Hz; the lower rate models feature-extraction cost).  The
+admittance filter is fixed: ``AdmittanceParams`` has no field and holds the
+``ADM_*`` constants as read-only arrays (``geometry.frozen_copy``).
 
 The plant is a velocity-integrating Cartesian robot over a contact-spring
 environment; it reports the contact wrench, through its force-sensor model
@@ -37,8 +39,8 @@ import numpy as np
 
 from .camera import CX, CY, FOCAL_PX, camera_pose, project
 from .errors import SingularJacobian, SkillTimeout
-from .geometry import (Pose, integrate_twist, pose_error, pose_offset, pose_step,
-                       rotation_offset, unit_orientation_f, vec_dot)
+from .geometry import (Pose, frozen_copy, integrate_twist, pose_error, pose_offset,
+                       pose_step, rotation_offset, unit_orientation_f, vec_dot)
 from .skills import (GRIP_ACTION_S, TOOL_SWAP_S, ControlMode, SkillName,
                      SkillPrimitive, StopKind)
 
@@ -76,22 +78,13 @@ def units(seconds: float) -> int:
 
 @dataclass(frozen=True)
 class AdmittanceParams:
-    """Diagonal mass/damping/stiffness of the force-to-velocity filter."""
+    """Diagonal mass/damping/stiffness of the force-to-velocity filter: the
+    fixed ``ADM_*`` entries on all six axes, at the position-loop rate."""
 
-    mass: np.ndarray = field(default_factory=lambda: np.full(6, ADM_MASS))
-    damping: np.ndarray = field(default_factory=lambda: np.full(6, ADM_DAMPING))
-    stiffness: np.ndarray = field(default_factory=lambda: np.full(6, ADM_STIFFNESS))
-    rate_hz: float = RATE_POS_HZ
-
-    def __post_init__(self):
-        for name in ("mass", "damping", "stiffness"):
-            v = np.array(getattr(self, name), dtype=float)
-            if v.shape != (6,) or np.any(v <= 0.0):
-                raise ValueError(f"{name} must be 6 positive diagonal entries")
-            v.flags.writeable = False
-            object.__setattr__(self, name, v)
-        if self.rate_hz <= 0.0:
-            raise ValueError("rate_hz must be positive")
+    mass = frozen_copy([ADM_MASS] * 6)
+    damping = frozen_copy([ADM_DAMPING] * 6)
+    stiffness = frozen_copy([ADM_STIFFNESS] * 6)
+    rate_hz = RATE_POS_HZ
 
 
 @dataclass(frozen=True)
@@ -100,14 +93,7 @@ class Wrench:
     torque: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        f = np.array(self.force, dtype=float)
-        t = np.array(self.torque, dtype=float)
-        _finite_force(f.flat)
-        _finite_force(t.flat)
-        f.flags.writeable = False
-        t.flags.writeable = False
-        object.__setattr__(self, "force", f)
-        object.__setattr__(self, "torque", t)
+        _check_fields(self, ("force", "torque"), (), ())
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.force, self.torque])
@@ -116,16 +102,15 @@ class Wrench:
 def _check_fields(obj, points: tuple[str, ...], axes: tuple[str, ...],
                   positives: tuple[str, ...]) -> None:
     """Validate and store the named fields of a frozen dataclass: ``points``
-    and ``axes`` as read-only copies of finite 3-vectors, each axis within
+    and ``axes`` as ``frozen_copy``s of finite 3-vectors, each axis within
     1e-6 of unit length and kept unscaled; ``positives`` as finite positive
     floats.  Raises ValueError otherwise."""
     for name in points + axes:
-        v = np.array(getattr(obj, name), dtype=float)
-        if v.shape != (3,) or not np.isfinite(v).all():
+        v = frozen_copy(getattr(obj, name), (3,), name)
+        if not all(map(math.isfinite, v.tolist())):
             raise ValueError(f"{name} must be a finite 3-vector, got {v.tolist()}")
         if name in axes and abs(np.linalg.norm(v) - 1.0) > 1e-6:
             raise ValueError(f"{name} must be a unit vector, got {v.tolist()}")
-        v.flags.writeable = False
         object.__setattr__(obj, name, v)
     for name in positives:
         x = float(getattr(obj, name))
@@ -301,8 +286,8 @@ def _contact_force(p, contacts: tuple[ContactPlane, ...],
 
 
 def _finite_force(force):
-    """``force`` (or a torque; any iterable of floats), after the finiteness
-    check of ``Wrench``."""
+    """``force`` (any iterable of floats), after a check that every entry is
+    finite."""
     if not all(map(math.isfinite, force)):
         raise ValueError("wrench entries must be finite")
     return force

@@ -43,7 +43,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateSpace, UnknownComponent
-from .geometry import quat_matrix, random_rotation
+from .geometry import frozen_copy, quat_matrix, random_rotation
 from .model import (AXIAL_KINDS, AssemblyModel, RelationKind, SpatialRelation,
                     contacts_of)
 
@@ -94,9 +94,7 @@ class DirectionSet:
         if self.mask.shape != (self.directions.shape[0],):
             raise ValueError("mask length must match directions")
         if not _frozen(self.directions):
-            directions = self.directions.copy()
-            directions.flags.writeable = False
-            object.__setattr__(self, "directions", directions)
+            object.__setattr__(self, "directions", frozen_copy(self.directions))
 
     @property
     def n(self) -> int:
@@ -112,9 +110,7 @@ class DirectionSet:
         return bool(self.mask.all())
 
     def with_mask(self, mask: np.ndarray) -> "DirectionSet":
-        mask = np.array(mask, dtype=bool)
-        mask.flags.writeable = False
-        derived = DirectionSet(self.directions, mask)
+        derived = DirectionSet(self.directions, frozen_copy(mask, dtype=bool))
         object.__setattr__(derived, "_memo", self._memo)
         return derived
 
@@ -368,9 +364,7 @@ class MobilityLabel:
         for name in ("axis", "rot_axis"):
             v = getattr(self, name)
             if v is not None:
-                v = np.array(v, dtype=float)
-                v.flags.writeable = False
-                object.__setattr__(self, name, v)
+                object.__setattr__(self, name, frozen_copy(v, (3,), name))
 
     def __str__(self):
         if self.axis is not None:

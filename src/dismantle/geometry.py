@@ -22,6 +22,9 @@ elementwise into a preallocated contiguous float64 array and calls ``.dot``
 on it, the same kernel on the same operands as on a fresh array.  Each thread
 owns its scratch arrays (a ``threading.local``), so no other thread can store
 into them between a caller's stores and its ``.dot``.
+
+Every value type of the package stores each array a caller gives it as a
+``frozen_copy``: a read-only copy, with its shape checked.
 """
 
 from __future__ import annotations
@@ -36,10 +39,15 @@ SMALL_ANGLE = 1e-3  # below this, rotvec <-> quaternion use Taylor series
 ANGLE_WEIGHT_M = 0.1  # meters of pose error per radian of rotation
 
 
-def _as_vec(v, n, name):
-    arr = np.array(v, dtype=float)
-    if arr.shape != (n,):
-        raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
+def frozen_copy(v, shape: tuple | None = None, name: str = "array",
+                dtype=float) -> np.ndarray:
+    """A read-only ``dtype`` copy of ``v``, so neither the caller nor the
+    holder can change the other's values.  Raises ValueError, naming the
+    field ``name``, if ``shape`` is given and the copy has another shape."""
+    arr = np.array(v, dtype=dtype)
+    if shape is not None and arr.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+    arr.flags.writeable = False
     return arr
 
 
@@ -217,19 +225,20 @@ class Pose:
     orientation: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0, 0.0]))
 
     def __post_init__(self):
-        p = _as_vec(self.position, 3, "position")
-        q = _as_vec(self.orientation, 4, "orientation").tolist()
+        p = frozen_copy(self.position, (3,), "position")
+        q = np.array(self.orientation, dtype=float)  # scratch: not kept
+        if q.shape != (4,):
+            raise ValueError(f"orientation must have shape (4,), got {q.shape}")
+        q = q.tolist()
         # a finite entry above 2 already rules out a unit norm; rejecting it
         # here keeps a huge one from overflowing the norm's ddot, which would
         # warn before the error.  A NaN or infinite maximum is left to the
         # finiteness check, which runs before the norm.
         if 2.0 < max(map(abs, q)) < math.inf:
             raise ValueError(f"orientation quaternion not unit norm: {np.array(q)}")
-        q = np.array(unit_orientation_f(p.tolist(), q))
-        p.flags.writeable = False
-        q.flags.writeable = False
         object.__setattr__(self, "position", p)
-        object.__setattr__(self, "orientation", q)
+        object.__setattr__(self, "orientation",
+                           frozen_copy(unit_orientation_f(p.tolist(), q)))
 
     @property
     def rotation(self) -> Rotation:

@@ -9,7 +9,6 @@ and population standard deviations.
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass, field
 
@@ -20,7 +19,7 @@ from .control import (BUCKET_FTC, BUCKET_N, BUCKET_PATH, BUCKET_VSC,
                       Retention, TickRow, run_skill)
 from .errors import (ErrorType, InapplicablePrimitive, ParseError,
                      SingularJacobian, SkillTimeout, UnresolvableGoal)
-from .model import AssemblyModel
+from .model import AssemblyModel, read_json
 from .planner import Plan
 from .skills import (ControlMode, ExecState, SkillName, SkillPrimitive,
                      StepResult, flatten_plans, interpret)
@@ -71,9 +70,8 @@ class FaultSpec:
 def load_fault_specs(path) -> list[FaultSpec]:
     """The faults of a fault file.  Raises ParseError, with one line, if the
     file is unreadable, is not JSON or holds anything but valid faults."""
+    doc = read_json(path, "bad fault specification")
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError("fault file must hold a JSON object")
         specs = []
@@ -83,7 +81,7 @@ def load_fault_specs(path) -> list[FaultSpec]:
             specs.append(FaultSpec(kind=f["kind"], repetition=f["repetition"],
                                    ap_index=f.get("ap_index"),
                                    sigma=f.get("sigma", 6.0)))
-    except (OSError, RecursionError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad fault specification: {exc}") from None
     return specs
 
@@ -156,8 +154,7 @@ class _Executor:
         if (ap.name is SkillName.FINE_POS and ap.component is not None
                 and "feature_dropout" not in hits):
             comp = self.model.component(ap.component)
-            obj_pose = state.object_poses.get(comp.id, comp.pose)
-            tracked = obj_pose.apply(comp.visual_features)
+            tracked = state.pose_of(comp).apply(comp.visual_features)
         if ap.process in ("unscrew", "screw_in", "seat"):
             press = ap.hm.contact_axis
             contacts.append(ContactPlane(point=pos + press * 0.001,

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ParseError, UnknownComponent, ValidationError
-from .geometry import IDENTITY, Pose, normalize
+from .geometry import IDENTITY, Pose, frozen_copy, normalize
 
 FORMAT_VERSION = 1
 
@@ -80,14 +80,11 @@ class FeatureGeometry:
     direction: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
 
     def __post_init__(self):
-        d = np.asarray(self.direction, dtype=float)
-        if d.shape != (3,):
-            raise ValueError(f"direction must be a 3-vector, got {d.shape}")
-        if not abs(np.linalg.norm(d) - 1.0) <= 1e-6:  # also rejects NaN and inf
+        d = frozen_copy(self.direction, (3,), "direction")
+        nrm = np.linalg.norm(d)
+        if not abs(nrm - 1.0) <= 1e-6:  # also rejects NaN and inf
             raise ValueError(f"direction must be a finite unit vector: {d}")
-        d = d / np.linalg.norm(d)
-        d.flags.writeable = False
-        object.__setattr__(self, "direction", d)
+        object.__setattr__(self, "direction", frozen_copy(d / nrm))
 
 
 @dataclass(frozen=True)
@@ -112,9 +109,8 @@ class SpatialRelation:
                 f"{self.kind.value} relation carries incompatible geometry "
                 f"{self.geometry.kind.value}",
                 entity=f"{self.components[0]}-{self.components[1]}")
-        d = normalize(self.direction)
-        d.flags.writeable = False
-        object.__setattr__(self, "direction", d)
+        object.__setattr__(self, "direction",
+                           frozen_copy(normalize(self.direction), (3,), "direction"))
         object.__setattr__(self, "components", tuple(self.components))
 
     def other(self, component_id: str) -> str:
@@ -140,7 +136,7 @@ class Component:
 
     def __post_init__(self):
         if self.visual_features is not None:
-            pts = np.array(self.visual_features, dtype=float)
+            pts = frozen_copy(self.visual_features)
             if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 3:
                 raise ValidationError(
                     "visual_features must be at least 3 three-dimensional points",
@@ -148,7 +144,6 @@ class Component:
             rank = np.linalg.matrix_rank(pts[1:] - pts[0], tol=1e-9)
             if rank < 2:
                 raise ValidationError("visual_features are collinear", entity=self.id)
-            pts.flags.writeable = False
             object.__setattr__(self, "visual_features", pts)
 
     def grasp_pose(self) -> Pose:
@@ -425,13 +420,18 @@ def load_model_dict(doc: dict, path: str = "<dict>") -> AssemblyModel:
     return model
 
 
-def load_model(path) -> AssemblyModel:
+def read_json(path, what: str):
+    """The JSON document in the file at ``path``.  Raises ParseError, with the
+    one line ``what: reason``, if the file cannot be read, is not UTF-8, is
+    not JSON, holds an integer too long to convert or is nested too deep for
+    ``json``."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read scenario: {exc}", path=str(path)) from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
-                         f"{exc.msg}", path=str(path)) from None
-    return load_model_dict(doc, path=str(path))
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ParseError(f"{what}: {exc}") from None
+
+
+def load_model(path) -> AssemblyModel:
+    return load_model_dict(read_json(path, f"{path}: cannot read scenario"),
+                           path=str(path))

@@ -30,7 +30,7 @@ import numpy as np
 
 from .camera import FOCAL_PX, camera_pose, project
 from .errors import ErrorType, UnresolvableGoal
-from .geometry import IDENTITY, Pose, normalize, pose_error
+from .geometry import IDENTITY, Pose, frozen_copy, normalize, pose_error
 from .model import AssemblyModel, Component, Semantic, Tool
 from .planner import PROCESS_KINDS, ManipulationPrimitive, MPKind, Plan
 
@@ -105,20 +105,19 @@ class HybridMove:
     contact_axis: np.ndarray | None = None
 
     def __post_init__(self):
-        sp = np.array(self.setpoint, dtype=float)
+        sp = frozen_copy(self.setpoint)
         if len(self.control) != sp.size:
             raise ValueError("control length must match setpoint length")
         if ControlMode.VSC in self.control and self.task_frame is not TaskFrame.RGBD:
             raise ValueError("visual servoing requires the rgbd task frame")
         if ControlMode.FTC in self.control and self.contact_axis is None:
             raise ValueError("force control requires a declared contact axis")
-        sp.flags.writeable = False
         object.__setattr__(self, "setpoint", sp)
         object.__setattr__(self, "control", tuple(self.control))
         if self.contact_axis is not None:
-            ax = normalize(self.contact_axis)  # ValueError if zero or not finite
-            ax.flags.writeable = False
-            object.__setattr__(self, "contact_axis", ax)
+            # normalize raises ValueError if the axis is zero or not finite
+            object.__setattr__(self, "contact_axis", frozen_copy(
+                normalize(self.contact_axis), (3,), "contact_axis"))
 
 
 @dataclass(frozen=True)
@@ -146,9 +145,7 @@ class StopCondition:
             raise ValueError("tolerance must be positive")
         if self.timeout_s <= 0.0:
             raise ValueError("timeout must be positive")
-        t = np.array(self.target, dtype=float)
-        t.flags.writeable = False
-        object.__setattr__(self, "target", t)
+        object.__setattr__(self, "target", frozen_copy(self.target))
 
 
 @dataclass(frozen=True)
@@ -232,6 +229,10 @@ class ExecState:
     def carried(self) -> str | None:
         return self.held_object if self.held_object is not None else self.retained_on_tool
 
+    def pose_of(self, comp: Component) -> Pose:
+        """Where the component sits now: its tracked pose, else its modeled one."""
+        return self.object_poses.get(comp.id, comp.pose)
+
     @staticmethod
     def initial(model: AssemblyModel,
                 detection_noise: dict[str, np.ndarray] | None = None) -> "ExecState":
@@ -289,17 +290,12 @@ def _station_pose(model: AssemblyModel, tool: Tool) -> Pose:
     return station
 
 
-def _object_pose(state: ExecState, model: AssemblyModel, cid: str) -> Pose:
-    return state.object_poses.get(cid, model.component(cid).pose)
-
-
-def _fetch_pose(comp: Component, state: ExecState, model: AssemblyModel) -> Pose:
+def _fetch_pose(comp: Component, state: ExecState) -> Pose:
     """Tool pose for grasping the component where it currently sits."""
-    return _object_pose(state, model, comp.id).compose(comp.grasp_offset)
+    return state.pose_of(comp).compose(comp.grasp_offset)
 
 
-def _engage_pose(comp: Component, state: ExecState, model: AssemblyModel,
-                 assembly: bool) -> Pose:
+def _engage_pose(comp: Component, state: ExecState, assembly: bool) -> Pose:
     """True tool pose for working on the component.
 
     Disassembly engages the part where it currently sits; assembly engages at
@@ -307,7 +303,7 @@ def _engage_pose(comp: Component, state: ExecState, model: AssemblyModel,
     """
     if assembly:
         return comp.pose.compose(comp.grasp_offset)
-    return _fetch_pose(comp, state, model)
+    return _fetch_pose(comp, state)
 
 
 def _noisy(pose: Pose, offset: np.ndarray | None) -> Pose:
@@ -331,25 +327,17 @@ def _feature_source(comp: Component, model: AssemblyModel, assembly: bool,
             partner = model.component(rel.other(comp.id))
             if partner.visual_features is None:
                 continue
-            current = state.object_poses.get(partner.id, partner.pose)
-            if not current.approx_equal(partner.pose, tol=1e-6):
+            if not state.pose_of(partner).approx_equal(partner.pose, tol=1e-6):
                 continue
             return partner
     return None
 
 
-def _feature_points_world(source: Component, state: ExecState,
-                          model: AssemblyModel) -> np.ndarray:
-    pose = _object_pose(state, model, source.id)
-    return pose.apply(source.visual_features)
-
-
 def _expected_residual_px(noise: np.ndarray | None, source: Component | None,
-                          engage: Pose, state: ExecState,
-                          model: AssemblyModel) -> float:
+                          engage: Pose, state: ExecState) -> float:
     if noise is None or source is None:
         return 0.0
-    pts = _feature_points_world(source, state, model)
+    pts = state.pose_of(source).apply(source.visual_features)
     _, depths = project(pts, camera_pose(engage))
     depth = float(np.mean(np.abs(depths)))
     if depth < 1e-6:
@@ -367,9 +355,8 @@ def _pos_move(name: SkillName, goal: Pose, tool_cmd: ToolCommand = IDLE_TOOL,
     return SkillPrimitive(name, hm, tool_cmd, stop, component=component)
 
 
-def _fine_pos(source: Component, engage: Pose, state: ExecState,
-              model: AssemblyModel) -> SkillPrimitive:
-    pts = _feature_points_world(source, state, model)
+def _fine_pos(source: Component, engage: Pose, state: ExecState) -> SkillPrimitive:
+    pts = state.pose_of(source).apply(source.visual_features)
     f_des, depths = project(pts, camera_pose(engage))
     if np.any(depths <= 0.0):
         raise UnresolvableGoal(
@@ -454,17 +441,16 @@ def _process_aps(mp: ManipulationPrimitive, comp: Component, engage: Pose,
 # ------------------------------------------------------------ decomposition
 
 def _approach(goal: Pose, noise: np.ndarray | None, source: Component | None,
-              cursor: Pose, state: ExecState, model: AssemblyModel,
-              aps: list[SkillPrimitive]) -> Pose:
+              cursor: Pose, state: ExecState, aps: list[SkillPrimitive]) -> Pose:
     """Rough positioning onto the detected goal, then fine positioning on the
     source's features when needed; returns the robot pose afterwards."""
     estimate = _noisy(goal, noise)
     if rule_rough_pos(estimate, cursor):
         aps.append(_pos_move(SkillName.ROUGH_POS, estimate))
         cursor = estimate
-    residual = _expected_residual_px(noise, source, goal, state, model)
+    residual = _expected_residual_px(noise, source, goal, state)
     if rule_fine_pos(source is not None, residual):
-        aps.append(_fine_pos(source, goal, state, model))
+        aps.append(_fine_pos(source, goal, state))
         cursor = goal
     return cursor
 
@@ -506,8 +492,7 @@ def decompose(mp: ManipulationPrimitive,
         else:
             noise = state.detection_noise.get(comp.id)
             source = _feature_source(comp, model, False, state)
-        _approach(_fetch_pose(comp, state, model), noise, source, cursor,
-                  state, model, aps)
+        _approach(_fetch_pose(comp, state), noise, source, cursor, state, aps)
         return aps
 
     if mp.kind is MPKind.PUT:
@@ -526,17 +511,17 @@ def decompose(mp: ManipulationPrimitive,
         held_tool = mp.tool
 
     if rule_get_obj(assembly, carried, mp.component):
-        fetch = _fetch_pose(comp, state, model)
+        fetch = _fetch_pose(comp, state)
         aps.append(_pos_move(SkillName.GET_OBJ, fetch,
                              ToolCommand(held_tool, ToolCmd.CLOSE),
                              component=comp.id))
         cursor = fetch
         carried = comp.id
 
-    engage = _engage_pose(comp, state, model, assembly)
+    engage = _engage_pose(comp, state, assembly)
     cursor = _approach(engage, state.detection_noise.get(comp.id),
                        _feature_source(comp, model, assembly, state), cursor,
-                       state, model, aps)
+                       state, aps)
 
     process = _process_aps(mp, comp, engage, assembly, direction_hint)
     aps.extend(process)

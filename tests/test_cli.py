@@ -56,6 +56,30 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == 1 and "error" in err
 
 
+# files that json cannot turn into a document: nested past the recursion
+# limit, not UTF-8 (a UTF-16 byte-order mark), an integer too long to convert
+UNREADABLE = {"too_deep": b"[" * 100_000, "not_utf8": b"\xff\xfe{\x00}\x00",
+              "long_int": b'{"format_version": ' + b"1" * 5000 + b"}"}
+
+
+@pytest.mark.parametrize("command", ["plan", "decompose", "simulate"])
+@pytest.mark.parametrize("content", UNREADABLE.values(), ids=UNREADABLE.keys())
+def test_unreadable_scenario_is_parse_error(tmp_path, capsys, command, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, out, err = _run(capsys, command, bad, "--samples", 500)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content", UNREADABLE.values(), ids=UNREADABLE.keys())
+def test_unreadable_runs_file_is_parse_error(tmp_path, capsys, content):
+    (tmp_path / "runs.json").write_bytes(content)
+    code, out, err = _run(capsys, "report", "--out", tmp_path)
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot aggregate") and err.count("\n") == 1
+
+
 def test_non_finite_pose_is_parse_error(tmp_path, capsys):
     doc = json.loads((SCENARIOS / "single_screw.json").read_text())
     doc["components"][1]["pose"]["position"][0] = float("nan")

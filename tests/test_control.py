@@ -23,6 +23,19 @@ from dismantle.skills import (AP_TIMEOUT_S, GRIP_ACTION_S, IDLE_TOOL,
 
 # ------------------------------------------------------------- admittance
 
+def test_admittance_params_are_fixed():
+    # the filter the skill loop runs, on all six axes; nothing sets another
+    params = AdmittanceParams()
+    for value, entry in ((params.mass, control.ADM_MASS),
+                         (params.damping, control.ADM_DAMPING),
+                         (params.stiffness, control.ADM_STIFFNESS)):
+        np.testing.assert_array_equal(value, np.full(6, entry))
+        assert not value.flags.writeable
+    assert params.rate_hz == control.RATE_POS_HZ
+    with pytest.raises(TypeError):
+        AdmittanceParams(mass=np.full(6, 2.0))
+
+
 def test_admittance_zero_error_converges_to_zero():
     params = AdmittanceParams()
     filt = (np.full(6, 0.05), np.zeros(6))  # disturbed start, zero input

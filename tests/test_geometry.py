@@ -7,12 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dismantle.control import AdmittanceParams, ContactPlane, Retention, Wrench
+from dismantle.control import ContactPlane, Retention, Wrench
 from dismantle.dspace import DirectionSet, Mobility, MobilityLabel
 from dismantle.geometry import (IDENTITY, Pose, normalize, pose_step, quat_apply,
                                 quat_from_rotvec_f, quat_matrix, quat_multiply_f,
                                 quat_to_rotvec_f)
-from dismantle.model import Component, Semantic
+from dismantle.model import (Component, FeatureGeometry, GeometryKind, RelationKind,
+                             Semantic, SpatialRelation)
 from dismantle.skills import (ControlMode, HybridMove, StopCondition, StopKind,
                               TaskFrame)
 
@@ -215,38 +216,63 @@ def test_large_orientation_entry_rejected_without_warning(orientation, message):
 
 
 def _with_mask(arr):
-    DirectionSet(np.eye(3), np.ones(3, dtype=bool)).with_mask(arr)
+    return DirectionSet(np.eye(3), np.ones(3, dtype=bool)).with_mask(arr).mask
+
+
+def _direction_set(arr):
+    return DirectionSet(arr, np.ones(len(arr), dtype=bool)).directions
 
 
 def _hybrid_move(arr):
-    HybridMove(TaskFrame.WORLD, (ControlMode.POS,) * 6, arr)
+    return HybridMove(TaskFrame.WORLD, (ControlMode.POS,) * 6, arr).setpoint
+
+
+def _contact_axis(arr):
+    return HybridMove(TaskFrame.TCP, (ControlMode.FTC,) * 3 + (ControlMode.POS,) * 3,
+                      np.zeros(6), contact_axis=arr).contact_axis
 
 
 def _stop_condition(arr):
-    StopCondition(StopKind.POSE_REACHED, arr, 1e-3)
+    return StopCondition(StopKind.POSE_REACHED, arr, 1e-3).target
+
+
+def _spatial_relation(arr):
+    return SpatialRelation(RelationKind.PLANE_CONTACT, ("a", "b"),
+                           FeatureGeometry(GeometryKind.PLANE), arr).direction
 
 
 @pytest.mark.parametrize("build, arr", [
-    (lambda a: Pose(a), np.array([0.1, 0.2, 0.3])),
-    (lambda a: Pose(np.zeros(3), a), np.array([1.0, 0.0, 0.0, 0.0])),
+    (lambda a: Pose(a).position, np.array([0.1, 0.2, 0.3])),
+    (lambda a: Pose(np.zeros(3), a).orientation, np.array([1.0, 0.0, 0.0, 0.0])),
     (_with_mask, np.array([True, False, True])),
+    (_direction_set, np.eye(3)),
     (_hybrid_move, np.array([0.1, 0.2, 0.3, 0.0, 0.0, 0.1])),
+    (_contact_axis, np.array([0.0, 0.0, -1.0])),
     (_stop_condition, np.array([0.1, 0.2, 0.3, 0.0, 0.0, 0.1])),
-    (lambda a: Wrench(a), np.array([1.0, 2.0, 3.0])),
-    (lambda a: AdmittanceParams(mass=a), np.full(6, 2.0)),
-    (lambda a: ContactPlane(a, np.array([0.0, 0.0, 1.0])), np.array([0.1, 0.2, 0.3])),
-    (lambda a: ContactPlane(np.zeros(3), a), np.array([0.0, 0.6, 0.8])),
-    (lambda a: Retention(a, np.array([0.0, 0.0, 1.0])), np.array([0.1, 0.2, 0.3])),
-    (lambda a: Retention(np.zeros(3), a), np.array([0.0, 0.6, 0.8])),
-    (lambda a: MobilityLabel(Mobility.LIN, axis=a), np.array([0.0, 0.0, 1.0])),
-    (lambda a: Component(id="c", semantic=Semantic.GENERIC_GRASPABLE, visual_features=a),
+    (lambda a: Wrench(a).force, np.array([1.0, 2.0, 3.0])),
+    (lambda a: ContactPlane(a, np.array([0.0, 0.0, 1.0])).point,
+     np.array([0.1, 0.2, 0.3])),
+    (lambda a: ContactPlane(np.zeros(3), a).normal, np.array([0.0, 0.6, 0.8])),
+    (lambda a: Retention(a, np.array([0.0, 0.0, 1.0])).anchor, np.array([0.1, 0.2, 0.3])),
+    (lambda a: Retention(np.zeros(3), a).axis, np.array([0.0, 0.6, 0.8])),
+    (lambda a: MobilityLabel(Mobility.LIN, axis=a).axis, np.array([0.0, 0.0, 1.0])),
+    (lambda a: FeatureGeometry(GeometryKind.LINE, direction=a).direction,
+     np.array([0.0, 0.6, 0.8])),
+    (_spatial_relation, np.array([0.0, 0.0, 1.0])),
+    (lambda a: Component(id="c", semantic=Semantic.GENERIC_GRASPABLE,
+                         visual_features=a).visual_features,
      np.array([[0.0, 0.0, 0.0], [0.01, 0.0, 0.0], [0.0, 0.01, 0.0]])),
-], ids=["pose.position", "pose.orientation", "with_mask", "hybrid_move",
-        "stop_condition", "wrench", "admittance", "contact_plane.point",
-        "contact_plane.normal", "retention.anchor", "retention.axis", "mobility_label",
+], ids=["pose.position", "pose.orientation", "with_mask", "direction_set",
+        "hybrid_move", "hybrid_move.contact_axis", "stop_condition", "wrench",
+        "contact_plane.point", "contact_plane.normal", "retention.anchor",
+        "retention.axis", "mobility_label", "feature_geometry", "spatial_relation",
         "component.visual_features"])
 def test_constructors_leave_caller_arrays_writeable(build, arr):
     before = arr.copy()
-    build(arr)
+    stored = build(arr)
     assert arr.flags.writeable
     np.testing.assert_array_equal(arr, before)
+    # the value keeps a read-only copy of its own
+    assert not stored.flags.writeable
+    assert stored is not arr and not np.shares_memory(stored, arr)
+    np.testing.assert_array_equal(stored, before)
