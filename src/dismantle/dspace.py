@@ -6,14 +6,19 @@ each direction's score against the contact direction, and multi-contact
 intersections AND the masks together, so the whole pipeline is O(n) in the
 number of sampled directions.
 
-Each sphere memoizes its per-contact masks: the first request for a predicate
-(half space or cone) about an oriented direction scores the sample, later ones
-reuse the mask, so a contact is scored once per sphere however often its
-component's space is asked for.  A cone's mask also serves the opposite axis.
-The memo stores each mask packed to one bit per direction (n / 8 bytes), is
-shared by every set ``with_mask`` derives from the sphere, and lives as long
-as the sphere.  The sphere's directions are read-only, so a stored mask
-cannot go stale.
+Each sphere memoizes its per-contact masks, packed to one bit per direction
+(n / 8 bytes).  A space request scores the contacts the memo lacks in one
+pass, and one score s = direction . d gives the masks of both sides of a
+contact: s >= -EPS_ANG is d's half space and s <= EPS_ANG is -d's, because
+directions @ -d is -(directions @ d) bit for bit, and a cone's |s| serves d and
+-d alike.  Each chunk's bools are packed straight into the chunk's bytes of
+the entry, and the entries reach the memo only once the whole pass has
+succeeded.  So a contact is scored once per sphere, however often either side's
+space is asked for.  A space is the AND of its packed entries, unpacked once
+and ANDed with the set's mask; a screwed contact makes it empty and nothing is
+scored.  The memo is shared by every set ``with_mask`` derives from the
+sphere, and lives as long as the sphere.  The sphere's directions are
+read-only, so a stored mask cannot go stale.
 
 Sampling the sphere and scoring it against a contact both run by chunks of
 2^15 rows (``_by_chunks``), spread over the CPUs the process may run on: the
@@ -28,9 +33,10 @@ BLAS call and ufunc sees the same operands however many workers there are,
 and each element goes through the same operations as in one full-size pass
 (``tests/test_dspace.py`` keeps that pass as the oracle).
 
-Classification first tests a few evenly spaced members pairwise: two of them
-farther apart than one cone can hold prove the space is not a cone, so the
-principal-axis pass over all members runs only for spaces that may be one.
+Classification first tests a few members pairwise, the first at or after
+each of a few evenly spaced indices: two of them farther apart than one cone
+can hold prove the space is not a cone, so the members are listed and the
+principal-axis pass over them runs only for spaces that may be one.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
 
 import numpy as np
 
@@ -110,7 +117,13 @@ class DirectionSet:
         return bool(self.mask.all())
 
     def with_mask(self, mask: np.ndarray) -> "DirectionSet":
-        derived = DirectionSet(self.directions, frozen_copy(mask, dtype=bool))
+        return self._owning(frozen_copy(mask, dtype=bool))
+
+    def _owning(self, mask: np.ndarray) -> "DirectionSet":
+        """A set over this sample and memo that takes ``mask``, a fresh bool
+        array no caller holds, and freezes it in place."""
+        mask.flags.writeable = False
+        derived = DirectionSet(self.directions, mask)
         object.__setattr__(derived, "_memo", self._memo)
         return derived
 
@@ -240,6 +253,52 @@ def oriented_direction(relation: SpatialRelation, component_id: str) -> np.ndarr
     raise UnknownComponent(component_id)
 
 
+# predicate -> (whether a score is its absolute value, the test of a score s
+# that admits the scored direction d, the test that admits -d).  directions @ -d
+# is -(directions @ d) bit for bit, so -d's half space is s <= EPS_ANG; a
+# cone's |s| is the same for both, so its mask serves -d as it is (None).
+_PREDICATES = {
+    "half": (False, (np.greater_equal, -EPS_ANG), (np.less_equal, EPS_ANG)),
+    "cone": (True, (np.greater_equal, np.cos(EPS_CONE)), None),
+}
+_PREDICATE = {RelationKind.PLANE_CONTACT: "half", RelationKind.CONGRUENT: "half",
+              RelationKind.CONCENTRIC: "cone"}
+
+
+def _score_pass(dirs: DirectionSet, jobs: list) -> None:
+    """Score the sample against every job's direction in one chunked pass.
+
+    A job is ``(direction, absolute, tests)``.  Per chunk ``[lo, hi)`` its
+    scores go to the share's scratch (their absolute values if ``absolute``),
+    and each test ``(compare, bound, store)`` compares them with ``bound``
+    into a bool scratch and hands that to ``store(bools, lo, hi)``.  The only
+    scoring kernel: ``admissible_indices`` and the memo both run it.
+    """
+    directions = dirs.directions
+
+    def fill(buf, lo, hi):
+        scores, bools = buf[0], buf[1].view(bool)[:hi - lo]
+        for direction, absolute, tests in jobs:
+            np.matmul(directions[lo:hi], direction, out=scores)
+            if absolute:
+                np.abs(scores, out=scores)
+            for compare, bound, store in tests:
+                store(compare(scores, bound, out=bools), lo, hi)
+
+    _by_chunks(dirs.n, 2, fill)
+
+
+def _packing_into(packed: np.ndarray):
+    """A ``store`` that packs a chunk's bools into its bytes of ``packed``.
+
+    Chunk starts are multiples of 8, so chunk ``[lo, hi)`` owns the bytes
+    ``[lo / 8, ceil(hi / 8))`` and no two chunks write the same byte.
+    """
+    def store(bools, lo, hi):
+        packed[lo >> 3:(hi + 7) >> 3] = np.packbits(bools)
+    return store
+
+
 def admissible_indices(kind: RelationKind, direction: np.ndarray,
                        dirs: DirectionSet) -> np.ndarray:
     """Boolean ``(n,)`` mask of the samples admissible under one contact.
@@ -250,27 +309,19 @@ def admissible_indices(kind: RelationKind, direction: np.ndarray,
     blocks translation until a twist converts the joint.  The mask is a fresh
     writable array and ignores ``dirs.mask``; numpy accepts it as an index.
 
-    Each chunk's scores go to its share's scratch and are compared from
-    there straight into the mask, the only full-size array made.
+    The scores come from the memo's kernel (``_score_pass``) and are the
+    same bytes, but this function neither reads nor fills the memo.
     """
     if kind is RelationKind.SCREWED:
         return np.zeros(dirs.n, dtype=bool)
-    if kind in (RelationKind.PLANE_CONTACT, RelationKind.CONGRUENT):
-        bound, cone = -EPS_ANG, False
-    elif kind is RelationKind.CONCENTRIC:
-        bound, cone = np.cos(EPS_CONE), True
-    else:
-        raise ValueError(f"unhandled relation kind: {kind}")
-    direction = np.asarray(direction, dtype=float)
+    absolute, (compare, bound), _ = _PREDICATES[_PREDICATE[kind]]
     mask = np.empty(dirs.n, dtype=bool)
 
-    def fill(buf, lo, hi):
-        scores = np.matmul(dirs.directions[lo:hi], direction, out=buf[0])
-        if cone:
-            np.abs(scores, out=scores)
-        np.greater_equal(scores, bound, out=mask[lo:hi])
+    def store(bools, lo, hi):
+        mask[lo:hi] = bools
 
-    _by_chunks(dirs.n, 1, fill)
+    _score_pass(dirs, [(np.asarray(direction, dtype=float), absolute,
+                        [(compare, bound, store)])])
     return mask
 
 
@@ -282,43 +333,57 @@ def intersect_spaces(index_sets: list[np.ndarray], dirs: DirectionSet) -> Direct
     mask = dirs.mask.copy()
     for idx in index_sets:
         mask &= idx
-    return dirs.with_mask(mask)
+    return dirs._owning(mask)
 
 
-_PREDICATE = {RelationKind.PLANE_CONTACT: "half", RelationKind.CONGRUENT: "half",
-              RelationKind.CONCENTRIC: "cone"}
+def _fill_memo(requests: list[tuple[tuple, np.ndarray]], dirs: DirectionSet) -> None:
+    """Score, in one pass, every ``(key, direction)`` the memo lacks.
 
-
-def _contact_mask(kind: RelationKind, direction: np.ndarray,
-                  dirs: DirectionSet) -> np.ndarray:
-    """``admissible_indices``, looked up in or stored to the sphere's memo."""
-    predicate = _PREDICATE.get(kind)
-    if predicate is None:  # screwed: the all-false mask is cheap to build
-        return admissible_indices(kind, direction, dirs)
-    direction = np.asarray(direction, dtype=float)
-    key = (predicate, direction.tobytes())
-    packed = dirs._memo.get(key)
-    if packed is not None:
-        return np.unpackbits(packed, count=dirs.n).view(bool)
-    mask = admissible_indices(kind, direction, dirs)
-    packed = np.packbits(mask)
-    dirs._memo[key] = packed
-    if predicate == "cone":
-        # directions @ -d is -(directions @ d) bit for bit and the cone test
-        # takes the absolute value, so the opposite axis has the same mask
-        dirs._memo[(predicate, (-direction).tobytes())] = packed
-    return mask
+    Each scored direction gives the entries of both d and -d.  The entries
+    go to the memo only once the whole pass has succeeded.
+    """
+    entries = {}
+    jobs = []
+    nbytes = -(-dirs.n // 8)
+    for key, direction in requests:
+        if key in dirs._memo or key in entries:
+            continue
+        absolute, test, opposite = _PREDICATES[key[0]]
+        packed = entries[key] = np.empty(nbytes, dtype=np.uint8)
+        tests = [(*test, _packing_into(packed))]
+        if opposite is not None:
+            packed = np.empty(nbytes, dtype=np.uint8)
+            tests.append((*opposite, _packing_into(packed)))
+        entries[(key[0], (-direction).tobytes())] = packed
+        jobs.append((direction, absolute, tests))
+    if jobs:
+        _score_pass(dirs, jobs)
+        dirs._memo.update(entries)
 
 
 def space_from_contacts(contacts: list[tuple[RelationKind, np.ndarray]],
                         dirs: DirectionSet) -> DirectionSet:
     """Aggregate space for pre-oriented (kind, direction) contact predicates.
 
-    Each contact's mask comes from the sphere's memo, so a contact already
-    scored on this sphere is not scored again.
+    A screwed contact makes the space empty, and nothing is scored.
+    Otherwise the contacts missing from the sphere's memo are scored in one
+    pass, so a contact already scored on this sphere, or its opposite side,
+    is not scored again.  The packed entries are ANDed, unpacked once and
+    ANDed with ``dirs.mask`` into a mask the returned set owns.
     """
-    sets = [_contact_mask(kind, direction, dirs) for kind, direction in contacts]
-    return intersect_spaces(sets, dirs)
+    if any(kind is RelationKind.SCREWED for kind, _ in contacts):
+        return dirs._owning(np.zeros(dirs.n, dtype=bool))
+    requests = []
+    for kind, direction in contacts:
+        direction = np.asarray(direction, dtype=float)
+        requests.append(((_PREDICATE[kind], direction.tobytes()), direction))
+    _fill_memo(requests, dirs)
+    if not requests:
+        return dirs._owning(dirs.mask.copy())
+    packed = reduce(np.bitwise_and, [dirs._memo[key] for key, _ in requests])
+    mask = np.unpackbits(packed, count=dirs.n).view(bool)
+    mask &= dirs.mask
+    return dirs._owning(mask)
 
 
 def disassembly_space(model: AssemblyModel, component_id: str,
@@ -390,6 +455,25 @@ _PAIR_DOT_MIN = np.cos(2.0 * (EPS_CONE + CONE_SLACK)) - 1e-9
 _PROBES = 8  # evenly spaced members tested pairwise before the axis pass
 
 
+def _probe_indices(mask: np.ndarray) -> list[int]:
+    """For each of ``_PROBES`` evenly spaced starts, the first member at or
+    after it, or the first member if there is none; ``mask`` has a member.
+
+    A bool ``argmax`` stops at the first True.  Each search resumes where
+    the last one stopped, as no member lies between a start and the member
+    found for the start before it, so at most n entries are read.
+    """
+    picks = []
+    k = 0
+    for start in np.arange(_PROBES) * mask.size // _PROBES:
+        k = max(k, int(start))
+        k += int(mask[k:].argmax())
+        if not mask[k]:  # no member from here on
+            break
+        picks.append(k)
+    return picks + picks[:1] * (_PROBES - len(picks))
+
+
 def classify_sdof(space: DirectionSet,
                   contacts: list[SpatialRelation]) -> MobilityLabel:
     """Map a computed space plus its contact kinds to a mobility label.
@@ -405,12 +489,11 @@ def classify_sdof(space: DirectionSet,
     if space.is_full():
         return MobilityLabel(Mobility.FREE)
 
-    idx = np.flatnonzero(space.mask)
-    probe = space.directions[idx[np.arange(_PROBES) * idx.size // _PROBES]]
     # two probes too far apart for one cone rule out every axis, so the
     # principal-axis pass over all members is needed only when none are
+    probe = space.directions[_probe_indices(space.mask)]
     if np.all(np.abs(probe @ probe.T) >= _PAIR_DOT_MIN):
-        members = space.directions[idx]
+        members = space.directions[np.flatnonzero(space.mask)]
         axis = _principal_axis(members)
         dots = members @ axis
         cone = np.cos(EPS_CONE + CONE_SLACK)

@@ -402,21 +402,27 @@ def test_warm_memo_changes_nothing(valve_model, which):
     assert DirectionSet(warm.directions, warm.mask)._memo == {}
 
 
+def _count_passes(monkeypatch):
+    """Patch the scoring kernel to record the number of jobs of each pass."""
+    passes = []
+    score_pass = dspace._score_pass
+
+    def counted(dirs, jobs):
+        passes.append(len(jobs))
+        return score_pass(dirs, jobs)
+
+    monkeypatch.setattr(dspace, "_score_pass", counted)
+    return passes
+
+
 def test_memo_scores_each_contact_once(monkeypatch, valve_model):
-    from dismantle import dspace
-    calls = []
-
-    def counted(*args):
-        calls.append(args[0])
-        return admissible_indices(*args)
-
-    monkeypatch.setattr(dspace, "admissible_indices", counted)
+    passes = _count_passes(monkeypatch)
     dirs = sample_sphere(1001, seed=0)
     first = disassembly_space(valve_model, "hose", dirs)
-    assert calls
-    calls.clear()
+    assert passes
+    passes.clear()
     second = disassembly_space(valve_model, "hose", dirs)
-    assert calls == []
+    assert passes == []
     assert np.array_equal(first.mask, second.mask)
     assert dirs._memo
     for packed in dirs._memo.values():
@@ -424,23 +430,156 @@ def test_memo_scores_each_contact_once(monkeypatch, valve_model):
 
 
 def test_cone_memo_serves_the_opposite_axis(monkeypatch):
-    from dismantle import dspace
-    calls = []
-
-    def counted(*args):
-        calls.append(args[0])
-        return admissible_indices(*args)
-
-    monkeypatch.setattr(dspace, "admissible_indices", counted)
+    passes = _count_passes(monkeypatch)
     dirs = sample_sphere(100_000, seed=2)
     rng = np.random.default_rng(5)
     for axis in [np.array([0.0, 0.0, 1.0])] + [random_unit(rng) for _ in range(5)]:
-        calls.clear()
+        passes.clear()
         space_from_contacts([(RelationKind.CONCENTRIC, axis)], dirs)
         got = space_from_contacts([(RelationKind.CONCENTRIC, -axis)], dirs).mask
-        assert len(calls) == 1
+        assert len(passes) == 1
         assert np.array_equal(got, admissible_indices(RelationKind.CONCENTRIC,
                                                       -axis, dirs))
+
+
+@pytest.mark.parametrize("kind", [RelationKind.PLANE_CONTACT, RelationKind.CONGRUENT])
+def test_half_memo_serves_the_opposite_side(monkeypatch, kind):
+    passes = _count_passes(monkeypatch)
+    dirs = sample_sphere(100_000, seed=2)
+    rng = np.random.default_rng(6)
+    for d in [np.array([0.0, 0.0, 1.0])] + [random_unit(rng) for _ in range(5)]:
+        passes.clear()
+        space_from_contacts([(RelationKind.PLANE_CONTACT, d)], dirs)
+        got = space_from_contacts([(kind, -d)], dirs).mask
+        assert passes == [1]
+        assert got.tobytes() == admissible_indices(RelationKind.PLANE_CONTACT,
+                                                   -d, dirs).tobytes()
+
+
+def test_one_pass_scores_each_missing_contact_once(monkeypatch):
+    passes = _count_passes(monkeypatch)
+    dirs = sample_sphere(1000, seed=1)
+    up, east = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
+    contacts = [(RelationKind.PLANE_CONTACT, up), (RelationKind.CONGRUENT, -up),
+                (RelationKind.CONCENTRIC, east), (RelationKind.CONCENTRIC, -east),
+                (RelationKind.PLANE_CONTACT, up)]
+    space_from_contacts(contacts, dirs)
+    # one pass with one job for each of the two lines; -up and -east come free
+    assert passes == [2]
+    assert len(dirs._memo) == 4
+    passes.clear()
+    space_from_contacts([(RelationKind.PLANE_CONTACT, -east), *contacts], dirs)
+    assert passes == [1]
+    # a screwed contact empties the space before anything is scored
+    passes.clear()
+    north = np.array([0.0, 1.0, 0.0])
+    space = space_from_contacts([(RelationKind.PLANE_CONTACT, north),
+                                 (RelationKind.SCREWED, up)], dirs)
+    assert passes == [] and space.is_empty()
+    assert ("half", north.tobytes()) not in dirs._memo
+
+
+EDGE_SIZES = [1, 7, 8, 9, C - 1, C, C + 1, C + 2, 2 * C + 9, 100_003]
+_KINDS = (RelationKind.PLANE_CONTACT, RelationKind.CONGRUENT,
+          RelationKind.CONCENTRIC)
+
+
+def _oracle_space(contacts, dirs):
+    """The AND of the one-pass oracle masks with ``dirs.mask``."""
+    mask = dirs.mask.copy()
+    for kind, d in contacts:
+        if kind is RelationKind.SCREWED:
+            mask[:] = False
+        else:
+            mask &= _admissible_oracle(kind, d, dirs)
+    return mask
+
+
+@pytest.mark.parametrize("one_cpu", [True, False], ids=["one_cpu", "usable_cpus"])
+@pytest.mark.parametrize("n", EDGE_SIZES)
+def test_memo_entries_equal_packed_oracle_at_chunk_and_byte_edges(monkeypatch, n,
+                                                                  one_cpu):
+    if one_cpu:
+        monkeypatch.setattr(dspace, "_usable_cpus", lambda: 1)
+    rng = np.random.default_rng(n)
+    dirs = sample_sphere(n, seed=n % 11)
+    for d in (random_unit(rng), random_unit(rng)):
+        half, cone = random_unit(rng), random_unit(rng)
+        space_from_contacts([(RelationKind.PLANE_CONTACT, half),
+                             (RelationKind.CONCENTRIC, cone)], dirs)
+        for kind, predicate, e in ((RelationKind.PLANE_CONTACT, "half", half),
+                                   (RelationKind.CONCENTRIC, "cone", cone)):
+            for side in (e, -e):
+                want = np.packbits(_admissible_oracle(kind, side, dirs))
+                got = dirs._memo[(predicate, side.tobytes())]
+                assert got.tobytes() == want.tobytes(), (kind, n)
+
+    derived = dirs.with_mask(rng.random(n) < 0.7)
+    for _ in range(12):
+        contacts = [(_KINDS[int(rng.integers(0, 3))], random_unit(rng))
+                    for _ in range(int(rng.integers(1, 5)))]
+        if rng.random() < 0.25:
+            contacts.insert(int(rng.integers(0, len(contacts) + 1)),
+                            (RelationKind.SCREWED, random_unit(rng)))
+        space = space_from_contacts(contacts, derived)
+        assert space.mask.dtype == bool and not space.mask.flags.writeable
+        assert space.mask.tobytes() == _oracle_space(contacts, derived).tobytes()
+        assert space._memo is dirs._memo
+
+
+def test_memo_entries_at_the_admissible_boundaries():
+    """Both sides of each memo entry equal the oracle on rows whose score
+    sits on, and one ulp either side of, every boundary of d and of -d."""
+    c = np.cos(EPS_CONE)
+    z = np.concatenate([[np.nextafter(b, -2.0), b, np.nextafter(b, 2.0)]
+                        for b in (EPS_ANG, -EPS_ANG, c, -c)])
+    rows = np.column_stack([np.sqrt(1.0 - z * z), np.zeros_like(z), z])
+    for up in (np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])):
+        for kind, predicate in ((RelationKind.PLANE_CONTACT, "half"),
+                                (RelationKind.CONCENTRIC, "cone")):
+            dirs = DirectionSet(rows, np.ones(len(z), dtype=bool))
+            space_from_contacts([(kind, up)], dirs)
+            for side in (up, -up):
+                oracle = _admissible_oracle(kind, side, dirs)
+                assert oracle.tolist() == admissible_indices(kind, side, dirs).tolist()
+                got = dirs._memo[(predicate, side.tobytes())]
+                assert got.tobytes() == np.packbits(oracle).tobytes(), (kind, side)
+
+
+def test_failed_pass_leaves_no_memo_entry(monkeypatch):
+    monkeypatch.setattr(dspace, "_usable_cpus", lambda: 2)
+    n = 3 * C + 7
+    dirs = sample_sphere(n, seed=9)
+    rng = np.random.default_rng(9)
+    kept = random_unit(rng)
+    space_from_contacts([(RelationKind.PLANE_CONTACT, kept)], dirs)
+    before = dict(dirs._memo)
+    contacts = [(RelationKind.PLANE_CONTACT, kept),
+                (RelationKind.CONGRUENT, random_unit(rng)),
+                (RelationKind.CONCENTRIC, random_unit(rng))]
+    chunked = dspace._by_chunks
+
+    def worker_chunk_fails(n, rows, fill):
+        def failing(buf, lo, hi):
+            if lo == C:  # share 1's first chunk, on the worker thread
+                raise MemoryError("mid-pass")
+            fill(buf, lo, hi)
+        chunked(n, rows, failing)
+
+    monkeypatch.setattr(dspace, "_by_chunks", worker_chunk_fails)
+    with pytest.raises(MemoryError, match="mid-pass"):
+        space_from_contacts(contacts, dirs)
+    assert dirs._memo.keys() == before.keys()
+    assert all(dirs._memo[k] is v for k, v in before.items())
+
+    monkeypatch.setattr(dspace, "_by_chunks", chunked)
+    space = space_from_contacts(contacts, dirs)
+    assert space.mask.tobytes() == _oracle_space(contacts, dirs).tobytes()
+    for kind, d in contacts[1:]:
+        predicate = "cone" if kind is RelationKind.CONCENTRIC else "half"
+        for side in (d, -d):
+            want = np.packbits(_admissible_oracle(kind, side, dirs))
+            assert dirs._memo[(predicate, side.tobytes())].tobytes() == want.tobytes()
 
 
 def _read_only_view(a):
@@ -576,7 +715,9 @@ def _outcome(classify, space, contacts):
 def _test_masks(dirs, rng):
     """Caps, antipodal double caps, bands and wedges around a random axis,
     with the cap half-angles on both sides of the 7 degree classification
-    cone and of twice it."""
+    cone and of twice it; masks whose members all lie in the first or in the
+    last eighth of the index range, where most probe starts find no member
+    at or after them; and one-member masks at either end."""
     a = random_unit(rng)
     dots = dirs.directions @ a
     masks = {}
@@ -594,6 +735,14 @@ def _test_masks(dirs, rng):
         few = np.zeros(dirs.n, dtype=bool)
         few[nearest[:k]] = True
         masks[f"{k} nearest"] = few
+    index = np.arange(dirs.n)
+    eighth = dirs.n // 8
+    for name, part, end in (("first", index < eighth, 0),
+                            ("last", index >= dirs.n - eighth, dirs.n - 1)):
+        masks[f"{name} eighth"] = part
+        masks[f"{name} eighth, cap 6.5"] = part & (
+            dirs.directions @ dirs.directions[end] >= np.cos(np.deg2rad(6.5)))
+        masks[f"{name} eighth, member {end} only"] = index == end
     return a, masks
 
 
@@ -614,7 +763,7 @@ def test_classify_cone_pretest_matches_full_pass(n):
                 expected = _outcome(_classify_all_members, space, contacts)
                 assert _outcome(classify_sdof, space, contacts) == expected, name
                 checked += 1
-    assert checked == 3 * 23 * 3
+    assert checked == 3 * 29 * 3
 
 
 # ---------------------------------------------------------------- graph
