@@ -478,7 +478,6 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
                 if feat_err <= tolerance:
                     break
         elif force_stop:
-            assert press_axis is not None
             err = abs(pressed - stop_force)
             if err > 2.0 * tolerance:
                 stop_armed = True

@@ -33,6 +33,10 @@ BLAS call and ufunc sees the same operands however many workers there are,
 and each element goes through the same operations as in one full-size pass
 (``tests/test_dspace.py`` keeps that pass as the oracle).
 
+Only this module decides what a contact kind admits: ``_PREDICATES`` holds
+each kind's test and margin, and ``best_direction`` chooses from them the
+extraction direction the planner records for a component.
+
 Classification first tests a few members pairwise, the first at or after
 each of a few evenly spaced indices: two of them farther apart than one cone
 can hold prove the space is not a cone, so the members are listed and the
@@ -254,12 +258,14 @@ def oriented_direction(relation: SpatialRelation, component_id: str) -> np.ndarr
 
 
 # predicate -> (whether a score is its absolute value, the test of a score s
-# that admits the scored direction d, the test that admits -d).  directions @ -d
-# is -(directions @ d) bit for bit, so -d's half space is s <= EPS_ANG; a
-# cone's |s| is the same for both, so its mask serves -d as it is (None).
+# that admits the scored direction d, the test that admits -d, the score at
+# which a direction's clearance margin is zero).  directions @ -d is
+# -(directions @ d) bit for bit, so -d's half space is s <= EPS_ANG; a cone's
+# |s| is the same for both, so its mask serves -d as it is (None).  A half
+# space's margin is s itself, and a cone's is |s| - cos(EPS_CONE).
 _PREDICATES = {
-    "half": (False, (np.greater_equal, -EPS_ANG), (np.less_equal, EPS_ANG)),
-    "cone": (True, (np.greater_equal, np.cos(EPS_CONE)), None),
+    "half": (False, (np.greater_equal, -EPS_ANG), (np.less_equal, EPS_ANG), 0.0),
+    "cone": (True, (np.greater_equal, np.cos(EPS_CONE)), None, np.cos(EPS_CONE)),
 }
 _PREDICATE = {RelationKind.PLANE_CONTACT: "half", RelationKind.CONGRUENT: "half",
               RelationKind.CONCENTRIC: "cone"}
@@ -314,7 +320,7 @@ def admissible_indices(kind: RelationKind, direction: np.ndarray,
     """
     if kind is RelationKind.SCREWED:
         return np.zeros(dirs.n, dtype=bool)
-    absolute, (compare, bound), _ = _PREDICATES[_PREDICATE[kind]]
+    absolute, (compare, bound), _, _ = _PREDICATES[_PREDICATE[kind]]
     mask = np.empty(dirs.n, dtype=bool)
 
     def store(bools, lo, hi):
@@ -348,7 +354,7 @@ def _fill_memo(requests: list[tuple[tuple, np.ndarray]], dirs: DirectionSet) -> 
     for key, direction in requests:
         if key in dirs._memo or key in entries:
             continue
-        absolute, test, opposite = _PREDICATES[key[0]]
+        absolute, test, opposite, _ = _PREDICATES[key[0]]
         packed = entries[key] = np.empty(nbytes, dtype=np.uint8)
         tests = [(*test, _packing_into(packed))]
         if opposite is not None:
@@ -384,6 +390,43 @@ def space_from_contacts(contacts: list[tuple[RelationKind, np.ndarray]],
     mask = np.unpackbits(packed, count=dirs.n).view(bool)
     mask &= dirs.mask
     return dirs._owning(mask)
+
+
+NEAR_TIE_MARGIN = 1e-3  # below lattice resolution at the default sample count
+
+
+def best_direction(contacts: list[tuple[RelationKind, np.ndarray]],
+                   dirs: DirectionSet) -> np.ndarray | None:
+    """Extraction direction maximizing the minimum clearance margin, or None
+    if the space of the pre-oriented (kind, direction) contacts is empty.
+
+    Margin per contact: distance of the direction score from the edge of the
+    contact's admissible set (``_PREDICATES``).  Candidates whose margins
+    differ by less than the lattice resolution count as tied; ties prefer the
+    direction best aligned with the contacts' summed directions, then the
+    lowest sample index.
+    """
+    space = space_from_contacts(contacts, dirs)
+    if space.is_empty():
+        return None
+    idx = np.flatnonzero(space.mask)
+    if not contacts:
+        return dirs.directions[idx[0]].copy()
+    margins = np.full(idx.size, np.inf)
+    cand = dirs.directions[idx]
+    outward = np.zeros(3)
+    for kind, d in contacts:
+        outward += d
+        absolute, _, _, edge = _PREDICATES[_PREDICATE[kind]]
+        scores = cand @ d
+        margins = np.minimum(margins, (np.abs(scores) if absolute else scores) - edge)
+    pool = np.flatnonzero(margins >= margins.max() - NEAR_TIE_MARGIN)
+    if np.linalg.norm(outward) > 1e-12:
+        align = cand[pool] @ (outward / np.linalg.norm(outward))
+        best = pool[int(np.argmax(align))]  # first (lowest) index wins exact ties
+    else:
+        best = pool[0]
+    return cand[best].copy()
 
 
 def disassembly_space(model: AssemblyModel, component_id: str,

@@ -23,6 +23,10 @@ from .errors import ParseError, UnknownComponent, ValidationError
 from .geometry import IDENTITY, Pose, frozen_copy, normalize
 
 FORMAT_VERSION = 1
+# Largest magnitude a scenario length may have, in meters: a position, an
+# offset, a visual feature or vision_noise.  The robot works within about a
+# meter, and a length far beyond that only overflows in numpy downstream.
+MAX_LENGTH_M = 1e3
 
 
 class GeometryKind(str, Enum):
@@ -276,7 +280,15 @@ def _points(value, path: str, field_name: str) -> np.ndarray:
     pts = np.array([[_number(x, path, field_name) for x in p] for p in value])
     if not np.isfinite(pts).all():
         raise ParseError("points must be finite", path=path, field=field_name)
-    return pts.reshape(-1, 3)
+    return _bounded(pts.reshape(-1, 3), path, field_name)
+
+
+def _bounded(lengths: np.ndarray, path: str, field_name: str) -> np.ndarray:
+    """``lengths``, else a ParseError if one exceeds ``MAX_LENGTH_M``."""
+    if np.abs(lengths).max(initial=0.0) > MAX_LENGTH_M:
+        raise ParseError(f"lengths must be at most {MAX_LENGTH_M:g} m",
+                         path=path, field=field_name)
+    return lengths
 
 
 def _relation_pair(obj: dict, path: str) -> tuple[str, str]:
@@ -290,10 +302,12 @@ def _relation_pair(obj: dict, path: str) -> tuple[str, str]:
 
 def _parse_pose(obj, path, field_name) -> Pose:
     try:
-        return Pose([_number(x, path, field_name) for x in obj["position"]],
+        pose = Pose([_number(x, path, field_name) for x in obj["position"]],
                     [_number(x, path, field_name) for x in obj["orientation"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad pose: {exc}", path=path, field=field_name) from None
+    _bounded(pose.position, path, field_name)
+    return pose
 
 
 def _parse_component(obj: dict, path: str) -> Component:
@@ -393,9 +407,9 @@ def load_model_dict(doc: dict, path: str = "<dict>") -> AssemblyModel:
             raise ParseError(str(exc), path=path, field="tool_map") from None
 
     vision_noise = _number(doc.get("vision_noise", 0.005), path, "vision_noise")
-    if not 0.0 <= vision_noise < np.inf:
-        raise ParseError("vision_noise must be finite and >= 0", path=path,
-                         field="vision_noise")
+    if not 0.0 <= vision_noise <= MAX_LENGTH_M:
+        raise ParseError(f"vision_noise must be from 0 to {MAX_LENGTH_M:g} m",
+                         path=path, field="vision_noise")
 
     reassemble = doc.get("reassemble", False)
     if not isinstance(reassemble, bool):

@@ -11,8 +11,9 @@ The symbolic state is two sets over the model's relations: the removed
 components and the loose relations, screwed joints a twist has loosened.  A
 relation is live while neither of its components is removed, and a loose one
 constrains as a concentric fit.  A component is removable when its extraction
-space toward its live contacts is nonempty.  Mobility labels take no part in
-planning; the mobility graph of a task comes from ``dspace.build_graph``.
+space toward its live contacts is nonempty, and ``dspace.best_direction``, not
+the planner, chooses the direction it leaves in.  Mobility labels take no part
+in planning; the mobility graph of a task comes from ``dspace.build_graph``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dspace import (DirectionSet, EPS_CONE, oriented_direction,
+from .dspace import (DirectionSet, best_direction, oriented_direction,
                      space_from_contacts)
 from .errors import InapplicablePrimitive, PlanInfeasible, UnknownComponent
 from .model import AssemblyModel, RelationKind, SpatialRelation, Tool
@@ -104,55 +105,14 @@ class SymbolicState:
                 and r.other(component_id) not in self.removed]
 
 
-def _component_space(state: SymbolicState, component_id: str,
-                     dirs: DirectionSet) -> DirectionSet:
-    return space_from_contacts(
-        [(kind, oriented_direction(r, component_id))
-         for r, kind in state.contacts(component_id)], dirs)
+def _oriented(state: SymbolicState, component_id: str) -> list:
+    """The component's live contacts as (effective kind, oriented direction)."""
+    return [(kind, oriented_direction(r, component_id))
+            for r, kind in state.contacts(component_id)]
 
 
 def initial_state(model: AssemblyModel) -> SymbolicState:
     return SymbolicState(model.relations, removed=frozenset(), loose=frozenset())
-
-
-NEAR_TIE_MARGIN = 1e-3  # below lattice resolution at the default sample count
-
-
-def _best_direction(state: SymbolicState, component_id: str,
-                    dirs: DirectionSet) -> np.ndarray | None:
-    """Extraction direction maximizing the minimum clearance margin.
-
-    Margin per contact: distance of the direction score from the admissibility
-    boundary.  Candidates whose margins differ by less than the lattice
-    resolution count as tied; ties prefer the direction best aligned with the
-    contacts' oriented separation directions, then the lowest sample index.
-    """
-    space = _component_space(state, component_id, dirs)
-    if space.is_empty():
-        return None
-    idx = np.flatnonzero(space.mask)
-    contacts = state.contacts(component_id)
-    if not contacts:
-        return dirs.directions[idx[0]].copy()
-    margins = np.full(idx.size, np.inf)
-    cand = dirs.directions[idx]
-    outward = np.zeros(3)
-    for r, kind in contacts:
-        d = oriented_direction(r, component_id)
-        outward += d
-        scores = cand @ d
-        if kind in (RelationKind.PLANE_CONTACT, RelationKind.CONGRUENT):
-            margins = np.minimum(margins, scores)
-        elif kind is RelationKind.CONCENTRIC:
-            margins = np.minimum(margins, np.abs(scores) - np.cos(EPS_CONE))
-    near = margins >= margins.max() - NEAR_TIE_MARGIN
-    pool = np.flatnonzero(near)
-    if np.linalg.norm(outward) > 1e-12:
-        align = cand[pool] @ (outward / np.linalg.norm(outward))
-        best = pool[int(np.argmax(align))]  # first (lowest) index wins exact ties
-    else:
-        best = pool[0]
-    return cand[best].copy()
 
 
 def removable(state: SymbolicState, component_id: str,
@@ -161,7 +121,7 @@ def removable(state: SymbolicState, component_id: str,
     if component_id in state.removed:
         raise InapplicablePrimitive(f"removable({component_id})",
                                     "component already removed")
-    direction = _best_direction(state, component_id, dirs)
+    direction = best_direction(_oriented(state, component_id), dirs)
     return direction is not None, direction
 
 
@@ -222,24 +182,18 @@ def transition(state: SymbolicState, mp: ManipulationPrimitive,
         state = _unscrew(state, c)
         # the twist primitive's executable form extracts and stores the part;
         # symbolically that completes when the loosened space is nonempty
-        if _component_space(state, c, dirs).is_empty():
+        if space_from_contacts(_oriented(state, c), dirs).is_empty():
             return state
-    elif _component_space(state, c, dirs).is_empty():
+    elif space_from_contacts(_oriented(state, c), dirs).is_empty():
         raise InapplicablePrimitive(str(mp), "extraction space is empty")
     return replace(state, removed=state.removed | {c})
 
 
 # ------------------------------------------------------------- planning
 
-def _engage_position(model: AssemblyModel, component_id: str) -> np.ndarray:
-    return model.component(component_id).grasp_pose().position
-
-
 def _rest_position(model: AssemblyModel, component_id: str) -> np.ndarray:
     comp = model.component(component_id)
-    if comp.put_pose is not None:
-        return comp.put_pose.position
-    return comp.grasp_pose().position
+    return (comp.grasp_pose() if comp.put_pose is None else comp.put_pose).position
 
 
 @dataclass
@@ -248,21 +202,22 @@ class _Candidate:
     twist: bool
     direction: np.ndarray
     cost: float
-    order: int
 
 
 def _candidate_for(state: SymbolicState, model: AssemblyModel,
                    dirs: DirectionSet, cid: str, robot_pos: np.ndarray,
-                   held: Tool, order: int) -> _Candidate | None:
+                   held: Tool) -> _Candidate | None:
     twist = _has_screwed(state, cid)
-    direction = _best_direction(_unscrew(state, cid) if twist else state, cid, dirs)
+    direction = best_direction(
+        _oriented(_unscrew(state, cid) if twist else state, cid), dirs)
     if direction is None:
         return None
     tool = model.tool_for(cid)
-    cost = float(np.linalg.norm(robot_pos - _engage_position(model, cid)))
+    engage = model.component(cid).grasp_pose().position
+    cost = float(np.linalg.norm(robot_pos - engage))
     if tool != held:
         cost += TOOL_CHANGE_PENALTY
-    return _Candidate(cid, twist, direction, cost, order)
+    return _Candidate(cid, twist, direction, cost)
 
 
 def plan_disassembly(model: AssemblyModel, dirs: DirectionSet) -> Plan:
@@ -270,8 +225,10 @@ def plan_disassembly(model: AssemblyModel, dirs: DirectionSet) -> Plan:
 
     Without a target every non-base component is removed; with a target the
     search is restricted to components that can influence it and stops as soon
-    as the target is out.  Ordering is nearest-neighbor over workspace
-    positions with a fixed tool-change penalty; tie-breaks follow file order.
+    as the target is out.  Each step takes the target if it can go, else a
+    neighbor of the target, else any candidate, and among those the nearest
+    in workspace positions with a fixed tool-change penalty; ``min`` keeps
+    the first in file order on a tie.
     """
     state = initial_state(model)
     base = model.base_id
@@ -282,29 +239,22 @@ def plan_disassembly(model: AssemblyModel, dirs: DirectionSet) -> Plan:
         return Plan(steps=())
 
     cone = model.reachable(target, barrier=base) if target else None
-    order_index = {c.id: i for i, c in enumerate(model.components)}
+    neighbours_of_target = model.neighbors(target)  # empty without a target
     robot_pos = model.robot_start.position.copy()
     held = Tool.NONE
 
     steps: list[ManipulationPrimitive] = []
     hints: dict[int, np.ndarray] = {}
 
-    while True:
-        if target is not None:
-            if target in state.removed:
-                break
-        else:
-            if all(c.id in state.removed or c.id == base
-                   for c in model.components):
-                break
-
+    while target not in state.removed:
         pool = [c.id for c in model.components
                 if c.id != base and c.id not in state.removed
                 and (cone is None or c.id in cone)]
+        if not pool:
+            break
         candidates = [cand for cid in pool
                       if (cand := _candidate_for(state, model, dirs, cid,
-                                                 robot_pos, held,
-                                                 order_index[cid])) is not None]
+                                                 robot_pos, held)) is not None]
         if not candidates:
             blocking = [r for r in model.relations
                         if state.removed.isdisjoint(r.components)
@@ -312,18 +262,9 @@ def plan_disassembly(model: AssemblyModel, dirs: DirectionSet) -> Plan:
             what = f"target '{target}'" if target else "full disassembly"
             raise PlanInfeasible(f"{what} cannot be completed", blocking)
 
-        if target is not None:
-            tiers = [
-                [c for c in candidates if c.component == target],
-                [c for c in candidates
-                 if c.component in model.neighbors(target)],
-                candidates,
-            ]
-            for tier in tiers:
-                if tier:
-                    candidates = tier
-                    break
-        chosen = min(candidates, key=lambda c: (c.cost, c.order))
+        chosen = min(candidates, key=lambda c: (
+            c.component != target, c.component not in neighbours_of_target,
+            c.cost))
 
         cid = chosen.component
         tool = model.tool_for(cid)

@@ -181,6 +181,9 @@ class SkillPrimitive:
             if not ok:
                 raise ValueError("finePos must be an rgbd-frame visual-servo move "
                                  "stopped by feature_reached")
+        if self.stop.kind is StopKind.FORCE_REACHED and self.hm.contact_axis is None:
+            raise ValueError("a force_reached stop requires a move with a "
+                             "declared contact axis")
 
     def to_json(self) -> dict:
         obj = {
@@ -333,12 +336,9 @@ def _feature_source(comp: Component, model: AssemblyModel, assembly: bool,
     return None
 
 
-def _expected_residual_px(noise: np.ndarray | None, source: Component | None,
-                          engage: Pose, state: ExecState) -> float:
-    if noise is None or source is None:
-        return 0.0
-    pts = state.pose_of(source).apply(source.visual_features)
-    _, depths = project(pts, camera_pose(engage))
+def _expected_residual_px(noise: np.ndarray, depths: np.ndarray) -> float:
+    """Pixel error a detection offset of ``noise`` leaves at the features'
+    mean depth."""
     depth = float(np.mean(np.abs(depths)))
     if depth < 1e-6:
         return float("inf")
@@ -355,16 +355,17 @@ def _pos_move(name: SkillName, goal: Pose, tool_cmd: ToolCommand = IDLE_TOOL,
     return SkillPrimitive(name, hm, tool_cmd, stop, component=component)
 
 
-def _fine_pos(source: Component, engage: Pose, state: ExecState) -> SkillPrimitive:
-    pts = state.pose_of(source).apply(source.visual_features)
-    f_des, depths = project(pts, camera_pose(engage))
+def _fine_pos(source_id: str, engage: Pose, f_des: np.ndarray,
+              depths: np.ndarray) -> SkillPrimitive:
+    """Servo the source's features to their pixels ``f_des`` (at ``depths``)
+    as the camera sees them from the engage pose."""
     if np.any(depths <= 0.0):
         raise UnresolvableGoal(
-            f"features of '{source.id}' lie behind the camera at the goal pose")
+            f"features of '{source_id}' lie behind the camera at the goal pose")
     hm = HybridMove(TaskFrame.RGBD, (ControlMode.VSC,) * f_des.size, f_des)
     stop = StopCondition(StopKind.FEATURE_REACHED, f_des, STOP_FEAT_PX)
     return SkillPrimitive(SkillName.FINE_POS, hm, IDLE_TOOL, stop,
-                          component=source.id, goal_pose=engage)
+                          component=source_id, goal_pose=engage)
 
 
 def _force_move(press_dir: np.ndarray, force_n: float, hold: Pose,
@@ -448,9 +449,14 @@ def _approach(goal: Pose, noise: np.ndarray | None, source: Component | None,
     if rule_rough_pos(estimate, cursor):
         aps.append(_pos_move(SkillName.ROUGH_POS, estimate))
         cursor = estimate
-    residual = _expected_residual_px(noise, source, goal, state)
-    if rule_fine_pos(source is not None, residual):
-        aps.append(_fine_pos(source, goal, state))
+    residual = 0.0
+    if noise is not None and source is not None:
+        # the source's features as the camera sees them from the goal, once
+        pts = state.pose_of(source).apply(source.visual_features)
+        f_des, depths = project(pts, camera_pose(goal))
+        residual = _expected_residual_px(noise, depths)
+    if rule_fine_pos(source is not None, residual):  # a residual: features projected
+        aps.append(_fine_pos(source.id, goal, f_des, depths))
         cursor = goal
     return cursor
 

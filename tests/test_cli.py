@@ -191,6 +191,11 @@ def _set_pose(key, value):
     (_set_pose("position", [10 ** 400, 0, 0.02]), "components[screw_1].pose"),
     # finite, but its squared norm overflows
     (_set_pose("orientation", [1e300, 1e300, 0, 0]), "components[screw_1].pose"),
+    # finite, but beyond the length bound; these once overflowed in numpy
+    (lambda doc: doc["components"][1]["visual_features"][0].__setitem__(0, 1e300),
+     "components[screw_1].visual_features"),
+    (lambda doc: doc["robot_start"]["position"].__setitem__(0, -1e300), "robot_start"),
+    (lambda doc: doc.update(vision_noise=1e300), "vision_noise"),
     (lambda doc: doc.update(format_version=True), "format_version"),
     (lambda doc: doc.update(format_version=1.0), "format_version"),
 ], ids=["relation_entry", "component_entry", "geometry", "relations_str",
@@ -199,6 +204,7 @@ def _set_pose(key, value):
         "features_ragged", "features_non_numeric", "features_nan",
         "pair_int", "pair_null", "pair_holds_list", "reassemble_str",
         "pose_str", "pose_bool", "pose_huge_int", "pose_huge_orientation",
+        "feature_1e300", "robot_start_1e300", "vision_noise_1e300",
         "format_version_true",
         "format_version_float"])
 def test_mistyped_collection_is_parse_error(tmp_path, capsys, command, edit, field):

@@ -278,3 +278,14 @@ def test_tool_map_override_round_trips(single_screw_path):
     doc["tool_map"] = {"screw": "gripper"}
     again = _assert_round_trip(load_model_dict(doc))
     assert again.tool_for("screw_1") is Tool.GRIPPER
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["components"][1]["visual_features"][0].__setitem__(0, 1e3),
+    lambda doc: doc["robot_start"]["position"].__setitem__(0, -1e3),
+    lambda doc: doc.update(vision_noise=1e3)],
+    ids=["feature", "robot_start", "vision_noise"])
+def test_length_at_the_bound_loads(single_screw_path, edit):
+    doc = json.loads(single_screw_path.read_text())
+    edit(doc)
+    load_model_dict(doc)

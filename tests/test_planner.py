@@ -3,15 +3,20 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from conftest import random_feasible_model
+from conftest import STATIONS, random_contact_model, random_feasible_model
 
-from dismantle.dspace import oriented_direction, sample_sphere, space_from_contacts
+from dismantle.dspace import (EPS_CONE, best_direction, oriented_direction,
+                              sample_sphere, space_from_contacts)
 from dismantle.errors import (DismantleError, InapplicablePrimitive,
                               PlanInfeasible, UnknownComponent)
-from dismantle.model import RelationKind, SpatialRelation, Tool
+from dismantle.geometry import Pose
+from dismantle.model import (AssemblyModel, Component, FeatureGeometry,
+                             GeometryKind, RelationKind, Semantic,
+                             SpatialRelation, Tool)
 from dismantle.planner import (ManipulationPrimitive, MPKind, Plan,
-                               initial_state, invert_plan, plan_disassembly,
-                               plan_task, removable, replay, transition)
+                               SymbolicState, _oriented, initial_state,
+                               invert_plan, plan_disassembly, plan_task,
+                               removable, replay, transition)
 
 
 def _kinds(plan):
@@ -233,6 +238,55 @@ def test_twist_tool_respects_inference_map(valve_model, dirs2k):
             assert step.tool is Tool.SCREWDRIVER
 
 
+def _plate_model(parts, contacts, target=None):
+    """Gripper parts at the given positions, all grasped from 0.1 m above,
+    joined to each other and to ``base`` by ``(child, parent, normal)``
+    plane contacts; the normal is the child's separation direction."""
+    comps = [Component(id="base", semantic=Semantic.BASE)]
+    comps += [Component(id=cid, semantic=Semantic.GENERIC_GRASPABLE,
+                        pose=Pose(np.asarray(p, float)),
+                        grasp_offset=Pose(np.array([0.0, 0.0, 0.1])))
+              for cid, p in parts]
+    rels = [SpatialRelation(
+        kind=RelationKind.PLANE_CONTACT, components=(child, parent),
+        geometry=FeatureGeometry(kind=GeometryKind.PLANE,
+                                 direction=np.asarray(n, float)),
+        direction=np.asarray(n, float)) for child, parent, n in contacts]
+    model = AssemblyModel(components=tuple(comps), relations=tuple(rels),
+                          tool_stations=dict(STATIONS), target=target,
+                          robot_start=Pose(np.array([0.0, 0.0, 0.3])))
+    model.validate()
+    return model
+
+
+def test_neighbor_of_target_beats_nearer_non_neighbor(dirs2k):
+    # "lid" sits on the target and blocks it; "clip" holds the lid from the
+    # side and is nearer the robot, but touches only the lid
+    model = _plate_model(
+        [("target", [0.4, 0.0, 0.0]), ("lid", [0.4, 0.0, 0.05]),
+         ("clip", [0.1, 0.0, 0.05])],
+        [("target", "base", [0, 0, 1]), ("lid", "target", [0, 0, 1]),
+         ("clip", "lid", [1, 0, 0])],
+        target="target")
+    assert removable(initial_state(model), "clip", dirs2k)[0]
+    assert removable(initial_state(model), "lid", dirs2k)[0]
+    assert not removable(initial_state(model), "target", dirs2k)[0]
+    plan = plan_disassembly(model, dirs2k)
+    assert _kinds(plan) == [("pull", "lid"), ("put", "lid"),
+                            ("pull", "target"), ("put", "target")]
+
+
+def test_cost_tie_goes_to_the_earlier_component_in_file_order(dirs2k):
+    # the two parts mirror each other about the robot's x-z plane, so their
+    # costs are the same float; file order, not id order, breaks the tie
+    model = _plate_model(
+        [("zeta", [0.3, 0.1, 0.0]), ("alpha", [0.3, -0.1, 0.0])],
+        [("zeta", "base", [0, 0, 1]), ("alpha", "base", [0, 0, 1])])
+    plan = plan_disassembly(model, dirs2k)
+    assert _kinds(plan) == [("pull", "zeta"), ("put", "zeta"),
+                            ("pull", "alpha"), ("put", "alpha")]
+
+
 # ------------------------------------------------------------- inversion
 
 def test_invert_is_involution(valve_model, dirs2k):
@@ -275,7 +329,7 @@ def test_assembly_replay_restores_everything(valve_model, dirs2k):
 def _minimal_mp_count(model, dirs):
     """Exhaustive search over removal orders, same action costs as the
     planner (twist = 1 primitive, pull+put = 2)."""
-    from dismantle.planner import _component_space, _has_screwed, _unscrew
+    from dismantle.planner import _has_screwed, _unscrew
     target = model.target
     base = model.base_id
     best = [np.inf]
@@ -296,10 +350,10 @@ def _minimal_mp_count(model, dirs):
                 continue
             if _has_screwed(state, cid):
                 after = _unscrew(state, cid)
-                if not _component_space(after, cid, dirs).is_empty():
+                if not space_from_contacts(_oriented(after, cid), dirs).is_empty():
                     recurse(replace(after, removed=after.removed | {cid}),
                             cost + 1)
-            elif not _component_space(state, cid, dirs).is_empty():
+            elif not space_from_contacts(_oriented(state, cid), dirs).is_empty():
                 recurse(replace(state, removed=state.removed | {cid}), cost + 2)
 
     recurse(initial_state(model), 0)
@@ -457,3 +511,73 @@ def test_transition_matches_live_relation_oracle(dirs2k):
                         == sorted((index[id(lr.relation)], lr.effective_kind)
                                   for lr in _oracle_contacts(oracle, cid))), (mp, cid)
     assert 1000 < raised < 6500  # of 7,500 steps
+
+
+# ------------------------------------------------------------- direction oracle
+
+def oracle_best_direction(state, component_id, dirs):
+    """The planner's direction choice before it moved to ``dspace``, with
+    the margins worked out by contact kind here."""
+    contacts = state.contacts(component_id)
+    space = space_from_contacts(
+        [(kind, oriented_direction(r, component_id)) for r, kind in contacts],
+        dirs)
+    if space.is_empty():
+        return None
+    idx = np.flatnonzero(space.mask)
+    if not contacts:
+        return dirs.directions[idx[0]].copy()
+    margins = np.full(idx.size, np.inf)
+    cand = dirs.directions[idx]
+    outward = np.zeros(3)
+    for r, kind in contacts:
+        d = oriented_direction(r, component_id)
+        outward += d
+        scores = cand @ d
+        if kind in (RelationKind.PLANE_CONTACT, RelationKind.CONGRUENT):
+            margins = np.minimum(margins, scores)
+        elif kind is RelationKind.CONCENTRIC:
+            margins = np.minimum(margins, np.abs(scores) - np.cos(EPS_CONE))
+    near = margins >= margins.max() - 1e-3
+    pool = np.flatnonzero(near)
+    if np.linalg.norm(outward) > 1e-12:
+        align = cand[pool] @ (outward / np.linalg.norm(outward))
+        best = pool[int(np.argmax(align))]
+    else:
+        best = pool[0]
+    return cand[best].copy()
+
+
+def test_best_direction_matches_oracle_bytes():
+    """Random removed and loosened subsets of random models: the same
+    direction bytes as the oracle, or None where it finds none."""
+    dirs = sample_sphere(2_000, 3)
+    rng = np.random.default_rng(31)
+    found = empty = 0
+    kinds = set()
+    for draw in range(300):
+        model = (random_contact_model(rng) if draw % 2
+                 else random_feasible_model(rng, max_extra=4))
+        ids = [c.id for c in model.components if c.id != model.base_id]
+        screwed = [i for i, r in enumerate(model.relations)
+                   if r.kind is RelationKind.SCREWED]
+        for _ in range(3):
+            state = SymbolicState(
+                model.relations,
+                removed=frozenset(c for c in ids if rng.random() < 0.3),
+                loose=frozenset(i for i in screwed if rng.random() < 0.5))
+            for cid in ids:
+                if cid in state.removed:
+                    continue
+                oriented = _oriented(state, cid)
+                kinds.update(kind for kind, _ in oriented)
+                got = best_direction(oriented, dirs)
+                want = oracle_best_direction(state, cid, dirs)
+                if want is None:
+                    assert got is None, (draw, cid)
+                    empty += 1
+                else:
+                    assert got.tobytes() == want.tobytes(), (draw, cid)
+                    found += 1
+    assert kinds == set(RelationKind)
+    assert found > 500 and empty > 500, (found, empty)

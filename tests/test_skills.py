@@ -12,8 +12,8 @@ from dismantle.model import (AssemblyModel, Component, FeatureGeometry,
                              GeometryKind, RelationKind, Semantic,
                              SpatialRelation, Tool)
 from dismantle.planner import ManipulationPrimitive, MPKind, Plan, plan_task
-from dismantle.skills import (ControlMode, ExecState, HybridMove, SkillName,
-                              SkillPrimitive, StepResult, StopCondition,
+from dismantle.skills import (IDLE_TOOL, ControlMode, ExecState, HybridMove,
+                              SkillName, SkillPrimitive, StepResult, StopCondition,
                               StopKind, TaskFrame, ToolCmd, ToolCommand,
                               decompose, interpret, rule_get_obj,
                               rule_get_tool, rule_put_obj, rule_put_tool,
@@ -148,6 +148,15 @@ def test_contact_axis_stored_normalised():
     assert not hm.contact_axis.flags.writeable
 
 
+def test_force_stop_requires_contact_axis():
+    # a position move has no contact axis to read the pressed force along
+    hm = HybridMove(TaskFrame.WORLD, (ControlMode.POS,) * 6, np.zeros(6))
+    stop = StopCondition(StopKind.FORCE_REACHED, np.array([10.0]), 0.2)
+    with pytest.raises(ValueError, match="force_reached stop requires"):
+        SkillPrimitive(SkillName.PROCESS_OBJ, hm, IDLE_TOOL, stop,
+                       component="c", process="press")
+
+
 def test_toolless_command_must_idle():
     with pytest.raises(ValueError):
         ToolCommand(Tool.NONE, ToolCmd.CLOSE)
@@ -245,6 +254,18 @@ def test_missing_tool_station_unresolvable():
     mp = ManipulationPrimitive(MPKind.PULL, "part", Tool.GRIPPER)
     with pytest.raises(UnresolvableGoal):
         decompose(mp, None, state, model)
+
+
+def test_features_behind_camera_unresolvable_only_when_fine_positioning():
+    model = _mk_model()
+    object.__setattr__(model.component("part"), "visual_features",
+                       FEATURE_SQUARE + [0.0, 0.0, 0.5])  # above the flange
+    mp = ManipulationPrimitive(MPKind.PULL, "part", Tool.GRIPPER)
+    # no detection offset: no residual, so no fine positioning to resolve
+    aps = decompose(mp, None, _state(model, noise=0, held_tool=Tool.GRIPPER), model)
+    assert SkillName.FINE_POS not in [ap.name for ap in aps]
+    with pytest.raises(UnresolvableGoal, match="behind the camera"):
+        decompose(mp, None, _state(model, held_tool=Tool.GRIPPER), model)
 
 
 def test_tool_change_stows_current_tool_first():
