@@ -23,10 +23,11 @@ object-level function wraps.  ``geometry.pose_offset`` with ``_twist`` steers
 (``position_step``), ``_filter_step`` filters force error (``admittance_step``;
 the loop runs it on axis 0), and ``geometry.integrate_twist`` with
 ``_spring_force`` moves the plant (``plant_step``, through ``_contact_force``).
-The loop reads the contacts into floats once per skill (``_contact_floats``)
-and allocates no array per tick.  Dot products go through ``geometry.vec_dot``
-and ``geometry.vec_norm``, whose module docstring says why.  Visual servoing
-keeps its array code; only its command joins the float state.
+The loop reads the contacts and the contact axis into floats once per skill
+(``_contact_floats``) and calls no numpy function per tick: its dot products
+are ``geometry.vec_dot`` and ``geometry.vec_norm``, plain left-to-right float
+sums.  Visual servoing keeps its array code; only its command joins the float
+state.
 """
 
 from __future__ import annotations
@@ -254,11 +255,11 @@ def position_step(goal: Pose, current: Pose) -> np.ndarray:
 def _contact_floats(contacts: tuple[ContactPlane, ...],
                     retentions: tuple[Retention, ...]) -> tuple[tuple, tuple]:
     """The contact planes and retentions as ``_spring_force`` reads them:
-    floats, plus each normal or axis array for the ``ddot``."""
-    planes = tuple((*c.point.tolist(), c.normal, c.stiffness, *c.normal.tolist())
+    each a point and a unit vector as lists of 3 floats, then its scalars."""
+    planes = tuple((c.point.tolist(), c.normal.tolist(), c.stiffness)
                    for c in contacts)
-    holds = tuple((*r.anchor.tolist(), r.axis, r.force_n, r.release_dist,
-                   *r.axis.tolist()) for r in retentions)
+    holds = tuple((r.anchor.tolist(), r.axis.tolist(), r.force_n, r.release_dist)
+                  for r in retentions)
     return planes, holds
 
 
@@ -267,14 +268,16 @@ def _spring_force(p, planes: tuple, holds: tuple) -> tuple:
     from the ``_contact_floats`` of the contacts."""
     x, y, z = p
     fx = fy = fz = 0.0
-    for cx, cy, cz, normal, stiffness, nx, ny, nz in planes:
+    for (cx, cy, cz), normal, stiffness in planes:
         pen = vec_dot((cx - x, cy - y, cz - z), normal)
         if pen > 0.0:
             k = stiffness * pen
+            nx, ny, nz = normal
             fx, fy, fz = fx + k * nx, fy + k * ny, fz + k * nz
-    for ax, ay, az, axis, force_n, release_dist, ux, uy, uz in holds:
+    for (ax, ay, az), axis, force_n, release_dist in holds:
         travel = vec_dot((x - ax, y - ay, z - az), axis)
         if 0.0 < travel < release_dist:
+            ux, uy, uz = axis
             fx, fy, fz = fx - force_n * ux, fy - force_n * uy, fz - force_n * uz
     return fx, fy, fz
 
@@ -434,8 +437,10 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
     elif force_stop:
         stop_force = float(stop.target[0])
     press_axis = ap.hm.contact_axis  # declared by every force-guarded move
+    if press_axis is not None:
+        press_axis = press_axis.tolist()
     if controller == BUCKET_FTC:
-        ax, ay, az = press_axis.tolist()
+        ax, ay, az = press_axis
         f_des = float(_finite_force(ap.hm.setpoint[:1])[0])
         # only the orientation of the hold pose is used (the angular command)
         hold_q = Pose.from_rotvec(state.pose.position,

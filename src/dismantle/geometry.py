@@ -11,17 +11,10 @@ floats that returns floats or tuples: ``quat_multiply_f``,
 rotation from one pose to another) and ``pose_error`` (their scalar
 weighting).  ``Pose``, ``Rotation`` and ``pose_step`` hold arrays and call the
 cores on ``tolist()`` floats; ``control``'s skill loop calls the cores on its
-float tick state.  Elementwise ``+ - * /``, ``math.sqrt`` and negation round
-the same on Python floats as on numpy arrays.  A dot product does not:
-``ndarray.dot`` on short vectors goes through the BLAS ``ddot`` kernel, whose
-rounding differs from a plain Python sum.  The pinned tick bits were computed
-with ``ddot`` for the norms of offsets and quaternions and for the contact
-dot products, so those go through ``vec_norm`` and ``vec_dot``, the only two
-functions that call it.  They build no array: each stores its 3 or 4 floats
-elementwise into a preallocated contiguous float64 array and calls ``.dot``
-on it, the same kernel on the same operands as on a fresh array.  Each thread
-owns its scratch arrays (a ``threading.local``), so no other thread can store
-into them between a caller's stores and its ``.dot``.
+float tick state.  The short dot products of the cores, ``vec_norm`` and
+``vec_dot``, are plain left-to-right float sums of 3 or 4 products, so their
+rounding is fixed by the expression and does not depend on which BLAS kernel
+numpy loaded.
 
 Every value type of the package stores each array a caller gives it as a
 ``frozen_copy``: a read-only copy, with its shape checked.
@@ -30,7 +23,6 @@ Every value type of the package stores each array a caller gives it as a
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,34 +55,20 @@ def normalize(v: np.ndarray) -> np.ndarray:
     return v / nrm
 
 
-class _Scratch(threading.local):
-    """One thread's ``ddot`` operands: contiguous float64 arrays of 3 and 4."""
-
-    def __init__(self):
-        self.v3 = np.zeros(3)
-        self.v4 = np.zeros(4)
-
-
-_SCRATCH = _Scratch()
-
-
-def vec_dot(v, w: np.ndarray) -> float:
-    """v . w for 3 floats ``v`` and an array ``w``, through BLAS ``ddot`` (see
-    the module docstring)."""
-    a = _SCRATCH.v3
-    a[0], a[1], a[2] = v
-    return float(a.dot(w))
+def vec_dot(v, w) -> float:
+    """v . w for two triples of floats, summed left to right."""
+    x, y, z = v
+    a, b, c = w
+    return x * a + y * b + z * c
 
 
 def vec_norm(v) -> float:
-    """Euclidean norm of 3 or 4 floats, bit for bit ``np.linalg.norm``."""
+    """Euclidean norm of 3 or 4 floats, the squares summed left to right."""
     if len(v) == 3:
-        a = _SCRATCH.v3
-        a[0], a[1], a[2] = v
-    else:
-        a = _SCRATCH.v4
-        a[0], a[1], a[2], a[3] = v
-    return math.sqrt(a.dot(a))
+        x, y, z = v
+        return math.sqrt(x * x + y * y + z * z)
+    w, x, y, z = v
+    return math.sqrt(w * w + x * x + y * y + z * z)
 
 
 def unit_orientation_f(position, orientation) -> tuple:
@@ -230,10 +208,10 @@ class Pose:
         if q.shape != (4,):
             raise ValueError(f"orientation must have shape (4,), got {q.shape}")
         q = q.tolist()
-        # a finite entry above 2 already rules out a unit norm; rejecting it
-        # here keeps a huge one from overflowing the norm's ddot, which would
-        # warn before the error.  A NaN or infinite maximum is left to the
-        # finiteness check, which runs before the norm.
+        # a finite entry above 2 already rules out a unit norm, so it is
+        # rejected as such at once, also beside a NaN entry that the
+        # finiteness check would name.  A NaN or infinite maximum is left to
+        # that check, which runs before the norm.
         if 2.0 < max(map(abs, q)) < math.inf:
             raise ValueError(f"orientation quaternion not unit norm: {np.array(q)}")
         object.__setattr__(self, "position", p)

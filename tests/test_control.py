@@ -1,5 +1,9 @@
+import os
+import pickle
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,9 @@ from dismantle.skills import (AP_TIMEOUT_S, GRIP_ACTION_S, IDLE_TOOL,
                               ControlMode, HybridMove, SkillName,
                               SkillPrimitive, StopCondition, StopKind,
                               TaskFrame, ToolCmd, ToolCommand)
+
+HERE = Path(__file__).resolve().parent
+SRC = HERE.parent / "src"
 
 
 # ------------------------------------------------------------- admittance
@@ -670,8 +677,30 @@ def _run_bytes(ap, state):
             new.pose.position.tobytes() + new.pose.orientation.tobytes())
 
 
+def test_path_and_force_ticks_do_not_depend_on_the_blas_kernel():
+    """The skills of ``_spin_and_path_skills`` give the same bytes in a
+    process that forces OpenBLAS's Nehalem kernels as in this one.
+
+    ``OPENBLAS_CORETYPE`` picks the kernel set of an OpenBLAS that chooses
+    its kernels at run time (a DYNAMIC_ARCH build, as numpy's wheels ship);
+    Nehalem is within numpy's x86-64-v2 baseline, so those kernels can run
+    on any CPU numpy runs on.  Where numpy's BLAS is not such an OpenBLAS,
+    the variable is ignored and both runs use the same kernels.
+    """
+    code = ("import pickle, sys, test_control as t; sys.stdout.buffer.write("
+            "pickle.dumps([t._run_bytes(*s) for s in t._spin_and_path_skills()]))")
+    env = dict(os.environ, OPENBLAS_CORETYPE="Nehalem", PYTHONPATH=os.pathsep.join(
+        [str(SRC), str(HERE)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert pickle.loads(proc.stdout) == [_run_bytes(ap, state)
+                                         for ap, state in _spin_and_path_skills()]
+
+
 def test_run_skill_in_two_threads_equals_serial_runs():
-    # the ddot helpers store into scratch arrays; each thread must own its own
+    # a skill's ticks must read no per-call state that another thread's skill
+    # can change midway
     skills = _spin_and_path_skills()
     serial = [_run_bytes(ap, state) for ap, state in skills]
     assert len(serial[0][0]) == 400 and len(serial[1][0]) > 250

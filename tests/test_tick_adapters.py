@@ -8,8 +8,14 @@ kernels the same way.
 
 ``Pose`` and ``Rotation`` call ``geometry``'s float cores directly; the array
 expressions they replaced are kept here as an oracle, and the methods must
-give its bits.
+give its bits.  The oracles sum every short dot product left to right, as
+``vec_norm`` and ``vec_dot`` do, so no oracle depends on the BLAS kernel that
+numpy loaded.
 """
+
+import math
+import operator
+from functools import reduce
 
 import numpy as np
 from hypothesis import given, settings
@@ -20,7 +26,8 @@ from dismantle.control import (CLOCK_UNIT_S, UNITS_PER_POS_TICK, AdmittanceParam
                                plant_step, position_step, run_skill)
 from dismantle.errors import SkillTimeout
 from dismantle.geometry import (Pose, Rotation, pose_step, quat_apply,
-                                quat_from_rotvec_f, quat_multiply_f, quat_to_rotvec_f)
+                                quat_from_rotvec_f, quat_multiply_f, quat_to_rotvec_f,
+                                vec_dot, vec_norm)
 from dismantle.model import Tool
 from dismantle.skills import (IDLE_TOOL, ControlMode, HybridMove, SkillName,
                               SkillPrimitive, StopCondition, StopKind, TaskFrame,
@@ -41,6 +48,17 @@ pose = st.builds(Pose.from_rotvec, vec3, any_rotvec)
 # raw unit quaternions, w < 0 included, so Pose's sign flip is exercised
 quat = (st.tuples(*[st.floats(-1.0, 1.0)] * 4).map(np.array)
         .filter(lambda q: np.linalg.norm(q) > 0.1).map(lambda q: q / np.linalg.norm(q)))
+magnitude = st.floats(1e-150, 1e150)
+entry = st.one_of(magnitude, magnitude.map(operator.neg))
+
+
+def _oracle_dot(v, w) -> float:
+    """v . w of two float sequences, summed left to right: x*a + y*b + z*c."""
+    return reduce(operator.add, map(operator.mul, v, w))
+
+
+def _oracle_norm(v) -> float:
+    return math.sqrt(_oracle_dot(v, v))
 
 
 def _run_to_end(ap: SkillPrimitive, state: PlantState):
@@ -102,7 +120,7 @@ def test_force_ticks_equal_admittance_and_plant_steps(p0, rv0, twist, hold_rv, n
     params = AdmittanceParams()
     filt = (np.zeros(6), np.zeros(6))
     for row in log.rows:
-        measured = -wrench.force @ axis
+        measured = -_oracle_dot(wrench.force.tolist(), axis.tolist())
         u6, filt = admittance_step(params, Wrench(np.array([f_des, 0.0, 0.0])),
                                    Wrench(np.array([measured, 0.0, 0.0])), filt)
         # the angular command holds the orientation, as a position step does
@@ -146,8 +164,14 @@ def _oracle_inverse(a: Pose) -> Pose:
 
 def _oracle_distance(a: Pose, b: Pose) -> np.ndarray:
     rotation = _quat_multiply(b.orientation, _quat_conjugate(a.orientation))
-    return np.array([float(np.linalg.norm(b.position - a.position)),
-                     float(np.linalg.norm(_quat_to_rotvec(rotation)))])
+    return np.array([_oracle_norm((b.position - a.position).tolist()),
+                     _oracle_norm(_quat_to_rotvec(rotation).tolist())])
+
+
+def _oracle_orientation(q) -> np.ndarray:
+    """q / |q| as ``Pose`` stores it, negated if w < 0."""
+    unit = np.array(q) / _oracle_norm(q)
+    return -unit if unit[0] < 0.0 else unit
 
 
 @EXAMPLES
@@ -165,3 +189,14 @@ def test_pose_methods_equal_array_oracle(a, b, p, q, rv):
                                                         y.orientation).tobytes()
         assert product.as_rotvec().tobytes() == _quat_to_rotvec(product.quat).tobytes()
     _assert_same_pose(Pose.from_rotvec(p, rv), Pose(p, _quat_from_rotvec(rv)))
+
+
+@EXAMPLES
+@given(v=st.tuples(*[entry] * 4), w=st.tuples(*[entry] * 3), p=vec3)
+def test_short_dot_products_equal_left_to_right_sums(v, w, p):
+    for x in (v[:3], v):
+        assert np.float64(vec_norm(x)).tobytes() == np.float64(_oracle_norm(x)).tobytes()
+    assert (np.float64(vec_dot(v[:3], w)).tobytes()
+            == np.float64(_oracle_dot(v[:3], w)).tobytes())
+    q = (np.array(v) / np.linalg.norm(v)).tolist()  # unit to within a few ulps
+    assert Pose(p, q).orientation.tobytes() == _oracle_orientation(q).tobytes()
