@@ -23,8 +23,8 @@ object-level function wraps.  ``geometry.pose_offset`` with ``_twist`` steers
 (``position_step``), ``_filter_step`` filters force error (``admittance_step``;
 the loop runs it on axis 0), and ``geometry.integrate_twist`` with
 ``_spring_force`` moves the plant (``plant_step``, through ``_contact_force``).
-The loop reads the contacts and the contact axis into floats once per skill
-(``_contact_floats``) and calls no numpy function per tick: its dot products
+The loop reads the contacts (``_contact_floats``) and the contact axis into
+floats once per skill and calls no numpy function per tick: its dot products
 are ``geometry.vec_dot`` and ``geometry.vec_norm``, plain left-to-right float
 sums.  Visual servoing keeps its array code; only its command joins the float
 state.

@@ -11,10 +11,11 @@ floats that returns floats or tuples: ``quat_multiply_f``,
 rotation from one pose to another) and ``pose_error`` (their scalar
 weighting).  ``Pose``, ``Rotation`` and ``pose_step`` hold arrays and call the
 cores on ``tolist()`` floats; ``control``'s skill loop calls the cores on its
-float tick state.  The short dot products of the cores, ``vec_norm`` and
-``vec_dot``, are plain left-to-right float sums of 3 or 4 products, so their
-rounding is fixed by the expression and does not depend on which BLAS kernel
-numpy loaded.
+float tick state.  Elementwise ``+ - * /``, ``math.sqrt`` and negation round
+the same on Python floats as on numpy arrays.  The short dot products,
+``vec_norm`` and ``vec_dot``, are plain left-to-right float sums of 3 or 4
+products, so their rounding is fixed by the expression and does not depend
+on which BLAS kernel numpy loaded.
 
 Every value type of the package stores each array a caller gives it as a
 ``frozen_copy``: a read-only copy, with its shape checked.
