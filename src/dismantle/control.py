@@ -423,9 +423,8 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
 
     elapsed = 0
     stop_armed = False
-    spin_ticks_left = None
-    if done_stop and ControlMode.FTC in ap.hm.control:
-        spin_ticks_left = int(round(float(stop.target[0]) / dt))
+    if done_stop and ControlMode.FTC in ap.hm.control:  # a force-held spin
+        spin_units = int(round(float(stop.target[0]) / dt)) * tick_units
 
     # stationary tool actions skip the motion loop entirely
     motion_needed = not (done_stop and ControlMode.FTC not in ap.hm.control)
@@ -446,11 +445,6 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
         hold_q = Pose.from_rotvec(state.pose.position,
                                   ap.hm.setpoint[3:]).orientation.tolist()
         u_f = ud_f = 0.0  # admittance filter state on the contact axis
-    elif controller == BUCKET_PATH and motion_needed:
-        goal_p, goal_q = Pose.from_rotvec(ap.hm.setpoint[:3],
-                                          ap.hm.setpoint[3:]).as_floats()
-        # a move whose stop pose is its setpoint steers by the stop check's offset
-        steer_by_stop = pose_stop and np.array_equal(stop.target, ap.hm.setpoint)
     sighted = state.tracked_points is not None
     planes, holds = _contact_floats(state.contacts, state.retentions)
     force_noise = state.force_noise
@@ -488,9 +482,8 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
                 stop_armed = True
             elif stop_armed and err <= tolerance:
                 break
-        elif done_stop:
-            if spin_ticks_left is not None and spin_ticks_left <= 0:
-                break
+        elif done_stop and elapsed >= spin_units:
+            break
 
         if elapsed >= budget:
             raise _abort(SkillTimeout(
@@ -516,10 +509,8 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
                                      ADM_MASS, ADM_DAMPING, ADM_STIFFNESS, dt)
             u = (ax * u_f, ay * u_f, az * u_f) + _saturate(
                 *rotation_offset(hold_q, q), V_MAX_ANG)
-        elif steer_by_stop:
+        else:  # a position move stops on its setpoint: steer by the stop offset
             u = _twist(*stop_offset)
-        else:
-            u = _twist(*pose_offset(goal_p, goal_q, p, q))
 
         # plant: integrate the twist, then read the contact force there
         p, q_raw = integrate_twist(p, q, u[:3], u[3:], dt)
@@ -530,8 +521,6 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
         buckets[controller] += tick_units
         append_row(TickRow(start_units + elapsed, controller, u, f + _NO_TORQUE,
                            feat_err))
-        if spin_ticks_left is not None:
-            spin_ticks_left -= 1
 
     # tool actuation: fixed non-motion time
     action = _tool_units(ap)

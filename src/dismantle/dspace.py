@@ -90,7 +90,9 @@ class DirectionSet:
 
     ``directions`` is stored read-only (an input that is, or views, a
     writeable array is copied first), so the per-contact masks in ``_memo``
-    stay valid for the set's lifetime.
+    stay valid for the set's lifetime.  ``mask`` is stored the same way, as
+    bool: a mask that is not bool, or that a caller could still write, is
+    kept as a read-only bool copy.
     """
 
     directions: np.ndarray  # (n, 3), unit rows
@@ -102,6 +104,9 @@ class DirectionSet:
     def __post_init__(self):
         if self.directions.ndim != 2 or self.directions.shape[1] != 3:
             raise ValueError("directions must be an (n, 3) array")
+        if not (isinstance(self.mask, np.ndarray) and self.mask.dtype == bool
+                and _frozen(self.mask)):
+            object.__setattr__(self, "mask", frozen_copy(self.mask, dtype=bool))
         if self.mask.shape != (self.directions.shape[0],):
             raise ValueError("mask length must match directions")
         if not _frozen(self.directions):
@@ -125,8 +130,11 @@ class DirectionSet:
 
     def _owning(self, mask: np.ndarray) -> "DirectionSet":
         """A set over this sample and memo that takes ``mask``, a fresh bool
-        array no caller holds, and freezes it in place."""
-        mask.flags.writeable = False
+        array no caller holds, and freezes it in place, down its view chain."""
+        a = mask
+        while isinstance(a, np.ndarray):
+            a.flags.writeable = False
+            a = a.base
         derived = DirectionSet(self.directions, mask)
         object.__setattr__(derived, "_memo", self._memo)
         return derived
@@ -442,23 +450,22 @@ def disassembly_space(model: AssemblyModel, component_id: str,
 class Mobility(str, Enum):
     FIX = "fix"
     LIN = "lin"
-    ROT = "rot"
     FITS = "fits"
     AGPP = "agpp"
     FREE = "free"
 
 
-_AXIS_VALUES = (Mobility.LIN, Mobility.ROT, Mobility.FITS)
+_AXIS_VALUES = (Mobility.LIN, Mobility.FITS)
 
 
 @dataclass(frozen=True)
 class MobilityLabel:
     """Symbolic mobility of a component pair.
 
-    ``axis`` carries the translation axis for lin/fits (and a rotation axis
-    for a bare rot label).  ``rot_axis`` records symbolically free rotation
-    derived from screwed/concentric contacts; it may accompany any value, so a
-    screwed pair reads as fix with a live rotation axis.
+    ``axis`` carries the translation axis for lin/fits.  ``rot_axis`` records
+    symbolically free rotation derived from screwed/concentric contacts; it
+    may accompany any value, so a screwed pair reads as fix with a live
+    rotation axis.
     """
 
     value: Mobility
@@ -473,11 +480,6 @@ class MobilityLabel:
             v = getattr(self, name)
             if v is not None:
                 object.__setattr__(self, name, frozen_copy(v, (3,), name))
-
-    def __str__(self):
-        if self.axis is not None:
-            return f"{self.value.value}({np.array2string(self.axis, precision=3)})"
-        return self.value.value
 
 
 def _principal_axis(points: np.ndarray) -> np.ndarray:

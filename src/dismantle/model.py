@@ -199,6 +199,10 @@ class AssemblyModel:
         if len(bases) != 1:
             raise ValidationError(
                 f"model must have exactly one base component, found {len(bases)}")
+        for semantic, tool in self.tool_map.items():
+            if tool is Tool.NONE:
+                raise ValidationError("tool_map maps a semantic to no tool",
+                                      entity=semantic.value)
         for rel in self.relations:
             for cid in rel.components:
                 if cid not in ids:

@@ -38,11 +38,6 @@ class MPKind(str, Enum):
     PULL = "pull"
 
 
-# twist and pull carry a process phase and expand through the full grammar;
-# move and put decompose to positioning / release subsets only
-PROCESS_KINDS = (MPKind.TWIST, MPKind.PULL)
-
-
 @dataclass(frozen=True)
 class ManipulationPrimitive:
     kind: MPKind

@@ -32,7 +32,7 @@ from .camera import FOCAL_PX, camera_pose, project
 from .errors import ErrorType, UnresolvableGoal
 from .geometry import IDENTITY, Pose, frozen_copy, normalize, pose_error
 from .model import AssemblyModel, Component, Semantic, Tool
-from .planner import PROCESS_KINDS, ManipulationPrimitive, MPKind, Plan
+from .planner import ManipulationPrimitive, MPKind, Plan
 
 TOL_POS = 1e-3          # meters; rough positioning considered "reached"
 TOL_FEAT_PX = 1.0       # pixels; residual above this warrants fine positioning
@@ -184,6 +184,12 @@ class SkillPrimitive:
         if self.stop.kind is StopKind.FORCE_REACHED and self.hm.contact_axis is None:
             raise ValueError("a force_reached stop requires a move with a "
                              "declared contact axis")
+        if (all(c is ControlMode.POS for c in self.hm.control)
+                and self.stop.kind is not StopKind.TOOL_DONE
+                and not (self.stop.kind is StopKind.POSE_REACHED
+                         and np.array_equal(self.stop.target, self.hm.setpoint))):
+            raise ValueError("a position move must stop by pose_reached on its "
+                             "own setpoint, or be a tool_done tool action")
 
     def to_json(self) -> dict:
         obj = {
@@ -506,9 +512,7 @@ def decompose(mp: ManipulationPrimitive,
             aps.extend(_release(comp, cursor, held_tool, assembly))
         return aps
 
-    if mp.kind not in PROCESS_KINDS:
-        raise UnresolvableGoal(f"no decomposition for primitive kind {mp.kind}")
-
+    # twist and pull: the full expansion
     if rule_get_tool(held_tool, mp.tool):
         if held_tool is not Tool.NONE:
             aps.append(_put_tool_ap(held_tool, model))

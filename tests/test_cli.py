@@ -56,10 +56,12 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == 1 and "error" in err
 
 
-# files that json cannot turn into a document: nested past the recursion
-# limit, not UTF-8 (a UTF-16 byte-order mark), an integer too long to convert
+# files that hold no document of the right shape: nested past the recursion
+# limit, not UTF-8 (a UTF-16 byte-order mark), an integer too long to
+# convert, a JSON value that is not an object
 UNREADABLE = {"too_deep": b"[" * 100_000, "not_utf8": b"\xff\xfe{\x00}\x00",
-              "long_int": b'{"format_version": ' + b"1" * 5000 + b"}"}
+              "long_int": b'{"format_version": ' + b"1" * 5000 + b"}",
+              "not_an_object": b"[1, 2]"}
 
 
 @pytest.mark.parametrize("command", ["plan", "decompose", "simulate"])
@@ -198,6 +200,13 @@ def _set_pose(key, value):
     (lambda doc: doc.update(vision_noise=1e300), "vision_noise"),
     (lambda doc: doc.update(format_version=True), "format_version"),
     (lambda doc: doc.update(format_version=1.0), "format_version"),
+    (lambda doc: doc["components"][1].update(semantic="bolt"),
+     "components[screw_1].semantic"),
+    (lambda doc: doc["relations"][0].update(kind="glued"), "relations[].kind"),
+    (lambda doc: doc["relations"][0]["geometry"].update(kind="cone"),
+     "relations[].geometry.kind"),
+    (lambda doc: doc.update(tool_map={"screw": "hammer"}), "tool_map"),
+    (lambda doc: doc.update(tool_map={"bolt": "gripper"}), "tool_map"),
 ], ids=["relation_entry", "component_entry", "geometry", "relations_str",
         "components_obj", "tool_stations_list", "tool_map_list",
         "component_id_list", "component_id_obj", "features_str",
@@ -206,7 +215,8 @@ def _set_pose(key, value):
         "pose_str", "pose_bool", "pose_huge_int", "pose_huge_orientation",
         "feature_1e300", "robot_start_1e300", "vision_noise_1e300",
         "format_version_true",
-        "format_version_float"])
+        "format_version_float", "unknown_semantic", "unknown_relation_kind",
+        "unknown_geometry_kind", "tool_map_unknown_tool", "tool_map_unknown_semantic"])
 def test_mistyped_collection_is_parse_error(tmp_path, capsys, command, edit, field):
     doc = json.loads((SCENARIOS / "single_screw.json").read_text())
     edit(doc)
@@ -265,13 +275,30 @@ def test_bad_fault_field_exits_one(tmp_path, capsys, doc):
     assert not (tmp_path / "run").exists()
 
 
-def test_validation_error_exit_code(tmp_path, capsys):
+def _map_screw_to_no_tool(doc):
+    doc["tool_map"] = {"screw": "none"}
+    doc["tool_stations"]["none"] = doc["tool_stations"]["gripper"]
+
+
+@pytest.mark.parametrize("command", ["plan", "decompose", "simulate"])
+@pytest.mark.parametrize("edit, entity", [
+    (_set_pair(["screw_1", "missing"]), "missing"),
+    (_map_screw_to_no_tool, "screw"),
+    (lambda doc: doc["components"].append(dict(doc["components"][1])), "screw_1"),
+    (lambda doc: doc.update(target="ghost"), "ghost"),
+    (_set_pair(["screw_1", "screw_1"]), "screw_1"),
+    (lambda doc: doc["relations"][0]["geometry"].update(kind="point"), "screw_1-base"),
+], ids=["unknown_relation_component", "tool_map_none", "duplicate_id",
+        "unknown_target", "self_joined", "point_geometry"])
+def test_validation_error_exit_code(tmp_path, capsys, command, edit, entity):
     doc = json.loads((SCENARIOS / "single_screw.json").read_text())
-    doc["relations"][0]["components"] = ["screw_1", "missing"]
+    edit(doc)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    code, _, err = _run(capsys, "plan", bad)
-    assert code == 2 and "missing" in err
+    code, out, err = _run(capsys, command, bad, "--samples", 500)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"(entity: {entity})" in err
 
 
 def test_decompose_missing_station_exits_three(tmp_path, capsys):

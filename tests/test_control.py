@@ -455,6 +455,27 @@ def test_run_skill_feature_behind_camera_raises_singular_with_log():
     assert z[3] <= 0.0 < np.min(z[:3])
 
 
+def test_run_skill_degenerate_features_raise_singular_with_log():
+    # three coincident points in front of the camera: J^T J is rank 2, so the
+    # first tick's ibvs_step cannot servo toward a target 5 px off
+    pts = np.array([[0.3, 0.0, 0.02]] * 3)
+    start = Pose(np.array([0.3, 0.0, 0.2]))
+    seen, z = project(pts, camera_pose(start))
+    assert np.all(z > 0.0)
+    f_des = seen + np.array([5.0, 0.0] * 3)
+    hm = HybridMove(TaskFrame.RGBD, (ControlMode.VSC,) * 6, f_des)
+    ap = SkillPrimitive(SkillName.FINE_POS, hm, IDLE_TOOL,
+                        StopCondition(StopKind.FEATURE_REACHED, f_des, 0.5),
+                        component="c")
+    with pytest.raises(SingularJacobian, match="degenerate for servoing") as exc:
+        run_skill(ap, PlantState(pose=start, tracked_points=pts))
+    log = exc.value.log
+    assert log.stopped_by == "singular"
+    assert exc.value.state.pose is start
+    assert log.rows == [] and log.total_units() == 0
+    assert log.final_feat_err == pytest.approx(5.0)
+
+
 def test_run_skill_timeout_raises():
     goal = Pose(np.array([5.0, 0.0, 0.2]))  # unreachable within 1 s
     vec = goal.as_vector()

@@ -606,6 +606,30 @@ def test_directions_insulated_from_caller_array(given):
     assert np.array_equal(space_from_contacts(contacts, fresh).mask, before)
 
 
+def test_mask_insulated_from_caller_array():
+    dirs = sample_sphere(1000, seed=4)
+    contacts = [(RelationKind.PLANE_CONTACT, np.array([0.0, 0.0, 1.0]))]
+    before = space_from_contacts(contacts, dirs).mask
+    caller = np.ones(dirs.n, dtype=bool)
+    held = DirectionSet(dirs.directions, caller)
+    assert not held.mask.flags.writeable
+    caller[:] = False
+    assert held.is_full()
+    # a float 0/1 mask is kept as bool, so the contacts still AND into it
+    as_float = DirectionSet(dirs.directions, np.ones(dirs.n))
+    assert as_float.mask.dtype == bool
+    assert np.array_equal(space_from_contacts(contacts, as_float).mask, before)
+
+
+def test_space_keeps_its_unpacked_mask_without_a_copy():
+    dirs = sample_sphere(1000, seed=4)
+    space = space_from_contacts(
+        [(RelationKind.PLANE_CONTACT, np.array([0.0, 0.0, 1.0]))], dirs)
+    # the bool view of np.unpackbits's output, frozen down to its base
+    assert space.mask.base is not None and space.mask.base.dtype == np.uint8
+    assert not space.mask.flags.writeable and not space.mask.base.flags.writeable
+
+
 # ---------------------------------------------------------------- labels
 
 def test_classify_empty_is_fix(dirs10k):

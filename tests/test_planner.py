@@ -170,6 +170,12 @@ def test_unknown_target_raises(valve_model, dirs2k):
         plan_disassembly(bad, dirs2k)
 
 
+def test_base_target_empty_plan(valve_model, dirs2k):
+    # the base is never extracted, so a plan for it has nothing to remove
+    plan = plan_disassembly(replace(valve_model, target=valve_model.base_id), dirs2k)
+    assert plan.steps == () and not plan.assembly
+
+
 def test_empty_model_empty_plan(dirs2k):
     from dismantle.model import load_model
     from conftest import SCENARIOS

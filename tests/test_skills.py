@@ -157,6 +157,19 @@ def test_force_stop_requires_contact_axis():
                        component="c", process="press")
 
 
+@pytest.mark.parametrize("stop", [
+    StopCondition(StopKind.POSE_REACHED, np.array([0.3, 0.0, 0.1, 0.0, 0.0, 0.0]), 1e-3),
+    StopCondition(StopKind.FEATURE_REACHED, np.zeros(8), 0.5),
+    StopCondition(StopKind.FORCE_REACHED, np.array([10.0]), 0.2),
+], ids=["pose_off_setpoint", "feature", "force"])
+def test_position_move_stops_on_its_own_setpoint(stop):
+    # run_skill steers a position move by the offset to its stop pose
+    hm = HybridMove(TaskFrame.WORLD, (ControlMode.POS,) * 6,
+                    np.array([0.3, 0.0, 0.2, 0.0, 0.0, 0.0]), contact_axis=[0, 0, -1])
+    with pytest.raises(ValueError, match="position move must stop by pose_reached"):
+        SkillPrimitive(SkillName.PROCESS_OBJ, hm, IDLE_TOOL, stop, component="c")
+
+
 def test_toolless_command_must_idle():
     with pytest.raises(ValueError):
         ToolCommand(Tool.NONE, ToolCmd.CLOSE)
