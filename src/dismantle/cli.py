@@ -142,11 +142,19 @@ def cmd_report(args) -> int:
     what = f"cannot aggregate {runs_path}"
     doc = read_json(runs_path, what)
     try:
-        mp_count = doc["mp_count"]
+        if not isinstance(doc, dict):
+            raise ValueError("expected an object with mp_count and runs, "
+                             f"not {doc!r:.40}")
+        for key in ("mp_count", "runs"):
+            if key not in doc:
+                raise ValueError(f"the object has no {key} key")
+        mp_count, runs = doc["mp_count"], doc["runs"]
         if type(mp_count) is not int or mp_count < 0:
             raise ValueError(f"mp_count must be an int >= 0: {mp_count!r:.40}")
-        report = aggregate([RunResult.from_json(e) for e in doc["runs"]], mp_count)
-    except (KeyError, TypeError, ValueError) as exc:
+        if not isinstance(runs, list):
+            raise ValueError(f"runs must be a list of run entries: {runs!r:.40}")
+        report = aggregate([RunResult.from_json(e) for e in runs], mp_count)
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"{what}: {exc}") from None
     print(report.format_table())
     return 0

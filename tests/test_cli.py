@@ -538,6 +538,20 @@ def test_report_on_corrupt_runs_fails_cleanly(tmp_path, capsys):
     assert code == 0 and stdout.startswith("t_exe in [s]            0.010")
 
 
+@pytest.mark.parametrize("doc, says", [
+    ([1, 2], "expected an object with mp_count and runs, not [1, 2]"),
+    ({}, "the object has no mp_count key"),
+    ({"runs": 5}, "the object has no mp_count key"),
+    ({"mp_count": 3}, "the object has no runs key"),
+    ({"mp_count": 3, "runs": 5}, "runs must be a list of run entries: 5"),
+])
+def test_report_names_what_is_wrong_with_runs_file(tmp_path, capsys, doc, says):
+    (tmp_path / "runs.json").write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "report", "--out", tmp_path)
+    assert code == 1 and out == ""
+    assert err == f"error: cannot aggregate {tmp_path / 'runs.json'}: {says}\n"
+
+
 def test_scenario_file_never_modified(tmp_path, capsys):
     src = SCENARIOS / "single_screw.json"
     before = src.read_bytes()

@@ -69,9 +69,27 @@ def test_sample_deterministic():
 C = dspace._CHUNK
 
 
-def _sphere_oracle(n, seed):
-    """sample_sphere as one full-size pass, as it was before chunking."""
-    golden = np.pi * (3.0 - np.sqrt(5.0))
+GOLDEN = np.pi * (3.0 - np.sqrt(5.0))
+
+
+def _rotation(seed):
+    return quat_matrix(random_rotation(np.random.default_rng(seed)))
+
+
+def _rotated(lattice, rot):
+    """``rot @ lattice`` with unit columns, normalised as sample_sphere does."""
+    pts = rot @ lattice
+    norm = pts[0] * pts[0]
+    norm += pts[1] * pts[1]
+    norm += pts[2] * pts[2]
+    pts /= np.sqrt(norm)
+    return pts.T
+
+
+def _per_row_lattice(n):
+    """The Fibonacci lattice with every azimuth golden * i evaluated on its
+    own, in one full-size pass, as sample_sphere built it before the angle
+    addition."""
     theta = np.arange(n, dtype=float)
     lattice = np.empty((3, n))
     x, y, z = lattice
@@ -83,20 +101,62 @@ def _sphere_oracle(n, seed):
     np.subtract(1.0, y, out=y)
     np.clip(y, 0.0, None, out=y)
     np.sqrt(y, out=y)
-    theta *= golden
+    theta *= GOLDEN
     np.cos(theta, out=x)
     x *= y
     np.sin(theta, out=theta)
     y *= theta
-    pts = quat_matrix(random_rotation(np.random.default_rng(seed))) @ lattice
-    norm = np.multiply(pts[0], pts[0], out=x)
-    np.multiply(pts[1], pts[1], out=theta)
-    norm += theta
-    np.multiply(pts[2], pts[2], out=theta)
-    norm += theta
-    np.sqrt(norm, out=norm)
-    pts /= norm
-    return pts.T
+    return lattice
+
+
+def _sphere_oracle(n, seed):
+    """sample_sphere as one full-size pass of the angle addition: row i of
+    the chunk that starts at lo takes cos and sin of golden * lo and of
+    golden * (i - lo)."""
+    i = np.arange(n)
+    chunks = max(1, -(-(n - 1) // C))
+    lo = np.minimum(i // C, chunks - 1) * C
+    k = (i - lo).astype(float)
+    lo = lo.astype(float)
+    ca, sa = np.cos(lo * GOLDEN), np.sin(lo * GOLDEN)
+    ck, sk = np.cos(k * GOLDEN), np.sin(k * GOLDEN)
+    z = 1.0 - (2.0 * i + 1.0) / n
+    r = np.sqrt(1.0 - z * z)
+    lattice = np.stack([(ck * ca - sk * sa) * r, (ck * sa + sk * ca) * r, z])
+    return _rotated(lattice, _rotation(seed))
+
+
+@pytest.mark.parametrize("n", [1, 2, 500, 2000, 10_000, C, C + 1])
+def test_one_chunk_sphere_equals_per_row_formula(n):
+    """Chunk 0's angle addition is by cos 0 = 1 and sin 0 = 0, so a sphere of
+    one chunk keeps the bytes of the row-by-row azimuths."""
+    for seed in (0, 7, 2024):
+        want = _rotated(_per_row_lattice(n), _rotation(seed))
+        assert sample_sphere(n, seed).directions.tobytes() == want.tobytes()
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52,
+                    reason="longdouble has only float64 precision here")
+def test_angle_addition_no_less_accurate_than_per_row_azimuths(monkeypatch):
+    """At 1M rows, the lattice's cos and sin of the azimuths err from a
+    longdouble reference no more than the row-by-row float64 azimuths do:
+    the float64 rounding of golden * i sets both."""
+    n = 1_000_000
+    monkeypatch.setattr(dspace, "random_rotation",
+                        lambda rng: np.array([1.0, 0.0, 0.0, 0.0]))
+    i = np.arange(n, dtype=np.longdouble)
+    azimuth = i * np.longdouble(GOLDEN)
+    z = 1 - (2 * i + 1) / n
+    r = np.sqrt(1 - z * z)
+    cos_ref, sin_ref = np.cos(azimuth), np.sin(azimuth)
+
+    def worst(pts):
+        return float(max(np.abs(pts[:, 0] / r - cos_ref).max(),
+                         np.abs(pts[:, 1] / r - sin_ref).max()))
+
+    new = worst(sample_sphere(n).directions)
+    old = worst(_rotated(_per_row_lattice(n), np.eye(3)))
+    assert new <= old < 3e-10
 
 
 def _admissible_oracle(kind, direction, dirs):
