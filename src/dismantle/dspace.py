@@ -39,9 +39,10 @@ call gives cos and sin of golden * lo for every chunk start lo, and a chunk's
 rows are built from the two by angle addition, so a 1M sphere evaluates
 about 65k sines and cosines instead of 2M.  Chunk 0 has cos = 1 and sin = 0
 and keeps the table's values bit for bit, so a sphere of one chunk
-(n <= 2^15 + 1) has the bytes of the row-by-row formula; the rows of a later
-chunk differ from it by the rounding of the addition, at most about 2e-10
-per coordinate at 1M, no more than the rounding of golden * i itself.
+(n <= 2^15 + 1) has the bytes of the row-by-row formula.  The rows of a
+later chunk differ from it by the rounding of the addition, about 2e-10 per
+coordinate at 1M, and are no less accurate: the float64 rounding of
+golden * lo and of golden * i bounds the error of either.
 
 Only this module decides what a contact kind admits: ``_PREDICATES`` holds
 each kind's test and margin, and ``best_direction`` chooses from them the
@@ -213,14 +214,13 @@ def sample_sphere(n: int, seed: int = 0) -> DirectionSet:
     The sample is a ``(3, n)`` block, one coordinate per row, returned as its
     read-only ``(n, 3)`` transpose.  Each chunk ``[lo, hi)``'s lattice is
     built in its share's 768 KiB scratch, rotated straight into the block by
-    one BLAS product and normalised there.  Its azimuths golden * lo +
-    golden * k are never formed: cos and sin of golden * k (one table for the
-    call, k < min(n, 2^15 + 1)) and of golden * lo (one array call for all
-    chunk starts) give x = r (cos_lo cos_k - sin_lo sin_k) and
-    y = r (sin_lo cos_k + cos_lo sin_k), with the block's own chunk as the
-    products' scratch.  Chunk 0 has cos_lo = 1 and sin_lo = 0, so a sphere of
-    one chunk is unchanged bit for bit from the row-by-row formula (see the
-    module docstring).
+    one BLAS product and normalised there.  Its azimuths golden * (lo + k)
+    come by angle addition, x = r (cos_lo cos_k - sin_lo sin_k) and
+    y = r (sin_lo cos_k + cos_lo sin_k), from one table of cos and sin of
+    golden * k for the call (k < min(n, 2^15 + 1)) and one array call for
+    all chunk starts, with the block's own chunk as the products' scratch.
+    Chunk 0 has cos_lo = 1 and sin_lo = 0, so a sphere of one chunk keeps the
+    bytes of the row-by-row formula.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -242,11 +242,11 @@ def sample_sphere(n: int, seed: int = 0) -> DirectionSet:
     def fill(lattice, lo, hi):
         x, y, z = lattice
         p = pts[:, lo:hi]  # free until the rotation writes the chunk
-        k = hi - lo
+        rows = hi - lo
         ca, sa = cos_lo[lo // _CHUNK], sin_lo[lo // _CHUNK]
         # z = 1 - (2i + 1) / n with i = lo + k; r = sqrt(1 - z^2) in y.  No
         # clip: (2i + 1) / n lies in [0, 2], so |z| <= 1 and 1 - z^2 >= +0
-        np.add(odd[:k], 2 * lo, out=z)
+        np.add(odd[:rows], 2 * lo, out=z)
         z /= n
         np.subtract(1.0, z, out=z)
         np.multiply(z, z, out=y)
@@ -254,11 +254,11 @@ def sample_sphere(n: int, seed: int = 0) -> DirectionSet:
         np.sqrt(y, out=y)
         # cos and sin of golden * lo + golden * k by angle addition; in chunk
         # 0, ca = 1 and sa = 0 leave the table's values as they are
-        np.multiply(cos_k[:k], ca, out=x)
-        np.multiply(sin_k[:k], sa, out=p[0])
+        np.multiply(cos_k[:rows], ca, out=x)
+        np.multiply(sin_k[:rows], sa, out=p[0])
         x -= p[0]
-        np.multiply(cos_k[:k], sa, out=p[0])
-        np.multiply(sin_k[:k], ca, out=p[1])
+        np.multiply(cos_k[:rows], sa, out=p[0])
+        np.multiply(sin_k[:rows], ca, out=p[1])
         p[0] += p[1]
         x *= y
         y *= p[0]
