@@ -8,13 +8,14 @@ inverse, run at 20 Hz; the lower rate models feature-extraction cost).  The
 admittance filter is fixed: ``AdmittanceParams`` has no field and holds the
 ``ADM_*`` constants as read-only arrays (``geometry.frozen_copy``).
 
-The plant is a velocity-integrating Cartesian robot over a contact-spring
-environment; it reports the contact wrench, through its force-sensor model
-(``PlantState.force_noise``) if it has one.  The flange camera is read by the
-skill loop, once per visual-servoing tick; it sees the plant's tracked points,
-if any.  Time is simulated, not measured: the clock advances in integer units
-of 10 ms, so 50 Hz and 20 Hz ticks are exact (2 and 5 units) and per-bucket
-time sums are exact integer arithmetic.
+The plant is a velocity-integrating Cartesian robot over contacts of fixed
+physics (``ENV_STIFFNESS``, ``RETENTION_N``, ``RELEASE_DIST``); it reports
+the contact wrench, through its force-sensor model (``PlantState.force_noise``)
+if it has one.  The flange camera is read by the skill loop, once per
+visual-servoing tick; it sees the plant's tracked points, if any.  Time is
+simulated, not measured: the clock advances in integer units of 10 ms, so
+50 Hz and 20 Hz ticks are exact (2 and 5 units) and per-bucket time sums are
+exact integer arithmetic.
 
 ``run_skill`` keeps the tick state of its position and force loops in
 Python floats and builds a ``Pose`` only when a skill ends.  Two layers, as in
@@ -63,7 +64,7 @@ ADM_MASS = 5.0
 ADM_DAMPING = 250.0
 ADM_STIFFNESS = 500.0
 
-ENV_STIFFNESS = 10_000.0     # N/m default contact spring
+ENV_STIFFNESS = 10_000.0     # N/m contact spring
 RELEASE_DIST = 0.02          # m of travel that frees a retained part
 RETENTION_N = 8.0            # N resisting a retained part's extraction
 
@@ -94,18 +95,16 @@ class Wrench:
     torque: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        _check_fields(self, ("force", "torque"), (), ())
+        _check_fields(self, ("force", "torque"), ())
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.force, self.torque])
 
 
-def _check_fields(obj, points: tuple[str, ...], axes: tuple[str, ...],
-                  positives: tuple[str, ...]) -> None:
+def _check_fields(obj, points: tuple[str, ...], axes: tuple[str, ...]) -> None:
     """Validate and store the named fields of a frozen dataclass: ``points``
     and ``axes`` as ``frozen_copy``s of finite 3-vectors, each axis within
-    1e-6 of unit length and kept unscaled; ``positives`` as finite positive
-    floats.  Raises ValueError otherwise."""
+    1e-6 of unit length and kept unscaled.  Raises ValueError otherwise."""
     for name in points + axes:
         v = frozen_copy(getattr(obj, name), (3,), name)
         if not all(map(math.isfinite, v.tolist())):
@@ -113,37 +112,30 @@ def _check_fields(obj, points: tuple[str, ...], axes: tuple[str, ...],
         if name in axes and abs(np.linalg.norm(v) - 1.0) > 1e-6:
             raise ValueError(f"{name} must be a unit vector, got {v.tolist()}")
         object.__setattr__(obj, name, v)
-    for name in positives:
-        x = float(getattr(obj, name))
-        if not (math.isfinite(x) and x > 0.0):
-            raise ValueError(f"{name} must be finite and positive, got {x}")
-        object.__setattr__(obj, name, x)
 
 
 @dataclass(frozen=True)
 class ContactPlane:
-    """One-sided linear spring: pushes along ``normal`` when penetrated."""
+    """One-sided ``ENV_STIFFNESS`` spring: pushes along ``normal`` when penetrated."""
 
     point: np.ndarray
     normal: np.ndarray
-    stiffness: float = ENV_STIFFNESS
+    stiffness = ENV_STIFFNESS
 
     def __post_init__(self):
-        _check_fields(self, ("point",), ("normal",), ("stiffness",))
+        _check_fields(self, ("point",), ("normal",))
 
 
 @dataclass(frozen=True)
 class Retention:
-    """Insertion retention: a constant force resists extraction along ``axis``
-    until the part has traveled ``release_dist`` from ``anchor``."""
+    """Insertion retention: ``RETENTION_N`` resists extraction along ``axis``
+    until the part has traveled ``RELEASE_DIST`` from ``anchor``."""
 
     anchor: np.ndarray
     axis: np.ndarray
-    force_n: float = RETENTION_N
-    release_dist: float = RELEASE_DIST
 
     def __post_init__(self):
-        _check_fields(self, ("anchor",), ("axis",), ("force_n", "release_dist"))
+        _check_fields(self, ("anchor",), ("axis",))
 
 
 @dataclass(frozen=True)
@@ -255,11 +247,9 @@ def position_step(goal: Pose, current: Pose) -> np.ndarray:
 def _contact_floats(contacts: tuple[ContactPlane, ...],
                     retentions: tuple[Retention, ...]) -> tuple[tuple, tuple]:
     """The contact planes and retentions as ``_spring_force`` reads them:
-    each a point and a unit vector as lists of 3 floats, then its scalars."""
-    planes = tuple((c.point.tolist(), c.normal.tolist(), c.stiffness)
-                   for c in contacts)
-    holds = tuple((r.anchor.tolist(), r.axis.tolist(), r.force_n, r.release_dist)
-                  for r in retentions)
+    each a point and a unit vector as lists of 3 floats."""
+    planes = tuple((c.point.tolist(), c.normal.tolist()) for c in contacts)
+    holds = tuple((r.anchor.tolist(), r.axis.tolist()) for r in retentions)
     return planes, holds
 
 
@@ -268,17 +258,18 @@ def _spring_force(p, planes: tuple, holds: tuple) -> tuple:
     from the ``_contact_floats`` of the contacts."""
     x, y, z = p
     fx = fy = fz = 0.0
-    for (cx, cy, cz), normal, stiffness in planes:
+    for (cx, cy, cz), normal in planes:
         pen = vec_dot((cx - x, cy - y, cz - z), normal)
         if pen > 0.0:
-            k = stiffness * pen
+            k = ENV_STIFFNESS * pen
             nx, ny, nz = normal
             fx, fy, fz = fx + k * nx, fy + k * ny, fz + k * nz
-    for (ax, ay, az), axis, force_n, release_dist in holds:
+    for (ax, ay, az), axis in holds:
         travel = vec_dot((x - ax, y - ay, z - az), axis)
-        if 0.0 < travel < release_dist:
+        if 0.0 < travel < RELEASE_DIST:
             ux, uy, uz = axis
-            fx, fy, fz = fx - force_n * ux, fy - force_n * uy, fz - force_n * uz
+            fx, fy, fz = (fx - RETENTION_N * ux, fy - RETENTION_N * uy,
+                          fz - RETENTION_N * uz)
     return fx, fy, fz
 
 

@@ -311,38 +311,33 @@ _PREDICATE = {RelationKind.PLANE_CONTACT: "half", RelationKind.CONGRUENT: "half"
               RelationKind.CONCENTRIC: "cone"}
 
 
-def _score_pass(dirs: DirectionSet, jobs: list) -> None:
+def _score_pass(dirs: DirectionSet, jobs: list) -> list[np.ndarray]:
     """Score the sample against every job's direction in one chunked pass.
 
     A job is ``(direction, absolute, tests)``.  Per chunk ``[lo, hi)`` its
     scores go to the share's scratch (their absolute values if ``absolute``),
-    and each test ``(compare, bound, store)`` compares them with ``bound``
-    into a bool scratch and hands that to ``store(bools, lo, hi)``.  The only
-    scoring kernel: ``admissible_indices`` and the memo both run it.
+    and each test ``(compare, bound)`` compares them with ``bound`` and packs
+    the bools into the chunk's bytes of its mask: chunk starts are multiples
+    of 8, so no two chunks write the same byte.  Returns the packed masks, in
+    job and test order.  The only scoring kernel: ``admissible_indices`` and
+    the memo both run it.
     """
     directions = dirs.directions
+    masks = [np.empty(-(-dirs.n // 8), np.uint8) for _, _, t in jobs for _ in t]
 
     def fill(buf, lo, hi):
         scores, bools = buf[0], buf[1].view(bool)[:hi - lo]
+        out = iter(masks)
         for direction, absolute, tests in jobs:
             np.matmul(directions[lo:hi], direction, out=scores)
             if absolute:
                 np.abs(scores, out=scores)
-            for compare, bound, store in tests:
-                store(compare(scores, bound, out=bools), lo, hi)
+            for compare, bound in tests:
+                next(out)[lo >> 3:(hi + 7) >> 3] = np.packbits(
+                    compare(scores, bound, out=bools))
 
     _by_chunks(dirs.n, 2, fill)
-
-
-def _packing_into(packed: np.ndarray):
-    """A ``store`` that packs a chunk's bools into its bytes of ``packed``.
-
-    Chunk starts are multiples of 8, so chunk ``[lo, hi)`` owns the bytes
-    ``[lo / 8, ceil(hi / 8))`` and no two chunks write the same byte.
-    """
-    def store(bools, lo, hi):
-        packed[lo >> 3:(hi + 7) >> 3] = np.packbits(bools)
-    return store
+    return masks
 
 
 def admissible_indices(kind: RelationKind, direction: np.ndarray,
@@ -355,20 +350,15 @@ def admissible_indices(kind: RelationKind, direction: np.ndarray,
     blocks translation until a twist converts the joint.  The mask is a fresh
     writable array and ignores ``dirs.mask``; numpy accepts it as an index.
 
-    The scores come from the memo's kernel (``_score_pass``) and are the
-    same bytes, but this function neither reads nor fills the memo.
+    The mask is the memo kernel's (``_score_pass``) packed mask, unpacked,
+    but this function neither reads nor fills the memo.
     """
     if kind is RelationKind.SCREWED:
         return np.zeros(dirs.n, dtype=bool)
-    absolute, (compare, bound), _, _ = _PREDICATES[_PREDICATE[kind]]
-    mask = np.empty(dirs.n, dtype=bool)
-
-    def store(bools, lo, hi):
-        mask[lo:hi] = bools
-
-    _score_pass(dirs, [(np.asarray(direction, dtype=float), absolute,
-                        [(compare, bound, store)])])
-    return mask
+    absolute, test, _, _ = _PREDICATES[_PREDICATE[kind]]
+    [packed] = _score_pass(dirs, [(np.asarray(direction, dtype=float), absolute,
+                                   [test])])
+    return np.unpackbits(packed, count=dirs.n).view(bool)
 
 
 def intersect_spaces(index_sets: list[np.ndarray], dirs: DirectionSet) -> DirectionSet:
@@ -385,26 +375,25 @@ def intersect_spaces(index_sets: list[np.ndarray], dirs: DirectionSet) -> Direct
 def _fill_memo(requests: list[tuple[tuple, np.ndarray]], dirs: DirectionSet) -> None:
     """Score, in one pass, every ``(key, direction)`` the memo lacks.
 
-    Each scored direction gives the entries of both d and -d.  The entries
-    go to the memo only once the whole pass has succeeded.
+    Each scored direction gives the entries of both d and -d; a cone's one
+    mask serves both.  The entries go to the memo only once the whole pass
+    has succeeded.
     """
-    entries = {}
+    entries = {}  # key -> the place of its mask in the pass's output
     jobs = []
-    nbytes = -(-dirs.n // 8)
+    count = 0
     for key, direction in requests:
         if key in dirs._memo or key in entries:
             continue
         absolute, test, opposite, _ = _PREDICATES[key[0]]
-        packed = entries[key] = np.empty(nbytes, dtype=np.uint8)
-        tests = [(*test, _packing_into(packed))]
-        if opposite is not None:
-            packed = np.empty(nbytes, dtype=np.uint8)
-            tests.append((*opposite, _packing_into(packed)))
-        entries[(key[0], (-direction).tobytes())] = packed
+        tests = [test] if opposite is None else [test, opposite]
+        entries[key] = count
+        count += len(tests)
+        entries[(key[0], (-direction).tobytes())] = count - 1
         jobs.append((direction, absolute, tests))
     if jobs:
-        _score_pass(dirs, jobs)
-        dirs._memo.update(entries)
+        masks = _score_pass(dirs, jobs)
+        dirs._memo.update((key, masks[i]) for key, i in entries.items())
 
 
 def space_from_contacts(contacts: list[tuple[RelationKind, np.ndarray]],

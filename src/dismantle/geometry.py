@@ -241,7 +241,7 @@ class Pose:
         return Pose(-quat_apply(q_inv, self.position), q_inv)
 
     def rotvec(self) -> np.ndarray:
-        return self.rotation.as_rotvec()
+        return np.array(quat_to_rotvec_f(self.orientation.tolist()))
 
     def distance(self, other: "Pose") -> tuple[float, float]:
         """(translational, angular) distance: the norms of the translation and

@@ -184,6 +184,9 @@ def test_chunked_kernels_equal_one_pass_oracle(monkeypatch, n, workers):
                              RelationKind.CONCENTRIC):
                     got = admissible_indices(kind, d, ds)
                     assert got.tobytes() == _admissible_oracle(kind, d, ds).tobytes()
+                    assert got.flags.writeable
+            # admissible_indices neither reads nor fills the memo
+            assert ds._memo == {}
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
