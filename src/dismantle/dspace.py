@@ -238,12 +238,12 @@ def sample_sphere(n: int, seed: int = 0) -> DirectionSet:
     start *= golden
     cos_lo, sin_lo = np.cos(start), np.sin(start)
     pts = np.empty((3, n))
+    rows_of_rot = rot.tolist()
 
     def fill(lattice, lo, hi):
         x, y, z = lattice
-        p = pts[:, lo:hi]  # free until the rotation writes the chunk
+        p = pts[:, lo:hi]
         rows = hi - lo
-        ca, sa = cos_lo[lo // _CHUNK], sin_lo[lo // _CHUNK]
         # z = 1 - (2i + 1) / n with i = lo + k; r = sqrt(1 - z^2) in y.  No
         # clip: (2i + 1) / n lies in [0, 2], so |z| <= 1 and 1 - z^2 >= +0
         np.add(odd[:rows], 2 * lo, out=z)
@@ -252,18 +252,15 @@ def sample_sphere(n: int, seed: int = 0) -> DirectionSet:
         np.multiply(z, z, out=y)
         np.subtract(1.0, y, out=y)
         np.sqrt(y, out=y)
-        # cos and sin of golden * lo + golden * k by angle addition; in chunk
-        # 0, ca = 1 and sa = 0 leave the table's values as they are
-        np.multiply(cos_k[:rows], ca, out=x)
-        np.multiply(sin_k[:rows], sa, out=p[0])
-        x -= p[0]
-        np.multiply(cos_k[:rows], sa, out=p[0])
-        np.multiply(sin_k[:rows], ca, out=p[1])
-        p[0] += p[1]
-        x *= y
-        y *= p[0]
+        np.multiply(cos_k[:rows], y, out=x)
+        y *= sin_k[:rows]
+        # rot Rz(golden * lo) in float arithmetic; in chunk 0, ca = 1 and
+        # sa = 0 leave rot as it is
+        ca, sa = float(cos_lo[lo // _CHUNK]), float(sin_lo[lo // _CHUNK])
+        turned = np.array([[r0 * ca + r1 * sa, r1 * ca - r0 * sa, r2]
+                           for r0, r1, r2 in rows_of_rot])
 
-        np.matmul(rot, lattice, out=p)
+        np.matmul(turned, lattice, out=p)
         # column norms, summed in np.linalg.norm's order (x^2 + y^2) + z^2,
         # in the lattice rows the rotation has consumed
         norm = np.multiply(p[0], p[0], out=x)
@@ -314,25 +311,28 @@ _PREDICATE = {RelationKind.PLANE_CONTACT: "half", RelationKind.CONGRUENT: "half"
 def _score_pass(dirs: DirectionSet, jobs: list) -> list[np.ndarray]:
     """Score the sample against every job's direction in one chunked pass.
 
-    A job is ``(direction, absolute, tests)``.  Per chunk ``[lo, hi)`` its
-    scores go to the share's scratch (their absolute values if ``absolute``),
-    and each test ``(compare, bound)`` compares them with ``bound`` and packs
-    the bools into the chunk's bytes of its mask: chunk starts are multiples
-    of 8, so no two chunks write the same byte.  Returns the packed masks, in
-    job and test order.  The only scoring kernel: ``admissible_indices`` and
+    A job is ``(direction, tests, abs_tests)``, the tests of one line.  Per
+    chunk ``[lo, hi)`` its scores s go to the share's scratch by one product;
+    each test ``(compare, bound)`` of ``tests`` compares s with ``bound``,
+    then, if there are ``abs_tests``, one ``abs`` turns s into |s| in place
+    for them.  A test packs its bools into the chunk's bytes of its mask:
+    chunk starts are multiples of 8, so no two chunks write the same byte.
+    Returns the packed masks, in job order and each job's ``tests`` before
+    its ``abs_tests``.  The only scoring kernel: ``admissible_indices`` and
     the memo both run it.
     """
     directions = dirs.directions
-    masks = [np.empty(-(-dirs.n // 8), np.uint8) for _, _, t in jobs for _ in t]
+    masks = [np.empty(-(-dirs.n // 8), np.uint8)
+             for _, tests, abs_tests in jobs for _ in tests + abs_tests]
 
     def fill(buf, lo, hi):
         scores, bools = buf[0], buf[1].view(bool)[:hi - lo]
         out = iter(masks)
-        for direction, absolute, tests in jobs:
+        for direction, tests, abs_tests in jobs:
             np.matmul(directions[lo:hi], direction, out=scores)
-            if absolute:
-                np.abs(scores, out=scores)
-            for compare, bound in tests:
+            for i, (compare, bound) in enumerate(tests + abs_tests):
+                if i == len(tests):
+                    np.abs(scores, out=scores)
                 next(out)[lo >> 3:(hi + 7) >> 3] = np.packbits(
                     compare(scores, bound, out=bools))
 
@@ -356,8 +356,8 @@ def admissible_indices(kind: RelationKind, direction: np.ndarray,
     if kind is RelationKind.SCREWED:
         return np.zeros(dirs.n, dtype=bool)
     absolute, test, _, _ = _PREDICATES[_PREDICATE[kind]]
-    [packed] = _score_pass(dirs, [(np.asarray(direction, dtype=float), absolute,
-                                   [test])])
+    tests = ([], [test]) if absolute else ([test], [])
+    [packed] = _score_pass(dirs, [(np.asarray(direction, dtype=float), *tests)])
     return np.unpackbits(packed, count=dirs.n).view(bool)
 
 
@@ -372,28 +372,56 @@ def intersect_spaces(index_sets: list[np.ndarray], dirs: DirectionSet) -> Direct
     return dirs._owning(mask)
 
 
+def _request(kind: RelationKind, direction: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """The memo key of a non-screwed contact, and its direction as floats."""
+    direction = np.asarray(direction, dtype=float)
+    return (_PREDICATE[kind], direction.tobytes()), direction
+
+
 def _fill_memo(requests: list[tuple[tuple, np.ndarray]], dirs: DirectionSet) -> None:
     """Score, in one pass, every ``(key, direction)`` the memo lacks.
 
-    Each scored direction gives the entries of both d and -d; a cone's one
-    mask serves both.  The entries go to the memo only once the whole pass
-    has succeeded.
+    The requests are grouped by line, a direction up to sign: each line is
+    one job of the pass, scored against the first direction d asked for on
+    it.  A half space's two tests on s give the entries of d and -d; a
+    cone's one test on |s| serves both.  A request that repeats a key in
+    the pass, or asks for the other side of one, adds nothing.  The entries
+    go to the memo only once the whole pass has succeeded.
     """
-    entries = {}  # key -> the place of its mask in the pass's output
-    jobs = []
-    count = 0
+    lines = {}  # the bytes of d and of -d -> the predicates asked of d's line
+    order = []  # (d, its line's predicates), in the order the lines came
     for key, direction in requests:
-        if key in dirs._memo or key in entries:
+        if key in dirs._memo:
             continue
-        absolute, test, opposite, _ = _PREDICATES[key[0]]
-        tests = [test] if opposite is None else [test, opposite]
-        entries[key] = count
-        count += len(tests)
-        entries[(key[0], (-direction).tobytes())] = count - 1
-        jobs.append((direction, absolute, tests))
+        predicate, side = key
+        if side not in lines:
+            lines[side] = lines[(-direction).tobytes()] = {}
+            order.append((direction, lines[side]))
+        lines[side][predicate] = None
+    jobs, keys = [], []  # keys: the memo keys each mask serves, in pass order
+    for direction, predicates in order:
+        sides = (direction.tobytes(), (-direction).tobytes())
+        signed, folded = [], []  # (test, its keys) on s and on |s|
+        for predicate in predicates:
+            absolute, test, opposite, _ = _PREDICATES[predicate]
+            if absolute:
+                folded.append((test, [(predicate, side) for side in sides]))
+            else:
+                signed += [(test, [(predicate, sides[0])]),
+                           (opposite, [(predicate, sides[1])])]
+        jobs.append((direction, [t for t, _ in signed], [t for t, _ in folded]))
+        keys += [k for _, k in signed + folded]
     if jobs:
         masks = _score_pass(dirs, jobs)
-        dirs._memo.update((key, masks[i]) for key, i in entries.items())
+        dirs._memo.update((key, mask) for mask, served in zip(masks, keys)
+                          for key in served)
+
+
+def _fill_memo_for_model(model: AssemblyModel, dirs: DirectionSet) -> None:
+    """Score every non-screwed relation of ``model`` the memo lacks, in one
+    pass, so that the spaces of its components read only the memo."""
+    _fill_memo([_request(r.kind, r.direction) for r in model.relations
+                if r.kind is not RelationKind.SCREWED], dirs)
 
 
 def space_from_contacts(contacts: list[tuple[RelationKind, np.ndarray]],
@@ -408,10 +436,7 @@ def space_from_contacts(contacts: list[tuple[RelationKind, np.ndarray]],
     """
     if any(kind is RelationKind.SCREWED for kind, _ in contacts):
         return dirs._owning(np.zeros(dirs.n, dtype=bool))
-    requests = []
-    for kind, direction in contacts:
-        direction = np.asarray(direction, dtype=float)
-        requests.append(((_PREDICATE[kind], direction.tobytes()), direction))
+    requests = [_request(kind, direction) for kind, direction in contacts]
     _fill_memo(requests, dirs)
     if not requests:
         return dirs._owning(dirs.mask.copy())
@@ -460,8 +485,14 @@ def best_direction(contacts: list[tuple[RelationKind, np.ndarray]],
 
 def disassembly_space(model: AssemblyModel, component_id: str,
                       dirs: DirectionSet) -> DirectionSet:
-    """Full extraction space of a component: intersection over all contacts."""
+    """Full extraction space of a component: intersection over all contacts.
+
+    Every non-screwed relation of the model the memo lacks is scored first,
+    in one pass, so the spaces of all its components cost one pass per
+    sphere.  An unknown component raises before anything is scored.
+    """
     contacts = contacts_of(model, component_id)
+    _fill_memo_for_model(model, dirs)
     oriented = [(r.kind, oriented_direction(r, component_id)) for r in contacts]
     return space_from_contacts(oriented, dirs)
 
@@ -602,7 +633,10 @@ def build_graph(model: AssemblyModel, dirs: DirectionSet) -> MobilityGraph:
 
     The pairwise space is evaluated for the lexicographically smaller
     component of each pair; both edge orientations share the same label.
+    Every non-screwed relation the memo lacks is scored in one pass before
+    the first space.
     """
+    _fill_memo_for_model(model, dirs)
     pair_contacts: dict[tuple[str, str], list[SpatialRelation]] = {}
     for rel in model.relations:
         key = tuple(sorted(rel.components))
