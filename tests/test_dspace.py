@@ -110,20 +110,28 @@ def _per_row_lattice(n):
 
 
 def _sphere_oracle(n, seed):
-    """sample_sphere as one full-size pass of the angle addition: row i of
-    the chunk that starts at lo takes cos and sin of golden * lo and of
-    golden * (i - lo)."""
+    """sample_sphere with the lattice [r cos(golden * k), r sin(golden * k), z]
+    built in one full-size pass, k = i - lo in the chunk that starts at lo,
+    and each chunk rotated by rot Rz(golden * lo), the product of the two
+    3x3 matrices written out term by term in float arithmetic."""
     i = np.arange(n)
     chunks = max(1, -(-(n - 1) // C))
     lo = np.minimum(i // C, chunks - 1) * C
     k = (i - lo).astype(float)
-    lo = lo.astype(float)
-    ca, sa = np.cos(lo * GOLDEN), np.sin(lo * GOLDEN)
-    ck, sk = np.cos(k * GOLDEN), np.sin(k * GOLDEN)
     z = 1.0 - (2.0 * i + 1.0) / n
     r = np.sqrt(1.0 - z * z)
-    lattice = np.stack([(ck * ca - sk * sa) * r, (ck * sa + sk * ca) * r, z])
-    return _rotated(lattice, _rotation(seed))
+    lattice = np.stack([np.cos(k * GOLDEN) * r, np.sin(k * GOLDEN) * r, z])
+    starts = np.arange(chunks) * float(C)
+    rot = _rotation(seed).tolist()
+    parts = []
+    for j, (ca, sa) in enumerate(zip(np.cos(starts * GOLDEN).tolist(),
+                                      np.sin(starts * GOLDEN).tolist())):
+        turn = [[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]]
+        turned = np.array([[sum(rot[a][m] * turn[m][b] for m in range(3))
+                            for b in range(3)] for a in range(3)])
+        end = n if j == chunks - 1 else (j + 1) * C
+        parts.append(_rotated(lattice[:, j * C:end], turned))
+    return np.concatenate(parts)
 
 
 @pytest.mark.parametrize("n", [1, 2, 500, 2000, 10_000, C, C + 1])
