@@ -305,10 +305,19 @@ def _relation_pair(obj: dict, path: str) -> tuple[str, str]:
 
 
 def _parse_pose(obj, path, field_name) -> Pose:
+    obj = _object(obj, path, field_name)
+    parts = []
+    for key, size in (("position", 3), ("orientation", 4)):
+        if key not in obj:
+            raise ParseError(f"pose has no '{key}'", path=path, field=field_name)
+        value = obj[key]
+        if not (isinstance(value, list) and len(value) == size):
+            raise ParseError(f"{key} {value!r:.40} is not a list of {size} numbers",
+                             path=path, field=field_name)
+        parts.append([_number(x, path, field_name) for x in value])
     try:
-        pose = Pose([_number(x, path, field_name) for x in obj["position"]],
-                    [_number(x, path, field_name) for x in obj["orientation"]])
-    except (KeyError, TypeError, ValueError) as exc:
+        pose = Pose(*parts)
+    except ValueError as exc:
         raise ParseError(f"bad pose: {exc}", path=path, field=field_name) from None
     _bounded(pose.position, path, field_name)
     return pose

@@ -228,6 +228,24 @@ def test_mistyped_collection_is_parse_error(tmp_path, capsys, command, edit, fie
     assert f"(field: {field})" in err and "fault" not in err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (_set_pose("position", 5), "position 5 is not a list of 3 numbers"),
+    (lambda doc: doc["components"][1]["pose"].pop("orientation"),
+     "pose has no 'orientation'"),
+    (_set_pose("orientation", [1, 0, 0]),
+     "orientation [1, 0, 0] is not a list of 4 numbers"),
+    (lambda doc: doc["components"][1].update(pose=[1, 2]), "[1, 2] is not an object"),
+], ids=["position_int", "no_orientation", "short_orientation", "pose_list"])
+def test_malformed_pose_names_the_defect(tmp_path, capsys, edit, message):
+    doc = json.loads((SCENARIOS / "single_screw.json").read_text())
+    edit(doc)
+    bad = tmp_path / "pose.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "plan", bad, "--samples", 500)
+    assert code == 1 and out == ""
+    assert err == f"error: {bad}: {message} (field: components[screw_1].pose)\n"
+
+
 def test_features_behind_camera_is_a_failure_row(tmp_path, capsys):
     # a 0.2 m detection error puts a goal where servoing passes a feature
     # behind the camera in repetition 1

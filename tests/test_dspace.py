@@ -550,6 +550,41 @@ def test_one_pass_scores_each_missing_contact_once(monkeypatch):
     assert ("half", north.tobytes()) not in dirs._memo
 
 
+@pytest.mark.parametrize("which, lines", [("valve", 1), ("stack", 2)])
+@pytest.mark.parametrize("graph_first", [False, True], ids=["spaces_first", "graph_first"])
+def test_one_pass_per_model_and_sphere(monkeypatch, valve_model, which, lines,
+                                       graph_first):
+    """The first space or graph on a fresh sphere scores the whole model in
+    one pass of one job per line (the valve's axis; the stack's axis and
+    side wall), and nothing on that sphere scores again."""
+    model = valve_model if which == "valve" else _six_style_stack()
+    passes = _count_passes(monkeypatch)
+    dirs = sample_sphere(3001, seed=4)
+
+    def spaces():
+        for c in model.components:
+            disassembly_space(model, c.id, dirs)
+
+    def graph():
+        build_graph(model, dirs)
+
+    first, second = (graph, spaces) if graph_first else (spaces, graph)
+    first()
+    assert passes == [lines]
+    passes.clear()
+    second()
+    first()
+    assert passes == []
+
+
+def test_unknown_component_scores_nothing(monkeypatch, valve_model):
+    passes = _count_passes(monkeypatch)
+    dirs = sample_sphere(1001, seed=0)
+    with pytest.raises(UnknownComponent):
+        disassembly_space(valve_model, "ghost", dirs)
+    assert passes == [] and dirs._memo == {}
+
+
 EDGE_SIZES = [1, 7, 8, 9, C - 1, C, C + 1, C + 2, 2 * C + 9, 100_003]
 _KINDS = (RelationKind.PLANE_CONTACT, RelationKind.CONGRUENT,
           RelationKind.CONCENTRIC)
@@ -596,6 +631,34 @@ def test_memo_entries_equal_packed_oracle_at_chunk_and_byte_edges(monkeypatch, n
         assert space.mask.dtype == bool and not space.mask.flags.writeable
         assert space.mask.tobytes() == _oracle_space(contacts, derived).tobytes()
         assert space._memo is dirs._memo
+
+
+@pytest.mark.parametrize("n", EDGE_SIZES)
+def test_half_and_cone_on_one_line_share_a_job(monkeypatch, n):
+    """A half test and a cone test on one line run as one job of one pass,
+    the cone's on |s| after the half tests on s, and every memo entry
+    equals the packed oracle."""
+    jobs = []
+    score_pass = dspace._score_pass
+
+    def recorded(dirs, pass_jobs):
+        jobs.append([(len(tests), len(abs_tests)) for _, tests, abs_tests in pass_jobs])
+        return score_pass(dirs, pass_jobs)
+
+    monkeypatch.setattr(dspace, "_score_pass", recorded)
+    rng = np.random.default_rng(n + 1)
+    dirs = sample_sphere(n, seed=n % 5)
+    d = random_unit(rng)
+    space_from_contacts([(RelationKind.CONCENTRIC, -d), (RelationKind.PLANE_CONTACT, d)],
+                        dirs)
+    assert jobs == [[(2, 1)]]
+    assert len(dirs._memo) == 4
+    for kind, predicate in ((RelationKind.PLANE_CONTACT, "half"),
+                            (RelationKind.CONCENTRIC, "cone")):
+        for side in (d, -d):
+            want = np.packbits(_admissible_oracle(kind, side, dirs))
+            got = dirs._memo[(predicate, side.tobytes())]
+            assert got.tobytes() == want.tobytes(), (kind, n)
 
 
 def test_memo_entries_at_the_admissible_boundaries():
