@@ -8,15 +8,18 @@ number of sampled directions.
 
 Each sphere memoizes its per-contact masks, packed to one bit per direction
 (n / 8 bytes).  A space request scores the contacts the memo lacks in one
-pass, and one score s = direction . d gives the masks of both sides of a
-contact: s >= -EPS_ANG is d's half space and s <= EPS_ANG is -d's, because
-directions @ -d is -(directions @ d) bit for bit, and a cone's |s| serves d and
--d alike.  Each chunk's bools are packed straight into the chunk's bytes of
-the entry, and the entries reach the memo only once the whole pass has
-succeeded.  So a contact is scored once per sphere, however often either side's
-space is asked for.  A space is the AND of its packed entries, unpacked once
-and ANDed with the set's mask; a screwed contact makes it empty and nothing is
-scored.  The memo is shared by every set ``with_mask`` derives from the
+pass of one job per line, a direction up to sign.  A job's one product gives
+the scores s = direction . d, its half-space tests compare s, and one abs then
+turns s into |s| for its cone test: s >= -EPS_ANG is d's half space and
+s <= EPS_ANG is -d's, because directions @ -d is -(directions @ d) bit for
+bit, and a cone's |s| serves d and -d alike.  ``disassembly_space`` and
+``build_graph`` first score every non-screwed relation of their model, so a
+model's spaces and graph cost one pass per sphere.  Each chunk's bools are
+packed straight into the chunk's bytes of the entry, and the entries reach
+the memo only once the whole pass has succeeded.  So a contact is scored once
+per sphere, however often either side's space is asked for.  A space is the
+AND of its packed entries, unpacked once and ANDed with the set's mask; a
+screwed contact makes it empty and nothing is scored.  The memo is shared by every set ``with_mask`` derives from the
 sphere, and lives as long as the sphere.  The sphere's directions are
 read-only, so a stored mask cannot go stale.
 
@@ -34,15 +37,17 @@ and each element goes through the same operations as in one full-size pass
 (``tests/test_dspace.py`` keeps that pass as the oracle).
 
 The lattice's azimuths golden * i are not evaluated row by row.  A per-call
-table holds cos and sin of golden * k for the rows k of a chunk, one array
-call gives cos and sin of golden * lo for every chunk start lo, and a chunk's
-rows are built from the two by angle addition, so a 1M sphere evaluates
-about 65k sines and cosines instead of 2M.  Chunk 0 has cos = 1 and sin = 0
-and keeps the table's values bit for bit, so a sphere of one chunk
-(n <= 2^15 + 1) has the bytes of the row-by-row formula.  The rows of a
-later chunk differ from it by the rounding of the addition, about 2e-10 per
-coordinate at 1M, and are no less accurate: the float64 rounding of
-golden * lo and of golden * i bounds the error of either.
+table holds cos and sin of golden * k for the rows k of a chunk, and one
+array call gives cos and sin of golden * lo for every chunk start lo, so a 1M
+sphere evaluates about 65k sines and cosines instead of 2M.  A chunk's
+lattice is [r cos_k, r sin_k, z], and the turn Rz(golden * lo) by its start
+is folded into the rotation, rot Rz(golden * lo) in float arithmetic, so the
+chunk's one BLAS product applies both.  Chunk 0's turn is by cos = 1 and
+sin = 0 and leaves rot as it is, so a sphere of one chunk (n <= 2^15 + 1)
+has the bytes of the row-by-row formula.  The rows of a later chunk differ
+from it by rounding, about 2e-10 per coordinate at 1M, and are no less
+accurate: the float64 rounding of golden * lo and of golden * i bounds the
+error of either.
 
 Only this module decides what a contact kind admits: ``_PREDICATES`` holds
 each kind's test and margin, and ``best_direction`` chooses from them the
@@ -82,8 +87,8 @@ CONE_SLACK = np.deg2rad(2.0)  # classification slack on top of EPS_CONE
 DEFAULT_SAMPLES = 10_000
 # Rows per chunk of the sphere's kernels: a chunk's float64 scores (256 KiB)
 # and its sphere lattice (768 KiB) stay in a core's L2 cache.  The bytes of a
-# sphere of more than one chunk depend on it: its chunk starts set the angle
-# addition in ``sample_sphere``.
+# sphere of more than one chunk depend on it: its chunk starts set the turns
+# that ``sample_sphere`` folds into each chunk's rotation.
 _CHUNK = 1 << 15
 
 
@@ -212,19 +217,19 @@ def sample_sphere(n: int, seed: int = 0) -> DirectionSet:
     direction is an admissible extraction direction.
 
     The sample is a ``(3, n)`` block, one coordinate per row, returned as its
-    read-only ``(n, 3)`` transpose.  Each chunk ``[lo, hi)``'s lattice is
-    built in its share's 768 KiB scratch, rotated straight into the block by
-    one BLAS product and normalised there.  Its azimuths golden * (lo + k)
-    come by angle addition, x = r (cos_lo cos_k - sin_lo sin_k) and
-    y = r (sin_lo cos_k + cos_lo sin_k), from one table of cos and sin of
-    golden * k for the call (k < min(n, 2^15 + 1)) and one array call for
-    all chunk starts, with the block's own chunk as the products' scratch.
-    Chunk 0 has cos_lo = 1 and sin_lo = 0, so a sphere of one chunk keeps the
-    bytes of the row-by-row formula.
+    read-only ``(n, 3)`` transpose.  Each chunk ``[lo, hi)``'s lattice
+    [r cos_k, r sin_k, z] is built in its share's 768 KiB scratch from one
+    table of cos and sin of golden * k for the call (k < min(n, 2^15 + 1)),
+    rotated straight into the block by one BLAS product and normalised
+    there.  The product's matrix is rot Rz(golden * lo), the turn by the
+    chunk start multiplied out in float arithmetic, so its azimuths are
+    golden * (lo + k); one array call gives cos_lo and sin_lo for all chunk
+    starts.  Chunk 0 has cos_lo = 1 and sin_lo = 0, so its matrix is rot and
+    a sphere of one chunk keeps the bytes of the row-by-row formula.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rot = quat_matrix(random_rotation(np.random.default_rng(seed)))
+    rot = quat_matrix(random_rotation(np.random.default_rng(seed))).tolist()
     golden = np.pi * (3.0 - np.sqrt(5.0))
     m = min(n, _CHUNK + 1)
     odd = np.arange(1.0, 2 * m, 2.0)  # 2k + 1, exactly
@@ -236,9 +241,8 @@ def sample_sphere(n: int, seed: int = 0) -> DirectionSet:
     sin_k = np.sin(turn, out=turn)
     start = np.arange(0, n, _CHUNK, dtype=float)
     start *= golden
-    cos_lo, sin_lo = np.cos(start), np.sin(start)
+    cos_lo, sin_lo = np.cos(start).tolist(), np.sin(start).tolist()
     pts = np.empty((3, n))
-    rows_of_rot = rot.tolist()
 
     def fill(lattice, lo, hi):
         x, y, z = lattice
@@ -252,13 +256,14 @@ def sample_sphere(n: int, seed: int = 0) -> DirectionSet:
         np.multiply(z, z, out=y)
         np.subtract(1.0, y, out=y)
         np.sqrt(y, out=y)
+        # azimuths golden * k, before the chunk start's turn
         np.multiply(cos_k[:rows], y, out=x)
         y *= sin_k[:rows]
         # rot Rz(golden * lo) in float arithmetic; in chunk 0, ca = 1 and
         # sa = 0 leave rot as it is
-        ca, sa = float(cos_lo[lo // _CHUNK]), float(sin_lo[lo // _CHUNK])
+        ca, sa = cos_lo[lo // _CHUNK], sin_lo[lo // _CHUNK]
         turned = np.array([[r0 * ca + r1 * sa, r1 * ca - r0 * sa, r2]
-                           for r0, r1, r2 in rows_of_rot])
+                           for r0, r1, r2 in rot])
 
         np.matmul(turned, lattice, out=p)
         # column norms, summed in np.linalg.norm's order (x^2 + y^2) + z^2,

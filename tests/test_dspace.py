@@ -136,8 +136,9 @@ def _sphere_oracle(n, seed):
 
 @pytest.mark.parametrize("n", [1, 2, 500, 2000, 10_000, C, C + 1])
 def test_one_chunk_sphere_equals_per_row_formula(n):
-    """Chunk 0's angle addition is by cos 0 = 1 and sin 0 = 0, so a sphere of
-    one chunk keeps the bytes of the row-by-row azimuths."""
+    """Chunk 0's turn is by cos 0 = 1 and sin 0 = 0 and leaves the rotation
+    as it is, so a sphere of one chunk keeps the bytes of the row-by-row
+    azimuths."""
     for seed in (0, 7, 2024):
         want = _rotated(_per_row_lattice(n), _rotation(seed))
         assert sample_sphere(n, seed).directions.tobytes() == want.tobytes()
