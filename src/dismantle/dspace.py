@@ -42,12 +42,15 @@ array call gives cos and sin of golden * lo for every chunk start lo, so a 1M
 sphere evaluates about 65k sines and cosines instead of 2M.  A chunk's
 lattice is [r cos_k, r sin_k, z], and the turn Rz(golden * lo) by its start
 is folded into the rotation, rot Rz(golden * lo) in float arithmetic, so the
-chunk's one BLAS product applies both.  Chunk 0's turn is by cos = 1 and
-sin = 0 and leaves rot as it is, so a sphere of one chunk (n <= 2^15 + 1)
-has the bytes of the row-by-row formula.  The rows of a later chunk differ
-from it by rounding, about 2e-10 per coordinate at 1M, and are no less
-accurate: the float64 rounding of golden * lo and of golden * i bounds the
-error of either.
+chunk's one BLAS product applies both.  That product is the sample: the
+lattice rows are unit and the rotation is orthonormal, so no row is divided
+by its norm, which is 1 within 4 eps (2.7 eps at worst against a longdouble
+norm, measured up to 1M rows and pinned by ``tests/test_dspace.py``).
+Chunk 0's turn is by cos = 1 and sin = 0 and leaves rot as it is, so a
+sphere of one chunk (n <= 2^15 + 1) has the bytes of the row-by-row formula.
+The rows of a later chunk differ from it by rounding, about 2e-10 per
+coordinate at 1M, and are no less accurate: the float64 rounding of
+golden * lo and of golden * i bounds the error of either.
 
 Only this module decides what a contact kind admits: ``_PREDICATES`` holds
 each kind's test and margin, and ``best_direction`` chooses from them the
@@ -220,12 +223,12 @@ def sample_sphere(n: int, seed: int = 0) -> DirectionSet:
     read-only ``(n, 3)`` transpose.  Each chunk ``[lo, hi)``'s lattice
     [r cos_k, r sin_k, z] is built in its share's 768 KiB scratch from one
     table of cos and sin of golden * k for the call (k < min(n, 2^15 + 1)),
-    rotated straight into the block by one BLAS product and normalised
-    there.  The product's matrix is rot Rz(golden * lo), the turn by the
-    chunk start multiplied out in float arithmetic, so its azimuths are
-    golden * (lo + k); one array call gives cos_lo and sin_lo for all chunk
-    starts.  Chunk 0 has cos_lo = 1 and sin_lo = 0, so its matrix is rot and
-    a sphere of one chunk keeps the bytes of the row-by-row formula.
+    rotated straight into the block by one BLAS product.  The product's
+    matrix is rot Rz(golden * lo), the turn by the chunk start multiplied out
+    in float arithmetic, so its azimuths are golden * (lo + k); one array
+    call gives cos_lo and sin_lo for all chunk starts.  Chunk 0 has
+    cos_lo = 1 and sin_lo = 0, so its matrix is rot and a sphere of one chunk
+    keeps the bytes of the row-by-row formula.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -246,7 +249,6 @@ def sample_sphere(n: int, seed: int = 0) -> DirectionSet:
 
     def fill(lattice, lo, hi):
         x, y, z = lattice
-        p = pts[:, lo:hi]
         rows = hi - lo
         # z = 1 - (2i + 1) / n with i = lo + k; r = sqrt(1 - z^2) in y.  No
         # clip: (2i + 1) / n lies in [0, 2], so |z| <= 1 and 1 - z^2 >= +0
@@ -264,17 +266,7 @@ def sample_sphere(n: int, seed: int = 0) -> DirectionSet:
         ca, sa = cos_lo[lo // _CHUNK], sin_lo[lo // _CHUNK]
         turned = np.array([[r0 * ca + r1 * sa, r1 * ca - r0 * sa, r2]
                            for r0, r1, r2 in rot])
-
-        np.matmul(turned, lattice, out=p)
-        # column norms, summed in np.linalg.norm's order (x^2 + y^2) + z^2,
-        # in the lattice rows the rotation has consumed
-        norm = np.multiply(p[0], p[0], out=x)
-        np.multiply(p[1], p[1], out=y)
-        norm += y
-        np.multiply(p[2], p[2], out=y)
-        norm += y
-        np.sqrt(norm, out=norm)
-        p /= norm
+        np.matmul(turned, lattice, out=pts[:, lo:hi])
 
     _by_chunks(n, 3, fill)
     pts.flags.writeable = False
