@@ -77,13 +77,10 @@ def _rotation(seed):
 
 
 def _rotated(lattice, rot):
-    """``rot @ lattice`` with unit columns, normalised as sample_sphere does."""
-    pts = rot @ lattice
-    norm = pts[0] * pts[0]
-    norm += pts[1] * pts[1]
-    norm += pts[2] * pts[2]
-    pts /= np.sqrt(norm)
-    return pts.T
+    """``rot @ lattice`` as rows, the sample as sample_sphere returns it: the
+    product's columns are unit up to rounding, and nothing divides them by
+    their norms."""
+    return (rot @ lattice).T
 
 
 def _per_row_lattice(n):
