@@ -74,14 +74,20 @@ def load_fault_specs(path) -> list[FaultSpec]:
     try:
         if not isinstance(doc, dict):
             raise ValueError("fault file must hold a JSON object")
+        faults = doc.get("faults", [])
+        if not isinstance(faults, list):
+            raise ValueError(f"faults must be a list of fault entries: {faults!r:.40}")
         specs = []
-        for f in doc.get("faults", []):
+        for f in faults:
             if not isinstance(f, dict):
                 raise ValueError(f"fault entry {f!r:.40} is not an object")
+            for key in ("kind", "repetition"):
+                if key not in f:
+                    raise ValueError(f"fault entry has no '{key}'")
             specs.append(FaultSpec(kind=f["kind"], repetition=f["repetition"],
                                    ap_index=f.get("ap_index"),
                                    sigma=f.get("sigma", 6.0)))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"bad fault specification: {exc}") from None
     return specs
 

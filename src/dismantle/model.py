@@ -429,6 +429,11 @@ def load_model_dict(doc: dict, path: str = "<dict>") -> AssemblyModel:
         raise ParseError(f"{reassemble!r:.40} is not true or false", path=path,
                          field="reassemble")
 
+    target = doc.get("target")
+    if target is not None and not isinstance(target, str):
+        raise ParseError(f"{target!r:.40} is not a string", path=path,
+                         field="target")
+
     robot_start = IDENTITY
     if "robot_start" in doc:
         robot_start = _parse_pose(doc["robot_start"], path, "robot_start")
@@ -437,7 +442,7 @@ def load_model_dict(doc: dict, path: str = "<dict>") -> AssemblyModel:
         components=tuple(components),
         relations=tuple(relations),
         tool_stations=stations,
-        target=doc.get("target"),
+        target=target,
         robot_start=robot_start,
         reassemble=reassemble,
         tool_map=tool_map,

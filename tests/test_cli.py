@@ -293,6 +293,26 @@ def test_bad_fault_field_exits_one(tmp_path, capsys, doc):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"faults": {}}, "faults must be a list of fault entries: {}"),
+    ({"faults": ""}, "faults must be a list of fault entries: ''"),
+    ({"faults": {"kind": "tool_slip", "repetition": 0}},
+     "faults must be a list of fault entries: {'kind': 'tool_slip', 'repetition': 0}"),
+    ({"faults": 5}, "faults must be a list of fault entries: 5"),
+    (_one_fault({"kind": "tool_slip"}), "fault entry has no 'repetition'"),
+], ids=["faults_empty_object", "faults_empty_str", "faults_entry_object",
+        "faults_int", "entry_without_repetition"])
+def test_bad_fault_file_names_what_is_wrong(tmp_path, capsys, doc, message):
+    faults = tmp_path / "faults.json"
+    faults.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "simulate", SCENARIOS / "single_screw.json",
+                          "--samples", 500, "--faults", faults,
+                          "--out", tmp_path / "run")
+    assert code == 1 and out == ""
+    assert err == f"error: bad fault specification: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
 def _map_screw_to_no_tool(doc):
     doc["tool_map"] = {"screw": "none"}
     doc["tool_stations"]["none"] = doc["tool_stations"]["gripper"]
@@ -317,6 +337,20 @@ def test_validation_error_exit_code(tmp_path, capsys, command, edit, entity):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"(entity: {entity})" in err
+
+
+@pytest.mark.parametrize("target, shown", [
+    (5, "5"), (True, "True"), (["screw_1"], "['screw_1']"), ({"a": 1}, "{'a': 1}"),
+    (list(range(200_000)), "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1"),
+], ids=["int", "bool", "list", "object", "long_list"])
+def test_target_not_a_string_is_a_parse_error(tmp_path, capsys, target, shown):
+    doc = json.loads((SCENARIOS / "single_screw.json").read_text())
+    doc["target"] = target
+    bad = tmp_path / "target.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "plan", bad, "--samples", 500)
+    assert code == 1 and out == ""
+    assert err == f"error: {bad}: {shown} is not a string (field: target)\n"
 
 
 def test_decompose_missing_station_exits_three(tmp_path, capsys):
