@@ -77,9 +77,7 @@ def _rotation(seed):
 
 
 def _rotated(lattice, rot):
-    """``rot @ lattice`` as rows, the sample as sample_sphere returns it: the
-    product's columns are unit up to rounding, and nothing divides them by
-    their norms."""
+    """``rot @ lattice`` as rows, not normalised, as sample_sphere returns it."""
     return (rot @ lattice).T
 
 
