@@ -17,18 +17,15 @@ simulated, not measured: the clock advances in integer units of 10 ms, so
 50 Hz and 20 Hz ticks are exact (2 and 5 units) and per-bucket time sums are
 exact integer arithmetic.
 
-``run_skill`` keeps the tick state of its position and force loops in
-Python floats and builds a ``Pose`` only when a skill ends.  Two layers, as in
-``geometry``: each job has one float kernel, which the loop calls and an
-object-level function wraps.  ``geometry.pose_offset`` with ``_twist`` steers
-(``position_step``), ``_filter_step`` filters force error (``admittance_step``;
-the loop runs it on axis 0), and ``geometry.integrate_twist`` with
-``_spring_force`` moves the plant (``plant_step``, through ``_contact_force``).
-The loop reads the contacts (``_contact_floats``) and the contact axis into
-floats once per skill and calls no numpy function per tick: its dot products
-are ``geometry.vec_dot`` and ``geometry.vec_norm``, plain left-to-right float
-sums.  Visual servoing keeps its array code; only its command joins the float
-state.
+``run_skill`` keeps its tick state in Python floats and builds a ``Pose``
+only when a skill ends.  Each job has one float kernel, which the loop calls
+and an object-level function may wrap: ``geometry.pose_offset`` with
+``_twist`` steers (``position_step``), ``_filter_step`` filters force error
+(``admittance_step``; the loop runs it on axis 0), ``geometry.integrate_twist``
+with ``_spring_force`` moves the plant (``plant_step``), and ``camera.project``
+with ``_ibvs_twist`` servos.  The loop reads contacts, contact axis and tracked
+features into floats once per skill, and sums left to right in plain floats,
+so no BLAS kernel reaches a tick's bits.
 """
 
 from __future__ import annotations
@@ -36,13 +33,16 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from operator import add, mul, sub
 
 import numpy as np
 
-from .camera import CX, CY, FOCAL_PX, camera_pose, project
+from .camera import CX, CY, FOCAL_PX, camera_orientation, project
 from .errors import SingularJacobian, SkillTimeout
 from .geometry import (Pose, frozen_copy, integrate_twist, pose_error, pose_offset,
-                       pose_step, rotation_offset, unit_orientation_f, vec_dot)
+                       pose_step, rotate_f, rotation_offset, unit_orientation_f,
+                       vec_dot)
 from .skills import (GRIP_ACTION_S, TOOL_SWAP_S, ControlMode, SkillName,
                      SkillPrimitive, StopKind)
 
@@ -176,50 +176,56 @@ def admittance_step(params: AdmittanceParams, f_des: Wrench, f_act: Wrench,
     return u_new, (u_new, ud_new)
 
 
-def feature_jacobian(pixels: np.ndarray, depths: np.ndarray) -> np.ndarray:
-    """Stacked 2x6 point-feature interaction matrices in pixel units.
-
-    ``pixels`` holds u, v per feature and ``depths`` one depth in meters per
-    feature; there must be at least 3 features, all in front of the camera.
-    Rows follow the standard convention (Chaumette & Hutchinson, "Visual
-    servo control I", IEEE RAM 2006) for a point at pixel offset (u, v) from
-    the principal point and depth Z with focal length f:
+def _feature_rows(px, depths):
+    """Rows of the interaction matrix J in pixel units, two per feature (Chaumette
+    & Hutchinson, "Visual servo control I", IEEE RAM 2006), at pixel offset
+    (u, v) from the principal point, depth Z > 0 and focal length f:
 
         [-f/Z   0    u/Z   u*v/f     -(f^2+u^2)/f   v ]
         [ 0   -f/Z   v/Z   (f^2+v^2)/f   -u*v/f    -u ]
     """
-    px = np.asarray(pixels, dtype=float)
-    z = np.asarray(depths, dtype=float)
-    if px.size != 2 * z.size or z.size < 3:
-        raise ValueError("need at least 3 features with matching pixel pairs")
-    if np.any(z <= 0.0):
+    if not all(z > 0.0 for z in depths):
         raise ValueError("feature depths must be positive")
     f = FOCAL_PX
-    px = px.reshape(-1, 2)
-    du = px[:, 0] - CX
-    dv = px[:, 1] - CY
-    zero = np.zeros_like(z)
-    row_u = np.stack([-f / z, zero, du / z, du * dv / f,
-                      -(f * f + du * du) / f, dv], axis=1)
-    row_v = np.stack([zero, -f / z, dv / z, (f * f + dv * dv) / f,
-                      -du * dv / f, -du], axis=1)
-    return np.stack([row_u, row_v], axis=1).reshape(-1, 6)
+    for u, v, z in zip(px[::2], px[1::2], depths):
+        du, dv = u - CX, v - CY
+        yield (-f / z, 0.0, du / z, du * dv / f, -(f * f + du * du) / f, dv)
+        yield (0.0, -f / z, dv / z, (f * f + dv * dv) / f, -du * dv / f, -du)
 
 
-def ibvs_step(target_px: np.ndarray, pixels: np.ndarray,
-              depths: np.ndarray) -> np.ndarray:
-    """P-control on the feature error through the left pseudo-inverse.
-
-    u = IBVS_GAIN * (J^T J)^-1 J^T (target_px - pixels), expressed in the
-    camera frame.
-    """
-    jac = feature_jacobian(pixels, depths)
-    jtj = jac.T @ jac
-    eigvals = np.linalg.eigvalsh(jtj)
+def _ibvs_twist(target, px, depths) -> tuple:
+    """IBVS_GAIN * (J^T J)^-1 J^T (target - px) for J of ``_feature_rows``, in the
+    camera frame; a Cholesky factorisation solves, ``eigvalsh`` decides singularity."""
+    cols = tuple(zip(*_feature_rows(px, depths)))
+    jtj = [[reduce(add, map(mul, a, b)) for b in cols[:r + 1]]
+           for r, a in enumerate(cols)]
+    eigvals = np.linalg.eigvalsh([row + [0.0] * (5 - r) for r, row in enumerate(jtj)])
     if eigvals[0] <= 1e-9 * max(eigvals[-1], 1.0):
         raise SingularJacobian("feature set is degenerate for servoing")
-    err = target_px - pixels
-    return IBVS_GAIN * np.linalg.solve(jtj, jac.T @ err)
+    low = []  # rows of L, with J^T J = L L^T
+    for r, row in enumerate(jtj):
+        lr = []
+        for c, lc in enumerate(low + [lr]):  # on the diagonal, lc is lr itself
+            s = row[c]
+            for a, b in zip(lr, lc):
+                s -= a * b
+            if c == r and not s > 0.0:
+                raise SingularJacobian("feature set is degenerate for servoing")
+            lr.append(s / lc[c] if c < r else math.sqrt(s))
+        low.append(lr)
+    y = []  # L y = J^T e, with e = target - px
+    for lr, col in zip(low, cols):
+        s = reduce(add, map(mul, col, map(sub, target, px)))
+        for a, b in zip(lr, y):
+            s -= a * b
+        y.append(s / lr[-1])
+    x = [0.0] * 6  # L^T x = y, from the last row up
+    for r in reversed(range(6)):
+        s = y[r]
+        for k in range(r + 1, 6):
+            s -= low[k][r] * x[k]
+        x[r] = s / low[r][r]
+    return tuple(IBVS_GAIN * v for v in x)
 
 
 def _saturate(v, norm: float, v_max: float) -> tuple:
@@ -351,16 +357,10 @@ def _tool_units(ap: SkillPrimitive) -> int:
 _NO_TORQUE = (0.0, 0.0, 0.0)
 
 
-def _pose_at(state: PlantState, p, q_raw) -> Pose:
-    """The loop's pose.  ``Pose`` normalises the last un-normalised
-    quaternion, as the tick did; with no motion tick yet (``q_raw`` None) it
-    is the caller's pose."""
-    return state.pose if q_raw is None else Pose(p, q_raw)
-
-
 def _state_at(state: PlantState, p, q_raw) -> PlantState:
-    """``state`` at the loop's pose; the caller's state before any motion tick."""
-    return state if q_raw is None else replace(state, pose=_pose_at(state, p, q_raw))
+    """``state`` at the loop's pose (``Pose`` normalises ``q_raw``, as the tick
+    did), or the caller's state before any motion tick (``q_raw`` None)."""
+    return state if q_raw is None else replace(state, pose=Pose(p, q_raw))
 
 
 def _abort(exc: Exception, stopped_by: str, state: PlantState, log: StepLog,
@@ -384,15 +384,15 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
     SkillTimeout if the stop condition never fires within the skill's time
     budget, and SingularJacobian if a tracked point is not in front of the
     camera or the features are degenerate; both carry the partial plant state
-    and log.  A pose or contact force (true or measured) that is not finite
-    raises ValueError, as ``Pose`` and ``Wrench`` do.
+    and log.  ValueError: a non-finite pose or contact force (true or measured),
+    fewer than 3 tracked points, or a target not one pixel pair per point.
 
     The tick state is Python floats: position ``p``, unit quaternion ``q``
     (with ``q_raw``, the product it was normalised from), contact force ``f``
     and the command ``u``; the force loop adds its filter's axis-0 scalars.
     A tick row stores ``u`` and the wrench as 6-float tuples.  The stop
-    condition and the plant's contacts and sensors are read once, before the
-    loop.  Each motion tick's force reading goes through the plant's
+    condition and the plant's contacts, sensors and tracked points are read
+    once, before the loop.  Each motion tick's force reading goes through
     ``force_noise``, if set; the reading before the first tick is the true one.
     """
     controller = _primary_controller(ap)
@@ -437,6 +437,10 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
                                   ap.hm.setpoint[3:]).orientation.tolist()
         u_f = ud_f = 0.0  # admittance filter state on the contact axis
     sighted = state.tracked_points is not None
+    if sighted:  # the features and their pixel target, read once
+        points, target = state.tracked_points.tolist(), stop.target.tolist()
+        if len(points) < 3 or len(target) != 2 * len(points):
+            raise ValueError("need at least 3 features with matching pixel pairs")
     planes, holds = _contact_floats(state.contacts, state.retentions)
     force_noise = state.force_noise
 
@@ -446,9 +450,9 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
     feat_err = 0.0
     while motion_needed:
         if sighted:
-            cam = camera_pose(_pose_at(state, p, q_raw))
-            px, z = project(state.tracked_points, cam)
-            if not np.all(z > 0.0):
+            q_cam = camera_orientation(p, q)
+            px, z = project(points, p, q_cam)
+            if not all(d > 0.0 for d in z):
                 raise _abort(SingularJacobian(
                     f"{ap.name.value}: a tracked feature is not in front of "
                     "the camera"), "singular", _state_at(state, p, q_raw), log,
@@ -464,7 +468,7 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
                 break
         elif feature_stop:
             if sighted:
-                feat_err = float(np.max(np.abs(px - stop.target)))
+                feat_err = max(abs(x - t) for x, t in zip(px, target))
                 if feat_err <= tolerance:
                     break
         elif force_stop:
@@ -488,13 +492,11 @@ def run_skill(ap: SkillPrimitive, state: PlantState,
                 u = (0.0,) * 6
             else:
                 try:
-                    u_cam = ibvs_step(stop.target, px, z)
+                    u_cam = _ibvs_twist(target, px, z)
                 except SingularJacobian as exc:
-                    _abort(exc, "singular", _state_at(state, p, q_raw), log, f,
-                           feat_err)
-                    raise
-                u = (*cam.rotate(u_cam[:3]).tolist(),
-                     *cam.rotate(u_cam[3:]).tolist())
+                    raise _abort(exc, "singular", _state_at(state, p, q_raw), log,
+                                 f, feat_err)
+                u = rotate_f(q_cam, u_cam[:3]) + rotate_f(q_cam, u_cam[3:])
         elif controller == BUCKET_FTC:
             u_f, ud_f = _filter_step(f_des - pressed, u_f, ud_f,
                                      ADM_MASS, ADM_DAMPING, ADM_STIFFNESS, dt)

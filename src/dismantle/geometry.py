@@ -5,17 +5,16 @@ The quaternion functions follow the Hamilton convention of Solà,
 ``quat_multiply_f(a, b)`` rotates by ``b`` first, then by ``a``.
 
 Two layers.  Each formula exists once, as a float core on sequences of Python
-floats that returns floats or tuples: ``quat_multiply_f``,
+floats that returns floats or tuples: ``quat_multiply_f``, ``rotate_f``,
 ``quat_from_rotvec_f``, ``quat_to_rotvec_f``, ``unit_orientation_f``,
 ``integrate_twist``, ``rotation_offset``/``pose_offset`` (the translation and
 rotation from one pose to another) and ``pose_error`` (their scalar
-weighting).  ``Pose``, ``Rotation`` and ``pose_step`` hold arrays and call the
-cores on ``tolist()`` floats; ``control``'s skill loop calls the cores on its
-float tick state.  Elementwise ``+ - * /``, ``math.sqrt`` and negation round
-the same on Python floats as on numpy arrays.  The short dot products,
-``vec_norm`` and ``vec_dot``, are plain left-to-right float sums of 3 or 4
-products, so their rounding is fixed by the expression and does not depend
-on which BLAS kernel numpy loaded.
+weighting).  ``Pose``, ``Rotation`` and ``pose_step`` call the cores on
+``tolist()`` floats (``Pose`` rotates by ``quat_apply``'s matrix); the skill
+loop and ``camera`` call them on float tick state.  Elementwise ``+ - * /``,
+``math.sqrt`` and negation round the same on Python floats as on numpy arrays,
+and the short dot products (``vec_norm``, ``vec_dot``, ``rotate_f``) are plain
+left-to-right float sums: no BLAS kernel changes their rounding.
 
 Every value type of the package stores each array a caller gives it as a
 ``frozen_copy``: a read-only copy, with its shape checked.
@@ -77,7 +76,7 @@ def unit_orientation_f(position, orientation) -> tuple:
 
     Takes 3 and 4 floats and returns 4.  Raises ValueError unless every entry
     of ``position`` and ``orientation`` is finite and |q| is within 1e-6 of 1.
-    The skill loop calls it once per tick, so a tick checks and rounds exactly
+    The skill loop calls it on every tick, so a tick checks and rounds exactly
     as a ``Pose`` would.
     """
     x, y, z = position
@@ -107,6 +106,12 @@ def quat_multiply_f(a, b) -> tuple:
             aw * bx + bw * ax + (ay * bz - az * by),
             aw * by + bw * ay + (az * bx - ax * bz),
             aw * bz + bw * az + (ax * by - ay * bx))
+
+
+def rotate_f(q, v) -> tuple:
+    """3 floats ``v`` rotated by the unit quaternion ``q``: the vector of q v q*."""
+    w, x, y, z = q
+    return quat_multiply_f(quat_multiply_f(q, (0.0, *v)), (w, -x, -y, -z))[1:]
 
 
 def quat_from_rotvec_f(rotvec) -> tuple:
@@ -169,11 +174,7 @@ def quat_matrix(q: np.ndarray) -> np.ndarray:
 
 
 def quat_apply(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotate a 3-vector or each row of an (n, 3) array.
-
-    An (n, 3) result is column-major (the transpose of M @ v.T): row norms
-    and per-column arithmetic that follow run faster on it.
-    """
+    """Rotate a 3-vector or each row of an (n, 3) array, as (M @ v.T).T."""
     return (quat_matrix(q) @ np.asarray(v, dtype=float).T).T
 
 

@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .camera import FOCAL_PX, camera_pose, project
+from .camera import FOCAL_PX, camera_orientation, project
 from .errors import ErrorType, UnresolvableGoal
 from .geometry import IDENTITY, Pose, frozen_copy, normalize, pose_error
 from .model import AssemblyModel, Component, Semantic, Tool
@@ -458,8 +458,9 @@ def _approach(goal: Pose, noise: np.ndarray | None, source: Component | None,
     residual = 0.0
     if noise is not None and source is not None:
         # the source's features as the camera sees them from the goal, once
-        pts = state.pose_of(source).apply(source.visual_features)
-        f_des, depths = project(pts, camera_pose(goal))
+        pts = state.pose_of(source).apply(source.visual_features).tolist()
+        p, q = goal.as_floats()
+        f_des, depths = map(np.array, project(pts, p, camera_orientation(p, q)))
         residual = _expected_residual_px(noise, depths)
     if rule_fine_pos(source is not None, residual):  # a residual: features projected
         aps.append(_fine_pos(source.id, goal, f_des, depths))

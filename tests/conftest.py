@@ -1,5 +1,6 @@
-"""Shared fixtures: scenario paths, sampled spheres, independent oracles,
-random model generators and the scenario document writer."""
+"""Shared fixtures: scenario paths, sampled spheres, independent oracles
+(the visual-servoing array oracle among them), random model generators and
+the scenario document writer."""
 
 from __future__ import annotations
 
@@ -8,7 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dismantle.camera import CX, CY, FOCAL_PX, camera_orientation, project
+from dismantle.control import IBVS_GAIN
 from dismantle.dspace import EPS_ANG, EPS_CONE, DirectionSet, sample_sphere
+from dismantle.errors import SingularJacobian
 from dismantle.geometry import IDENTITY, Pose
 from dismantle.model import (DEFAULT_TOOL_MAP, FORMAT_VERSION, AssemblyModel,
                              Component, FeatureGeometry, GeometryKind,
@@ -120,6 +124,72 @@ def sorted_set_space(model: AssemblyModel, component_id: str,
     mask = np.zeros(dirs.n, dtype=bool)
     mask[result] = True
     return mask
+
+
+def flange_project(points, pose: Pose) -> tuple[np.ndarray, np.ndarray]:
+    """``camera.project`` of world points from the camera on a flange at
+    ``pose``, as arrays: pixels [u1, v1, ...] and depths."""
+    p, q = pose.as_floats()
+    pixels, depths = project(np.asarray(points, dtype=float).tolist(), p,
+                             camera_orientation(p, q))
+    return np.array(pixels), np.array(depths)
+
+
+# The array code visual servoing ran on before its float cores: the camera as
+# a ``Pose`` composed onto the flange, a projection through ``Pose.inverse``
+# and ``Pose.apply``, the stacked interaction matrix and a LAPACK solve.  Its
+# BLAS and LAPACK calls round differently, so the float cores match it within
+# a bound, not bit for bit.
+
+ORACLE_CAM_MOUNT = Pose(np.zeros(3), np.array([0.0, 1.0, 0.0, 0.0]))
+
+
+def oracle_camera_pose(tcp: Pose) -> Pose:
+    return tcp.compose(ORACLE_CAM_MOUNT)
+
+
+def oracle_project(points_world: np.ndarray,
+                   cam: Pose) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel coordinates [u1, v1, ...] and depths of world points seen from
+    camera pose ``cam``."""
+    pts = cam.inverse().apply(np.asarray(points_world, dtype=float))
+    z = pts[:, 2]
+    safe_z = np.where(np.abs(z) < 1e-9, 1e-9, z)
+    u = FOCAL_PX * pts[:, 0] / safe_z + CX
+    v = FOCAL_PX * pts[:, 1] / safe_z + CY
+    return np.column_stack([u, v]).reshape(-1), z.copy()
+
+
+def oracle_feature_jacobian(pixels: np.ndarray, depths: np.ndarray) -> np.ndarray:
+    """Stacked 2x6 point-feature interaction matrices in pixel units."""
+    px = np.asarray(pixels, dtype=float)
+    z = np.asarray(depths, dtype=float)
+    if px.size != 2 * z.size or z.size < 3:
+        raise ValueError("need at least 3 features with matching pixel pairs")
+    if np.any(z <= 0.0):
+        raise ValueError("feature depths must be positive")
+    f = FOCAL_PX
+    px = px.reshape(-1, 2)
+    du = px[:, 0] - CX
+    dv = px[:, 1] - CY
+    zero = np.zeros_like(z)
+    row_u = np.stack([-f / z, zero, du / z, du * dv / f,
+                      -(f * f + du * du) / f, dv], axis=1)
+    row_v = np.stack([zero, -f / z, dv / z, (f * f + dv * dv) / f,
+                      -du * dv / f, -du], axis=1)
+    return np.stack([row_u, row_v], axis=1).reshape(-1, 6)
+
+
+def oracle_ibvs_step(target_px: np.ndarray, pixels: np.ndarray,
+                     depths: np.ndarray) -> np.ndarray:
+    """IBVS_GAIN * (J^T J)^-1 J^T (target_px - pixels), in the camera frame."""
+    jac = oracle_feature_jacobian(pixels, depths)
+    jtj = jac.T @ jac
+    eigvals = np.linalg.eigvalsh(jtj)
+    if eigvals[0] <= 1e-9 * max(eigvals[-1], 1.0):
+        raise SingularJacobian("feature set is degenerate for servoing")
+    err = target_px - pixels
+    return IBVS_GAIN * np.linalg.solve(jtj, jac.T @ err)
 
 
 def random_unit(rng: np.random.Generator) -> np.ndarray:

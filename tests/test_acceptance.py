@@ -12,17 +12,16 @@ import numpy as np
 import pytest
 
 from conftest import (FEATURE_SQUARE, STATIONS, brute_force_space,
-                      random_contact_model, random_feasible_model,
+                      flange_project, random_contact_model, random_feasible_model,
                       sorted_set_space)
 
-from dismantle.camera import camera_pose, project
+from dismantle.camera import camera_orientation, project
 from dismantle.cli import main
 from dismantle.control import (IBVS_GAIN, RATE_VSC_HZ, AdmittanceParams,
-                               Wrench, admittance_step, feature_jacobian,
-                               ibvs_step)
+                               Wrench, _feature_rows, _ibvs_twist, admittance_step)
 from dismantle.dspace import disassembly_space, sample_sphere, space_from_contacts
 from dismantle.errors import ErrorType
-from dismantle.geometry import Pose, pose_step
+from dismantle.geometry import Pose, pose_step, rotate_f
 from dismantle.metrics import FaultSpec, detection_offsets, run_experiment
 from dismantle.model import (AssemblyModel, Component, FeatureGeometry,
                              GeometryKind, RelationKind, Semantic,
@@ -278,7 +277,7 @@ IBVS_POINTS = np.array([[0.35, 0.05, 0.02], [0.25, 0.05, 0.02],
 
 def test_criterion_7_ibvs_convergence():
     goal = Pose(np.array([0.3, 0.0, 0.20]))
-    f_des, _ = project(IBVS_POINTS, camera_pose(goal))
+    f_des, _ = flange_project(IBVS_POINTS, goal)
     dt = 1.0 / RATE_VSC_HZ
     offsets = [np.array([0.05, 0.0, 0.0]), np.array([0.0, 0.05, 0.0]),
                np.array([0.0, 0.0, 0.05]), np.array([0.0, 0.0, -0.05]),
@@ -288,27 +287,29 @@ def test_criterion_7_ibvs_convergence():
         assert abs(np.linalg.norm(off) - 0.05) < 1e-9
         pose = Pose(goal.position + off)
         for _ in range(int(60.0 / dt)):
-            cam = camera_pose(pose)
-            px, z = project(IBVS_POINTS, cam)
-            if np.max(np.abs(px - f_des)) <= 0.5:
+            p, q = pose.as_floats()
+            q_cam = camera_orientation(p, q)
+            px, z = project(IBVS_POINTS.tolist(), p, q_cam)
+            if np.max(np.abs(np.array(px) - f_des)) <= 0.5:
                 break
-            u_cam = ibvs_step(f_des, px, z)
-            pose = pose_step(pose, cam.rotate(u_cam[:3]), cam.rotate(u_cam[3:]), dt)
+            u_cam = _ibvs_twist(f_des.tolist(), px, z)
+            pose = pose_step(pose, rotate_f(q_cam, u_cam[:3]),
+                             rotate_f(q_cam, u_cam[3:]), dt)
         err = float(np.linalg.norm(pose.position - goal.position))
         worst = max(worst, err)
         assert err <= 0.0012, off
 
     # ideal plant: feature error decays as exp(-gain * t) within 5%
     start = Pose(goal.position + np.array([0.05, 0.0, 0.0]))
-    feats, z = project(IBVS_POINTS, camera_pose(start))
+    feats, z = flange_project(IBVS_POINTS, start)
     e0 = np.linalg.norm(feats - f_des)
     deviation = 0.0
     for i in range(int(10.0 / dt) + 1):
         ideal = e0 * np.exp(-IBVS_GAIN * i * dt)
         deviation = max(deviation,
                         abs(np.linalg.norm(feats - f_des) - ideal) / ideal)
-        jac = feature_jacobian(feats, z)
-        u = ibvs_step(f_des, feats, z)
+        jac = np.array(list(_feature_rows(feats.tolist(), z.tolist())))
+        u = np.array(_ibvs_twist(f_des.tolist(), feats.tolist(), z.tolist()))
         feats = feats + jac @ u * dt
     assert deviation <= 0.05
     _ok(7, f"5 start poses at 0.05 m converge to <= {worst * 1000:.2f} mm; "

@@ -8,16 +8,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import (flange_project, oracle_camera_pose, oracle_feature_jacobian,
+                      oracle_ibvs_step, oracle_project)
+
 from dismantle import control
-from dismantle.camera import CX, CY, FOCAL_PX, camera_pose, project
+from dismantle.camera import CX, CY, FOCAL_PX, camera_orientation, project
 from dismantle.control import (AdmittanceParams, ContactPlane, PlantState,
-                               Retention, Wrench, admittance_step,
-                               feature_jacobian, ibvs_step, plant_step,
-                               position_step, run_skill, units,
-                               IBVS_GAIN, RATE_VSC_HZ,
+                               Retention, Wrench, _feature_rows, _ibvs_twist,
+                               admittance_step, plant_step, position_step,
+                               run_skill, units, IBVS_GAIN, RATE_VSC_HZ,
                                UNITS_PER_POS_TICK, UNITS_PER_VSC_TICK)
 from dismantle.errors import SingularJacobian, SkillTimeout
-from dismantle.geometry import Pose, pose_step, rotation_offset
+from dismantle.geometry import Pose, pose_step, rotate_f, rotation_offset
 from dismantle.model import Tool
 from dismantle.skills import (AP_TIMEOUT_S, GRIP_ACTION_S, IDLE_TOOL,
                               ControlMode, HybridMove, SkillName,
@@ -94,23 +96,29 @@ def test_admittance_force_tracking_against_spring():
 
 # ------------------------------------------------------------- jacobian
 
+def _jacobian(pixels, depths) -> np.ndarray:
+    """``control._feature_rows`` of arrays, as a (2k, 6) array."""
+    return np.array(list(_feature_rows(np.asarray(pixels, dtype=float).tolist(),
+                                       np.asarray(depths, dtype=float).tolist())))
+
+
 def test_jacobian_center_row():
-    jac = feature_jacobian(np.array([CX, CY, CX + 40, CY, CX, CY + 40]),
-                           np.array([1.0, 1.0, 1.0]))
+    jac = _jacobian(np.array([CX, CY, CX + 40, CY, CX, CY + 40]),
+                    np.array([1.0, 1.0, 1.0]))
     f = FOCAL_PX
     np.testing.assert_allclose(jac[0], [-f, 0, 0, 0, -f * (1 + 0), 0], atol=1e-9)
     np.testing.assert_allclose(jac[1], [0, -f, 0, f, 0, 0], atol=1e-9)
 
 
 def test_jacobian_four_features_shape():
-    jac = feature_jacobian(np.arange(8, dtype=float) * 30 + 200,
-                           np.array([0.5, 0.6, 0.7, 0.8]))
+    jac = _jacobian(np.arange(8, dtype=float) * 30 + 200,
+                    np.array([0.5, 0.6, 0.7, 0.8]))
     assert jac.shape == (8, 6)
 
 
 def test_jacobian_zero_motion_predicts_zero_flow():
-    jac = feature_jacobian(np.array([100.0, 120, 500, 130, 300, 400]),
-                           np.array([0.5, 0.6, 0.7]))
+    jac = _jacobian(np.array([100.0, 120, 500, 130, 300, 400]),
+                    np.array([0.5, 0.6, 0.7]))
     np.testing.assert_allclose(jac @ np.zeros(6), np.zeros(6), atol=0)
 
 
@@ -119,12 +127,21 @@ def test_jacobian_zero_motion_predicts_zero_flow():
     (np.arange(7, dtype=float), np.ones(3), "matching pixel pairs"),
     (np.arange(6, dtype=float), np.array([1.0, 0.0, 1.0]), "depths must be positive"),
     (np.arange(6, dtype=float), np.array([1.0, 1.0, -0.5]), "depths must be positive"),
+    # four features and a target for three, which zip would cut short
+    (np.arange(6, dtype=float), np.ones(4), "matching pixel pairs"),
 ])
 def test_jacobian_rejects_bad_features(pixels, depths, message):
-    with pytest.raises(ValueError, match=message):
-        feature_jacobian(pixels, depths)
-    with pytest.raises(ValueError, match=message):
-        ibvs_step(np.zeros(pixels.size), pixels, depths)
+    if message == "depths must be positive":  # checked on every command
+        with pytest.raises(ValueError, match=message):
+            _jacobian(pixels, depths)
+        with pytest.raises(ValueError, match=message):
+            _ibvs_twist([0.0] * pixels.size, pixels.tolist(), depths.tolist())
+    else:  # run_skill checks the feature count once per skill, before any tick
+        pts = np.column_stack([np.linspace(0.25, 0.35, depths.size),
+                               np.zeros(depths.size), FINE_GOAL.position[2] - depths])
+        with pytest.raises(ValueError, match=message):
+            run_skill(_fine_pos_toward(pixels), PlantState(pose=FINE_GOAL,
+                                                           tracked_points=pts))
 
 
 def _jacobian_rows_loop(pixels: np.ndarray, depths: np.ndarray) -> np.ndarray:
@@ -142,37 +159,52 @@ def _jacobian_rows_loop(pixels: np.ndarray, depths: np.ndarray) -> np.ndarray:
 
 
 def test_jacobian_equals_per_row_closed_form_exactly():
+    # the float rows, the loop above and the array oracle make the same
+    # per-element operations, so all three agree bit for bit
     rng = np.random.default_rng(7)
     for k in (3, 4, 7):
         for _ in range(50):
             feats = (rng.uniform(-200, 900, size=2 * k),
                      rng.uniform(0.05, 3.0, size=k))
-            jac = feature_jacobian(*feats)
+            jac = _jacobian(*feats)
             assert jac.shape == (2 * k, 6)
             assert np.array_equal(jac, _jacobian_rows_loop(*feats))
+            assert np.array_equal(jac, oracle_feature_jacobian(*feats))
     # features on the principal point give signed zeros in the same places
     feats = (np.array([CX, CY, CX, CY + 40, CX + 40, CY]), np.array([0.5, 1.0, 2.0]))
-    assert np.array_equal(np.signbit(feature_jacobian(*feats)),
+    assert np.array_equal(np.signbit(_jacobian(*feats)),
                           np.signbit(_jacobian_rows_loop(*feats)))
+    assert np.array_equal(np.signbit(_jacobian(*feats)),
+                          np.signbit(oracle_feature_jacobian(*feats)))
 
 
 def test_pseudo_inverse_exactness_random_features():
+    # _ibvs_twist / IBVS_GAIN is the left pseudo-inverse: it takes the flow
+    # J e_i of each unit twist e_i back to e_i, so column by column
+    # pinv(J) @ J = I
     rng = np.random.default_rng(1)
     for _ in range(20):
-        jac = feature_jacobian(rng.uniform(100, 500, size=8),
-                               rng.uniform(0.3, 1.5, size=4))
+        px, z = rng.uniform(100, 500, size=8), rng.uniform(0.3, 1.5, size=4)
+        jac = _jacobian(px, z)
         jtj = jac.T @ jac
         if np.linalg.eigvalsh(jtj)[0] < 1e-6:
             continue
-        pinv = np.linalg.solve(jtj, jac.T)
-        np.testing.assert_allclose(pinv @ jac, np.eye(6), atol=1e-9)
+        pinv_jac = np.array([_ibvs_twist((px + col).tolist(), px.tolist(), z.tolist())
+                             for col in jac.T]).T / IBVS_GAIN
+        np.testing.assert_allclose(pinv_jac, np.eye(6), atol=1e-9)
 
 
 # ------------------------------------------------------------- ibvs
 
+def _ibvs(target_px, pixels, depths) -> np.ndarray:
+    """``control._ibvs_twist`` of arrays, as an array."""
+    return np.array(_ibvs_twist(*(np.asarray(a, dtype=float).tolist()
+                                  for a in (target_px, pixels, depths))))
+
+
 def test_ibvs_zero_error_zero_command():
     px = np.array([100.0, 120, 500, 130, 300, 400])
-    u = ibvs_step(px, px, np.array([0.5, 0.6, 0.7]))
+    u = _ibvs(px, px, np.array([0.5, 0.6, 0.7]))
     np.testing.assert_allclose(u, np.zeros(6), atol=1e-12)
 
 
@@ -180,16 +212,26 @@ def test_ibvs_singular_features_raise():
     # collinear points: column space collapses
     px = np.array([100.0, 100, 200, 100, 300, 100])
     with pytest.raises(SingularJacobian):
-        ibvs_step(px + 5.0, px, np.array([0.5, 0.5, 0.5]))
+        _ibvs(px + 5.0, px, np.array([0.5, 0.5, 0.5]))
+
+
+def test_ibvs_non_positive_pivot_raises(monkeypatch):
+    # three features on the principal point leave J's third column zero, so
+    # the Cholesky factorisation meets a zero pivot once eigvalsh is told the
+    # matrix is well conditioned
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.ones(6))
+    px = np.array([CX, CY] * 3)
+    with pytest.raises(SingularJacobian, match="degenerate for servoing"):
+        _ibvs(px + 5.0, px, np.ones(3))
 
 
 def test_ibvs_feature_error_decays_exponentially():
     goal = Pose(np.array([0.3, 0.0, 0.20]))
     pts = np.array([[0.35, 0.05, 0.02], [0.25, 0.05, 0.02],
                     [0.25, -0.05, 0.02], [0.35, -0.05, 0.035]])
-    f_des, z = project(pts, camera_pose(goal))
+    f_des, z = flange_project(pts, goal)
     start = Pose(goal.position + np.array([0.05, 0.0, 0.0]))
-    feats, _ = project(pts, camera_pose(start))
+    feats, _ = flange_project(pts, start)
     dt = 1.0 / RATE_VSC_HZ
     e0 = np.linalg.norm(feats - f_des)
     worst = 0.0
@@ -198,8 +240,8 @@ def test_ibvs_feature_error_decays_exponentially():
         err = np.linalg.norm(feats - f_des)
         ideal = e0 * np.exp(-IBVS_GAIN * t)
         worst = max(worst, abs(err - ideal) / ideal)
-        jac = feature_jacobian(feats, z)
-        u = ibvs_step(f_des, feats, z)
+        jac = _jacobian(feats, z)
+        u = _ibvs(f_des, feats, z)
         feats = feats + jac @ u * dt  # ideal plant: feature flow = J u
     assert worst <= 0.05
 
@@ -208,7 +250,7 @@ def test_ibvs_closed_loop_cartesian_accuracy():
     goal = Pose(np.array([0.3, 0.0, 0.20]))
     pts = np.array([[0.35, 0.05, 0.02], [0.25, 0.05, 0.02],
                     [0.25, -0.05, 0.02], [0.35, -0.05, 0.035]])
-    f_des, _ = project(pts, camera_pose(goal))
+    f_des, _ = flange_project(pts, goal)
     dt = 1.0 / RATE_VSC_HZ
     offsets = [np.array([0.05, 0, 0]), np.array([0, 0.05, 0]),
                np.array([0, 0, 0.05]), np.array([0, 0, -0.05]),
@@ -216,14 +258,56 @@ def test_ibvs_closed_loop_cartesian_accuracy():
     for off in offsets:
         pose = Pose(goal.position + off)
         for _ in range(int(60.0 / dt)):
-            cam = camera_pose(pose)
-            px, z = project(pts, cam)
-            if np.max(np.abs(px - f_des)) <= 0.5:
+            p, q = pose.as_floats()
+            q_cam = camera_orientation(p, q)
+            px, z = project(pts.tolist(), p, q_cam)
+            if np.max(np.abs(np.array(px) - f_des)) <= 0.5:
                 break
-            u_cam = ibvs_step(f_des, px, z)
-            pose = pose_step(pose, cam.rotate(u_cam[:3]), cam.rotate(u_cam[3:]), dt)
+            u_cam = _ibvs_twist(f_des.tolist(), px, z)
+            pose = pose_step(pose, rotate_f(q_cam, u_cam[:3]),
+                             rotate_f(q_cam, u_cam[3:]), dt)
         err = np.linalg.norm(pose.position - goal.position)
         assert err <= 0.0012, off
+
+
+def test_ibvs_float_cores_within_bound_of_array_oracle():
+    """The tick's float cores against the array oracle they replaced, on
+    flange poses around a fine positioning goal.
+
+    The oracle's BLAS products and LAPACK solve round differently, so the two
+    agree within a bound, fixed before measuring: 1e-12 of the largest pixel
+    for the projection, 1e-9 of the largest command entry for the twist (the
+    singularity test admits J^T J with an eigenvalue ratio down to 1e-9).
+    Measured: at most 1.1e-15 and 4.1e-13.
+    """
+    pts = np.array([[0.35, 0.05, 0.02], [0.25, 0.05, 0.02],
+                    [0.25, -0.05, 0.02], [0.35, -0.05, 0.035]])
+    goal = Pose(np.array([0.3, 0.0, 0.20]))
+    f_des, _ = flange_project(pts, goal)
+    rng = np.random.default_rng(5)
+    worst_px = worst_u = 0.0
+    for _ in range(200):
+        pose = Pose.from_rotvec(goal.position + rng.uniform(-0.05, 0.05, 3),
+                                rng.uniform(-0.3, 0.3, 3))
+        p, q = pose.as_floats()
+        q_cam = camera_orientation(p, q)
+        cam = oracle_camera_pose(pose)
+        assert list(q_cam) == cam.orientation.tolist()
+        px, z = project(pts.tolist(), p, q_cam)
+        px_oracle, z_oracle = oracle_project(pts, cam)
+        worst_px = max(worst_px, np.max(np.abs(np.array(px) - px_oracle))
+                       / np.max(np.abs(px_oracle)))
+        np.testing.assert_allclose(z, z_oracle, rtol=1e-12)
+        u_cam = _ibvs_twist(f_des.tolist(), px, z)
+        u = rotate_f(q_cam, u_cam[:3]) + rotate_f(q_cam, u_cam[3:])
+        u_oracle = oracle_ibvs_step(f_des, np.array(px), np.array(z))
+        u_oracle = np.concatenate([cam.rotate(u_oracle[:3]), cam.rotate(u_oracle[3:])])
+        worst_u = max(worst_u, np.max(np.abs(np.array(u) - u_oracle))
+                      / np.max(np.abs(u_oracle)))
+    assert worst_px <= 1e-12
+    assert worst_u <= 1e-9
+    print(f"float cores against the array oracle: pixels {worst_px:.2g}, "
+          f"twist {worst_u:.2g} of the largest entry")
 
 
 # ------------------------------------------------------------- position
@@ -400,8 +484,12 @@ FINE_GOAL = Pose(np.array([0.3, 0.0, 0.20]))
 
 def _fine_pos(goal: Pose = FINE_GOAL, pts: np.ndarray = FINE_POINTS,
               timeout_s: float = AP_TIMEOUT_S) -> SkillPrimitive:
-    f_des, _ = project(pts, camera_pose(goal))
-    hm = HybridMove(TaskFrame.RGBD, (ControlMode.VSC,) * 8, f_des)
+    return _fine_pos_toward(flange_project(pts, goal)[0], timeout_s)
+
+
+def _fine_pos_toward(f_des: np.ndarray, timeout_s: float = AP_TIMEOUT_S,
+                     ) -> SkillPrimitive:
+    hm = HybridMove(TaskFrame.RGBD, (ControlMode.VSC,) * f_des.size, f_des)
     return SkillPrimitive(SkillName.FINE_POS, hm, IDLE_TOOL,
                           StopCondition(StopKind.FEATURE_REACHED, f_des, 0.5,
                                         timeout_s=timeout_s),
@@ -422,9 +510,9 @@ def test_run_skill_fine_pos_accuracy():
 def test_run_skill_projects_once_per_vsc_tick(monkeypatch):
     calls = []
 
-    def counting_project(points, cam):
-        calls.append(cam)
-        return project(points, cam)
+    def counting_project(points, p, q_cam):
+        calls.append(q_cam)
+        return project(points, p, q_cam)
 
     monkeypatch.setattr(control, "project", counting_project)
     start = Pose(FINE_GOAL.position + np.array([0.05, 0.0, 0.0]))
@@ -449,16 +537,16 @@ def test_run_skill_feature_behind_camera_raises_singular_with_log():
     assert log.buckets["vsc"] > 0
     assert log.buckets["vsc"] == len(log.rows) * UNITS_PER_VSC_TICK
     assert log.rows[-1].t_units == 40 + log.buckets["vsc"]
-    _, z = project(pts, camera_pose(state.pose))
+    _, z = flange_project(pts, state.pose)
     assert z[3] <= 0.0 < np.min(z[:3])
 
 
 def test_run_skill_degenerate_features_raise_singular_with_log():
     # three coincident points in front of the camera: J^T J is rank 2, so the
-    # first tick's ibvs_step cannot servo toward a target 5 px off
+    # first tick's _ibvs_twist cannot servo toward a target 5 px off
     pts = np.array([[0.3, 0.0, 0.02]] * 3)
     start = Pose(np.array([0.3, 0.0, 0.2]))
-    seen, z = project(pts, camera_pose(start))
+    seen, z = flange_project(pts, start)
     assert np.all(z > 0.0)
     f_des = seen + np.array([5.0, 0.0] * 3)
     hm = HybridMove(TaskFrame.RGBD, (ControlMode.VSC,) * 6, f_des)

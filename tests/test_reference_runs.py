@@ -23,11 +23,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from dismantle import metrics
 from dismantle.cli import _dry_executor, _graph_summary
@@ -40,6 +44,7 @@ from dismantle.planner import plan_task
 from dismantle.skills import ExecState, interpret
 
 HERE = Path(__file__).resolve().parent
+SRC = HERE.parent / "src"
 SCENARIOS = HERE.parent / "scenarios"
 REFERENCE = HERE / "data" / "reference_runs.json"
 SEED = 0
@@ -238,6 +243,43 @@ def test_first_moved_skill_names_the_skill_and_what_moved():
         "skill 0 (rough_pos, path) moved its tick count: 40 ticks, stopped by "
         "stop; now 41, stop")
     assert _first_moved_skill([entry], [entry, entry]) == "1 skills ran, now 2"
+
+
+def _single_screw_ticks() -> dict:
+    """``tick_sha256`` and ``skill_sha256`` of single_screw's repetition 0."""
+    res, skills = _results("single_screw", 1)[0]
+    return {"tick_sha256": _tick_sha256(res), "skill_sha256": skills}
+
+
+def _cpu_has_avx2() -> bool:
+    """Whether the CPU runs AVX2, as the Haswell and Zen kernels need (read
+    from Linux's /proc/cpuinfo; False where there is none)."""
+    try:
+        return "avx2" in Path("/proc/cpuinfo").read_text(encoding="utf-8").split()
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _cpu_has_avx2(), reason="the AVX2 kernels cannot run here")
+@pytest.mark.parametrize("coretype", ["Haswell", "Zen"])
+def test_ticks_do_not_depend_on_the_avx2_blas_kernels(coretype):
+    """single_screw's repetition 0, with its visual-servoing skills, gives the
+    same tick and skill digests in a process that forces OpenBLAS's Haswell or
+    Zen kernels as in this one.
+
+    ``OPENBLAS_CORETYPE`` picks the kernel set of an OpenBLAS that chooses its
+    kernels at run time (a DYNAMIC_ARCH build, as numpy's wheels ship), as an
+    AVX2 CPU without AVX-512 would.  Where numpy's BLAS is not such an
+    OpenBLAS, the variable is ignored and both runs use the same kernels.
+    """
+    code = ("import json, test_reference_runs as t; "
+            "print(json.dumps(t._single_screw_ticks()))")
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype, PYTHONPATH=os.pathsep.join(
+        [str(SRC), str(HERE)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == _single_screw_ticks()
 
 
 if __name__ == "__main__":
