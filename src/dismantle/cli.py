@@ -67,7 +67,7 @@ def _load_and_plan(args):
     model = load_model(args.scenario)
     try:
         dirs = sample_sphere(args.samples, args.seed)
-    except MemoryError:
+    except (MemoryError, ValueError):  # no memory for it, or past numpy's size limit
         raise ParseError(f"--samples {args.samples} is too large to sample") from None
     return model, dirs, plan_task(model, dirs)
 

@@ -484,8 +484,9 @@ def test_cli_import_does_not_load_concurrent_futures():
 
 def test_bad_samples_rejected(capsys):
     # numpy refuses the 7 PiB array of 10**15 samples without allocating any
-    # of it
-    for samples in (0, 10**15):
+    # of it (MemoryError), and 10**23 samples are past its size limit
+    # (ValueError)
+    for samples in (0, 10**15, 10**23):
         code, out, err = _run(capsys, "plan", SCENARIOS / "valve.json",
                               "--samples", samples)
         assert code == 1 and out == ""
