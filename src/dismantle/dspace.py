@@ -56,10 +56,10 @@ Only this module decides what a contact kind admits: ``_PREDICATES`` holds
 each kind's test and margin, and ``best_direction`` chooses from them the
 extraction direction the planner records for a component.
 
-Classification first tests a few members pairwise, the first at or after
-each of a few evenly spaced indices: two of them farther apart than one cone
-can hold prove the space is not a cone, so the members are listed and the
-principal-axis pass over them runs only for spaces that may be one.
+Classification first tests pairwise the members among every step-th
+direction, step = max(1, n // 256): two farther apart than one cone can hold
+prove the space is not a cone, so the principal-axis pass over all members
+runs only for spaces that may be one, fewer than two probes proving nothing.
 """
 
 from __future__ import annotations
@@ -546,26 +546,6 @@ def _principal_axis(points: np.ndarray) -> np.ndarray:
 # both lie within EPS_CONE + CONE_SLACK of one axis.  The 1e-9 margin is far
 # above the rounding error of a dot product of unit vectors.
 _PAIR_DOT_MIN = np.cos(2.0 * (EPS_CONE + CONE_SLACK)) - 1e-9
-_PROBES = 8  # evenly spaced members tested pairwise before the axis pass
-
-
-def _probe_indices(mask: np.ndarray) -> list[int]:
-    """For each of ``_PROBES`` evenly spaced starts, the first member at or
-    after it, or the first member if there is none; ``mask`` has a member.
-
-    A bool ``argmax`` stops at the first True.  Each search resumes where
-    the last one stopped, as no member lies between a start and the member
-    found for the start before it, so at most n entries are read.
-    """
-    picks = []
-    k = 0
-    for start in np.arange(_PROBES) * mask.size // _PROBES:
-        k = max(k, int(start))
-        k += int(mask[k:].argmax())
-        if not mask[k]:  # no member from here on
-            break
-        picks.append(k)
-    return picks + picks[:1] * (_PROBES - len(picks))
 
 
 def classify_sdof(space: DirectionSet,
@@ -575,6 +555,10 @@ def classify_sdof(space: DirectionSet,
     Rotational freedom is never read off the sampled (purely translational)
     sphere: it is attached symbolically, about the first screwed or
     concentric contact's direction, whenever such a contact is present.
+
+    The cone probes are read through strided views, so no full-size array is
+    copied, and decide only whether the principal-axis pass runs, never the
+    label.
     """
     rot_axis = next((r.direction for r in contacts if r.kind in AXIAL_KINDS), None)
 
@@ -585,7 +569,8 @@ def classify_sdof(space: DirectionSet,
 
     # two probes too far apart for one cone rule out every axis, so the
     # principal-axis pass over all members is needed only when none are
-    probe = space.directions[_probe_indices(space.mask)]
+    step = max(1, space.n // 256)
+    probe = space.directions[::step][space.mask[::step]]
     if np.all(np.abs(probe @ probe.T) >= _PAIR_DOT_MIN):
         members = space.directions[np.flatnonzero(space.mask)]
         axis = _principal_axis(members)

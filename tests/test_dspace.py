@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -885,8 +886,10 @@ def _test_masks(dirs, rng):
     """Caps, antipodal double caps, bands and wedges around a random axis,
     with the cap half-angles on both sides of the 7 degree classification
     cone and of twice it; masks whose members all lie in the first or in the
-    last eighth of the index range, where most probe starts find no member
-    at or after them; and one-member masks at either end."""
+    last eighth of the index range; one-member masks at either end; and
+    cone and non-cone masks whose members avoid every strided probe entry,
+    or all but one, so that 0 or 1 probes are drawn (every member is a
+    probe while n < 512)."""
     a = random_unit(rng)
     dots = dirs.directions @ a
     masks = {}
@@ -912,10 +915,16 @@ def _test_masks(dirs, rng):
         masks[f"{name} eighth, cap 6.5"] = part & (
             dirs.directions @ dirs.directions[end] >= np.cos(np.deg2rad(6.5)))
         masks[f"{name} eighth, member {end} only"] = index == end
+    step = max(1, dirs.n // 256)
+    off_stride = index % step != 0
+    nearest_probe = index[::step][np.argmax(dots[::step])]
+    for name in ("cap 6.5", "double cap 6.5", "cap 14.5"):
+        masks[f"{name}, no probe"] = masks[name] & off_stride
+        masks[f"{name}, one probe"] = (masks[name] & off_stride) | (index == nearest_probe)
     return a, masks
 
 
-@pytest.mark.parametrize("n", [10_000, 100_000])
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 2**15 + 1, 10_000, 100_000])
 def test_classify_cone_pretest_matches_full_pass(n):
     dirs = sample_sphere(n, seed=11)
     rng = np.random.default_rng(n)
@@ -932,7 +941,23 @@ def test_classify_cone_pretest_matches_full_pass(n):
                 expected = _outcome(_classify_all_members, space, contacts)
                 assert _outcome(classify_sdof, space, contacts) == expected, name
                 checked += 1
-    assert checked == 3 * 29 * 3
+    assert checked == 3 * 35 * 3
+
+
+def test_classify_cone_pretest_copies_no_mask():
+    """A 1M half-space is no cone, so classifying it runs only the pre-test,
+    whose strided views allocate far less than the mask's bytes."""
+    dirs = sample_sphere(1_000_000, seed=5)
+    z = np.array([0.0, 0.0, 1.0])
+    space = space_from_contacts([(RelationKind.PLANE_CONTACT, z)], dirs)
+    tracemalloc.start()
+    try:
+        label = classify_sdof(space, [_relation(RelationKind.PLANE_CONTACT, z)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert label.value is Mobility.AGPP
+    assert peak < space.mask.nbytes // 2, peak
 
 
 # ---------------------------------------------------------------- graph
