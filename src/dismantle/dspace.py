@@ -7,21 +7,25 @@ intersections AND the masks together, so the whole pipeline is O(n) in the
 number of sampled directions.
 
 Each sphere memoizes its per-contact masks, packed to one bit per direction
-(n / 8 bytes).  A space request scores the contacts the memo lacks in one
-pass of one job per line, a direction up to sign.  A job's one product gives
-the scores s = direction . d, its half-space tests compare s, and one abs then
-turns s into |s| for its cone test: s >= -EPS_ANG is d's half space and
-s <= EPS_ANG is -d's, because directions @ -d is -(directions @ d) bit for
-bit, and a cone's |s| serves d and -d alike.  ``disassembly_space`` and
-``build_graph`` first score every non-screwed relation of their model, so a
-model's spaces and graph cost one pass per sphere.  Each chunk's bools are
-packed straight into the chunk's bytes of the entry, and the entries reach
-the memo only once the whole pass has succeeded.  So a contact is scored once
-per sphere, however often either side's space is asked for.  A space is the
-AND of its packed entries, unpacked once and ANDed with the set's mask; a
-screwed contact makes it empty and nothing is scored.  The memo is shared by every set ``with_mask`` derives from the
-sphere, and lives as long as the sphere.  The sphere's directions are
-read-only, so a stored mask cannot go stale.
+(n / 8 bytes), by line, a direction up to sign.  A space request scores the
+lines the memo lacks in one pass of one job per line.  A job's one product
+gives the scores s = direction . d, and it always writes three masks:
+s >= -EPS_ANG is d's half space and s <= EPS_ANG is -d's, because
+directions @ -d is -(directions @ d) bit for bit, then one abs turns s into
+|s| for the cone |s| >= cos(EPS_CONE), which serves d and -d alike.  The memo
+maps the bytes of d to (d's half mask, cone mask) and those of -d to (-d's
+half mask, cone mask).  ``disassembly_space`` and ``build_graph`` first score
+every relation of their model, screwed ones included, since a twist leaves a
+concentric contact on the screw's line; so a model's spaces and graph cost
+one pass per sphere.  Each chunk's bools are packed straight into the
+chunk's bytes of the entry, and the entries reach the memo only once the
+whole pass has succeeded.  So a line is scored once per sphere, however
+often either side's space is asked for, and whichever test it needs.  A
+space is the AND of its packed entries, unpacked once and ANDed with the
+set's mask; a screwed contact makes it empty and nothing is scored.  The
+memo is shared by every set ``with_mask`` derives from the sphere, and lives
+as long as the sphere.  The sphere's directions are read-only, so a stored
+mask cannot go stale.
 
 Sampling the sphere and scoring it against a contact both run by chunks of
 2^15 rows (``_by_chunks``), spread over the CPUs the process may run on: the
@@ -52,9 +56,10 @@ The rows of a later chunk differ from it by rounding, about 2e-10 per
 coordinate at 1M, and are no less accurate: the float64 rounding of
 golden * lo and of golden * i bounds the error of either.
 
-Only this module decides what a contact kind admits: ``_PREDICATES`` holds
-each kind's test and margin, and ``best_direction`` chooses from them the
-extraction direction the planner records for a component.
+Only this module decides what a contact kind admits: ``_score_pass`` holds
+each kind's test, ``best_direction`` the matching clearance margin, from
+which it chooses the extraction direction the planner records for a
+component.
 
 Classification first tests pairwise the members among every step-th
 direction, step = max(1, n // 256): two farther apart than one cone can hold
@@ -85,6 +90,7 @@ from .model import (AXIAL_KINDS, AssemblyModel, RelationKind, SpatialRelation,
 # band between opposing half spaces stays empty at every sample count.
 EPS_ANG = 1e-12
 EPS_CONE = np.deg2rad(5.0)
+_COS_CONE = np.cos(EPS_CONE)  # a concentric contact's bound on |s|
 CONE_SLACK = np.deg2rad(2.0)  # classification slack on top of EPS_CONE
 
 DEFAULT_SAMPLES = 10_000
@@ -118,7 +124,7 @@ class DirectionSet:
 
     directions: np.ndarray  # (n, 3), unit rows
     mask: np.ndarray        # (n,) bool
-    # (predicate, oriented direction bytes) -> np.packbits of the contact mask
+    # oriented direction bytes -> np.packbits of (its half space, its cone)
     _memo: dict = field(default_factory=dict, init=False, compare=False,
                         repr=False)
 
@@ -291,47 +297,31 @@ def oriented_direction(relation: SpatialRelation, component_id: str) -> np.ndarr
     raise UnknownComponent(component_id)
 
 
-# predicate -> (whether a score is its absolute value, the test of a score s
-# that admits the scored direction d, the test that admits -d, the score at
-# which a direction's clearance margin is zero).  directions @ -d is
-# -(directions @ d) bit for bit, so -d's half space is s <= EPS_ANG; a cone's
-# |s| is the same for both, so its mask serves -d as it is (None).  A half
-# space's margin is s itself, and a cone's is |s| - cos(EPS_CONE).
-_PREDICATES = {
-    "half": (False, (np.greater_equal, -EPS_ANG), (np.less_equal, EPS_ANG), 0.0),
-    "cone": (True, (np.greater_equal, np.cos(EPS_CONE)), None, np.cos(EPS_CONE)),
-}
-_PREDICATE = {RelationKind.PLANE_CONTACT: "half", RelationKind.CONGRUENT: "half",
-              RelationKind.CONCENTRIC: "cone"}
+def _score_pass(dirs: DirectionSet, lines: list[np.ndarray]) -> list[tuple]:
+    """Score the sample against every line's direction in one chunked pass.
 
-
-def _score_pass(dirs: DirectionSet, jobs: list) -> list[np.ndarray]:
-    """Score the sample against every job's direction in one chunked pass.
-
-    A job is ``(direction, tests, abs_tests)``, the tests of one line.  Per
-    chunk ``[lo, hi)`` its scores s go to the share's scratch by one product;
-    each test ``(compare, bound)`` of ``tests`` compares s with ``bound``,
-    then, if there are ``abs_tests``, one ``abs`` turns s into |s| in place
-    for them.  A test packs its bools into the chunk's bytes of its mask:
-    chunk starts are multiples of 8, so no two chunks write the same byte.
-    Returns the packed masks, in job order and each job's ``tests`` before
-    its ``abs_tests``.  The only scoring kernel: ``admissible_indices`` and
-    the memo both run it.
+    Per chunk ``[lo, hi)`` and line d, one product puts the scores s in the
+    share's scratch.  s >= -EPS_ANG gives d's half space and s <= EPS_ANG
+    -d's; then one ``abs`` turns s into |s| in place, and
+    |s| >= cos(EPS_CONE) gives the cone about the line.  A test packs its
+    bools into the chunk's bytes of its mask: chunk starts are multiples of
+    8, so no two chunks write the same byte.  Returns, in line order, each
+    line's packed ``(d's half, -d's half, cone)``.  The only scoring kernel:
+    ``admissible_indices`` and the memo both run it.
     """
     directions = dirs.directions
-    masks = [np.empty(-(-dirs.n // 8), np.uint8)
-             for _, tests, abs_tests in jobs for _ in tests + abs_tests]
+    masks = [tuple(np.empty(-(-dirs.n // 8), np.uint8) for _ in range(3))
+             for _ in lines]
 
     def fill(buf, lo, hi):
         scores, bools = buf[0], buf[1].view(bool)[:hi - lo]
-        out = iter(masks)
-        for direction, tests, abs_tests in jobs:
-            np.matmul(directions[lo:hi], direction, out=scores)
-            for i, (compare, bound) in enumerate(tests + abs_tests):
-                if i == len(tests):
-                    np.abs(scores, out=scores)
-                next(out)[lo >> 3:(hi + 7) >> 3] = np.packbits(
-                    compare(scores, bound, out=bools))
+        at = slice(lo >> 3, (hi + 7) >> 3)
+        for d, (half, opposite, cone) in zip(lines, masks):
+            np.matmul(directions[lo:hi], d, out=scores)
+            half[at] = np.packbits(np.greater_equal(scores, -EPS_ANG, out=bools))
+            opposite[at] = np.packbits(np.less_equal(scores, EPS_ANG, out=bools))
+            np.abs(scores, out=scores)
+            cone[at] = np.packbits(np.greater_equal(scores, _COS_CONE, out=bools))
 
     _by_chunks(dirs.n, 2, fill)
     return masks
@@ -347,14 +337,13 @@ def admissible_indices(kind: RelationKind, direction: np.ndarray,
     blocks translation until a twist converts the joint.  The mask is a fresh
     writable array and ignores ``dirs.mask``; numpy accepts it as an index.
 
-    The mask is the memo kernel's (``_score_pass``) packed mask, unpacked,
-    but this function neither reads nor fills the memo.
+    The mask is one of the memo kernel's (``_score_pass``) packed masks,
+    unpacked, but this function neither reads nor fills the memo.
     """
     if kind is RelationKind.SCREWED:
         return np.zeros(dirs.n, dtype=bool)
-    absolute, test, _, _ = _PREDICATES[_PREDICATE[kind]]
-    tests = ([], [test]) if absolute else ([test], [])
-    [packed] = _score_pass(dirs, [(np.asarray(direction, dtype=float), *tests)])
+    [(half, _, cone)] = _score_pass(dirs, [np.asarray(direction, dtype=float)])
+    packed = cone if kind is RelationKind.CONCENTRIC else half
     return np.unpackbits(packed, count=dirs.n).view(bool)
 
 
@@ -369,56 +358,26 @@ def intersect_spaces(index_sets: list[np.ndarray], dirs: DirectionSet) -> Direct
     return dirs._owning(mask)
 
 
-def _request(kind: RelationKind, direction: np.ndarray) -> tuple[tuple, np.ndarray]:
-    """The memo key of a non-screwed contact, and its direction as floats."""
-    direction = np.asarray(direction, dtype=float)
-    return (_PREDICATE[kind], direction.tobytes()), direction
+def _fill_memo(directions: list[np.ndarray], dirs: DirectionSet) -> list[tuple]:
+    """Score, in one pass, every line of ``directions`` the memo lacks, and
+    return the memo entries of ``directions``, in order.
 
-
-def _fill_memo(requests: list[tuple[tuple, np.ndarray]], dirs: DirectionSet) -> None:
-    """Score, in one pass, every ``(key, direction)`` the memo lacks.
-
-    The requests are grouped by line, a direction up to sign: each line is
-    one job of the pass, scored against the first direction d asked for on
-    it.  A half space's two tests on s give the entries of d and -d; a
-    cone's one test on |s| serves both.  A request that repeats a key in
-    the pass, or asks for the other side of one, adds nothing.  The entries
+    A line, a direction up to sign, is one job of the pass, scored against
+    the first of its directions d asked for: its three masks give the entry
+    ``(d's half, cone)`` of d and ``(-d's half, cone)`` of -d.  The entries
     go to the memo only once the whole pass has succeeded.
     """
-    lines = {}  # the bytes of d and of -d -> the predicates asked of d's line
-    order = []  # (d, its line's predicates), in the order the lines came
-    for key, direction in requests:
-        if key in dirs._memo:
-            continue
-        predicate, side = key
-        if side not in lines:
-            lines[side] = lines[(-direction).tobytes()] = {}
-            order.append((direction, lines[side]))
-        lines[side][predicate] = None
-    jobs, keys = [], []  # keys: the memo keys each mask serves, in pass order
-    for direction, predicates in order:
-        sides = (direction.tobytes(), (-direction).tobytes())
-        signed, folded = [], []  # (test, its keys) on s and on |s|
-        for predicate in predicates:
-            absolute, test, opposite, _ = _PREDICATES[predicate]
-            if absolute:
-                folded.append((test, [(predicate, side) for side in sides]))
-            else:
-                signed += [(test, [(predicate, sides[0])]),
-                           (opposite, [(predicate, sides[1])])]
-        jobs.append((direction, [t for t, _ in signed], [t for t, _ in folded]))
-        keys += [k for _, k in signed + folded]
-    if jobs:
-        masks = _score_pass(dirs, jobs)
-        dirs._memo.update((key, mask) for mask, served in zip(masks, keys)
-                          for key in served)
-
-
-def _fill_memo_for_model(model: AssemblyModel, dirs: DirectionSet) -> None:
-    """Score every non-screwed relation of ``model`` the memo lacks, in one
-    pass, so that the spaces of its components read only the memo."""
-    _fill_memo([_request(r.kind, r.direction) for r in model.relations
-                if r.kind is not RelationKind.SCREWED], dirs)
+    directions = [np.asarray(d, dtype=float) for d in directions]
+    lines, pending = [], set()
+    for d in directions:
+        if d.tobytes() not in dirs._memo and d.tobytes() not in pending:
+            pending.update((d.tobytes(), (-d).tobytes()))
+            lines.append(d)
+    if lines:
+        for d, (half, opposite, cone) in zip(lines, _score_pass(dirs, lines)):
+            dirs._memo[d.tobytes()] = (half, cone)
+            dirs._memo[(-d).tobytes()] = (opposite, cone)
+    return [dirs._memo[d.tobytes()] for d in directions]
 
 
 def space_from_contacts(contacts: list[tuple[RelationKind, np.ndarray]],
@@ -426,18 +385,20 @@ def space_from_contacts(contacts: list[tuple[RelationKind, np.ndarray]],
     """Aggregate space for pre-oriented (kind, direction) contact predicates.
 
     A screwed contact makes the space empty, and nothing is scored.
-    Otherwise the contacts missing from the sphere's memo are scored in one
-    pass, so a contact already scored on this sphere, or its opposite side,
-    is not scored again.  The packed entries are ANDed, unpacked once and
-    ANDed with ``dirs.mask`` into a mask the returned set owns.
+    Otherwise the lines missing from the sphere's memo are scored in one
+    pass, so a line already scored on this sphere, for either side and
+    either kind, is not scored again.  Each contact takes its side's cone
+    entry if it is concentric and its half-space entry if not; the packed
+    entries are ANDed, unpacked once and ANDed with ``dirs.mask`` into a mask
+    the returned set owns.
     """
     if any(kind is RelationKind.SCREWED for kind, _ in contacts):
         return dirs._owning(np.zeros(dirs.n, dtype=bool))
-    requests = [_request(kind, direction) for kind, direction in contacts]
-    _fill_memo(requests, dirs)
-    if not requests:
+    if not contacts:
         return dirs._owning(dirs.mask.copy())
-    packed = reduce(np.bitwise_and, [dirs._memo[key] for key, _ in requests])
+    entries = _fill_memo([d for _, d in contacts], dirs)
+    packed = reduce(np.bitwise_and, [entry[kind is RelationKind.CONCENTRIC]
+                                     for (kind, _), entry in zip(contacts, entries)])
     mask = np.unpackbits(packed, count=dirs.n).view(bool)
     mask &= dirs.mask
     return dirs._owning(mask)
@@ -452,7 +413,8 @@ def best_direction(contacts: list[tuple[RelationKind, np.ndarray]],
     if the space of the pre-oriented (kind, direction) contacts is empty.
 
     Margin per contact: distance of the direction score from the edge of the
-    contact's admissible set (``_PREDICATES``).  Candidates whose margins
+    contact's admissible set, s for a half space and |s| - cos(EPS_CONE) for
+    a cone (the tests of ``_score_pass``).  Candidates whose margins
     differ by less than the lattice resolution count as tied; ties prefer the
     direction best aligned with the contacts' summed directions, then the
     lowest sample index.
@@ -468,9 +430,10 @@ def best_direction(contacts: list[tuple[RelationKind, np.ndarray]],
     outward = np.zeros(3)
     for kind, d in contacts:
         outward += d
-        absolute, _, _, edge = _PREDICATES[_PREDICATE[kind]]
         scores = cand @ d
-        margins = np.minimum(margins, (np.abs(scores) if absolute else scores) - edge)
+        if kind is RelationKind.CONCENTRIC:
+            scores = np.abs(scores) - _COS_CONE
+        margins = np.minimum(margins, scores)
     pool = np.flatnonzero(margins >= margins.max() - NEAR_TIE_MARGIN)
     if np.linalg.norm(outward) > 1e-12:
         align = cand[pool] @ (outward / np.linalg.norm(outward))
@@ -484,12 +447,12 @@ def disassembly_space(model: AssemblyModel, component_id: str,
                       dirs: DirectionSet) -> DirectionSet:
     """Full extraction space of a component: intersection over all contacts.
 
-    Every non-screwed relation of the model the memo lacks is scored first,
-    in one pass, so the spaces of all its components cost one pass per
-    sphere.  An unknown component raises before anything is scored.
+    Every line of the model's relations the memo lacks is scored first, in
+    one pass, so the spaces of all its components cost one pass per sphere.
+    An unknown component raises before anything is scored.
     """
     contacts = contacts_of(model, component_id)
-    _fill_memo_for_model(model, dirs)
+    _fill_memo([r.direction for r in model.relations], dirs)
     oriented = [(r.kind, oriented_direction(r, component_id)) for r in contacts]
     return space_from_contacts(oriented, dirs)
 
@@ -615,10 +578,10 @@ def build_graph(model: AssemblyModel, dirs: DirectionSet) -> MobilityGraph:
 
     The pairwise space is evaluated for the lexicographically smaller
     component of each pair; both edge orientations share the same label.
-    Every non-screwed relation the memo lacks is scored in one pass before
-    the first space.
+    Every line of the model's relations the memo lacks is scored in one pass
+    before the first space.
     """
-    _fill_memo_for_model(model, dirs)
+    _fill_memo([r.direction for r in model.relations], dirs)
     pair_contacts: dict[tuple[str, str], list[SpatialRelation]] = {}
     for rel in model.relations:
         key = tuple(sorted(rel.components))

@@ -508,8 +508,10 @@ def test_memo_scores_each_contact_once(monkeypatch, valve_model):
     assert passes == []
     assert np.array_equal(first.mask, second.mask)
     assert dirs._memo
-    for packed in dirs._memo.values():
-        assert packed.dtype == np.uint8 and packed.shape == (-(-dirs.n // 8),)
+    for entry in dirs._memo.values():
+        assert len(entry) == 2
+        for packed in entry:
+            assert packed.dtype == np.uint8 and packed.shape == (-(-dirs.n // 8),)
 
 
 def test_cone_memo_serves_the_opposite_axis(monkeypatch):
@@ -551,15 +553,16 @@ def test_one_pass_scores_each_missing_contact_once(monkeypatch):
     assert passes == [2]
     assert len(dirs._memo) == 4
     passes.clear()
+    # east's line was scored for its cone; the same job wrote -east's half
     space_from_contacts([(RelationKind.PLANE_CONTACT, -east), *contacts], dirs)
-    assert passes == [1]
+    assert passes == []
     # a screwed contact empties the space before anything is scored
     passes.clear()
     north = np.array([0.0, 1.0, 0.0])
     space = space_from_contacts([(RelationKind.PLANE_CONTACT, north),
                                  (RelationKind.SCREWED, up)], dirs)
     assert passes == [] and space.is_empty()
-    assert ("half", north.tobytes()) not in dirs._memo
+    assert north.tobytes() not in dirs._memo
 
 
 @pytest.mark.parametrize("which, lines", [("valve", 1), ("stack", 2)])
@@ -602,6 +605,18 @@ _KINDS = (RelationKind.PLANE_CONTACT, RelationKind.CONGRUENT,
           RelationKind.CONCENTRIC)
 
 
+def _assert_memo_equals_oracle(dirs, lines):
+    """Both memo entries of each line, d's and -d's, hold the packed oracle
+    of that side's half space and of the line's cone."""
+    for d in lines:
+        for side in (d, -d):
+            half, cone = dirs._memo[side.tobytes()]
+            for kind, got in ((RelationKind.PLANE_CONTACT, half),
+                              (RelationKind.CONCENTRIC, cone)):
+                want = np.packbits(_admissible_oracle(kind, side, dirs))
+                assert got.tobytes() == want.tobytes(), (kind, dirs.n)
+
+
 def _oracle_space(contacts, dirs):
     """The AND of the one-pass oracle masks with ``dirs.mask``."""
     mask = dirs.mask.copy()
@@ -625,12 +640,7 @@ def test_memo_entries_equal_packed_oracle_at_chunk_and_byte_edges(monkeypatch, n
         half, cone = random_unit(rng), random_unit(rng)
         space_from_contacts([(RelationKind.PLANE_CONTACT, half),
                              (RelationKind.CONCENTRIC, cone)], dirs)
-        for kind, predicate, e in ((RelationKind.PLANE_CONTACT, "half", half),
-                                   (RelationKind.CONCENTRIC, "cone", cone)):
-            for side in (e, -e):
-                want = np.packbits(_admissible_oracle(kind, side, dirs))
-                got = dirs._memo[(predicate, side.tobytes())]
-                assert got.tobytes() == want.tobytes(), (kind, n)
+        _assert_memo_equals_oracle(dirs, (half, cone))
 
     derived = dirs.with_mask(rng.random(n) < 0.7)
     for _ in range(12):
@@ -648,14 +658,15 @@ def test_memo_entries_equal_packed_oracle_at_chunk_and_byte_edges(monkeypatch, n
 @pytest.mark.parametrize("n", EDGE_SIZES)
 def test_half_and_cone_on_one_line_share_a_job(monkeypatch, n):
     """A half test and a cone test on one line run as one job of one pass,
-    the cone's on |s| after the half tests on s, and every memo entry
-    equals the packed oracle."""
+    scored against the first direction asked for, the cone's test on |s|
+    after the half tests on s, and every memo entry equals the packed
+    oracle."""
     jobs = []
     score_pass = dspace._score_pass
 
-    def recorded(dirs, pass_jobs):
-        jobs.append([(len(tests), len(abs_tests)) for _, tests, abs_tests in pass_jobs])
-        return score_pass(dirs, pass_jobs)
+    def recorded(dirs, lines):
+        jobs.append([d.tobytes() for d in lines])
+        return score_pass(dirs, lines)
 
     monkeypatch.setattr(dspace, "_score_pass", recorded)
     rng = np.random.default_rng(n + 1)
@@ -663,14 +674,11 @@ def test_half_and_cone_on_one_line_share_a_job(monkeypatch, n):
     d = random_unit(rng)
     space_from_contacts([(RelationKind.CONCENTRIC, -d), (RelationKind.PLANE_CONTACT, d)],
                         dirs)
-    assert jobs == [[(2, 1)]]
-    assert len(dirs._memo) == 4
-    for kind, predicate in ((RelationKind.PLANE_CONTACT, "half"),
-                            (RelationKind.CONCENTRIC, "cone")):
-        for side in (d, -d):
-            want = np.packbits(_admissible_oracle(kind, side, dirs))
-            got = dirs._memo[(predicate, side.tobytes())]
-            assert got.tobytes() == want.tobytes(), (kind, n)
+    assert jobs == [[(-d).tobytes()]]
+    assert dirs._memo.keys() == {d.tobytes(), (-d).tobytes()}
+    # one cone mask serves both sides
+    assert dirs._memo[d.tobytes()][1] is dirs._memo[(-d).tobytes()][1]
+    _assert_memo_equals_oracle(dirs, [d])
 
 
 def test_memo_entries_at_the_admissible_boundaries():
@@ -681,15 +689,14 @@ def test_memo_entries_at_the_admissible_boundaries():
                         for b in (EPS_ANG, -EPS_ANG, c, -c)])
     rows = np.column_stack([np.sqrt(1.0 - z * z), np.zeros_like(z), z])
     for up in (np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])):
-        for kind, predicate in ((RelationKind.PLANE_CONTACT, "half"),
-                                (RelationKind.CONCENTRIC, "cone")):
+        for asked in (RelationKind.PLANE_CONTACT, RelationKind.CONCENTRIC):
             dirs = DirectionSet(rows, np.ones(len(z), dtype=bool))
-            space_from_contacts([(kind, up)], dirs)
+            space_from_contacts([(asked, up)], dirs)
+            _assert_memo_equals_oracle(dirs, [up])
             for side in (up, -up):
-                oracle = _admissible_oracle(kind, side, dirs)
-                assert oracle.tolist() == admissible_indices(kind, side, dirs).tolist()
-                got = dirs._memo[(predicate, side.tobytes())]
-                assert got.tobytes() == np.packbits(oracle).tobytes(), (kind, side)
+                for kind in (RelationKind.PLANE_CONTACT, RelationKind.CONCENTRIC):
+                    assert (_admissible_oracle(kind, side, dirs).tolist()
+                            == admissible_indices(kind, side, dirs).tolist()), (kind, side)
 
 
 def test_failed_pass_leaves_no_memo_entry(monkeypatch):
@@ -721,11 +728,7 @@ def test_failed_pass_leaves_no_memo_entry(monkeypatch):
     monkeypatch.setattr(dspace, "_by_chunks", chunked)
     space = space_from_contacts(contacts, dirs)
     assert space.mask.tobytes() == _oracle_space(contacts, dirs).tobytes()
-    for kind, d in contacts[1:]:
-        predicate = "cone" if kind is RelationKind.CONCENTRIC else "half"
-        for side in (d, -d):
-            want = np.packbits(_admissible_oracle(kind, side, dirs))
-            assert dirs._memo[(predicate, side.tobytes())].tobytes() == want.tobytes()
+    _assert_memo_equals_oracle(dirs, [d for _, d in contacts[1:]])
 
 
 def _read_only_view(a):
