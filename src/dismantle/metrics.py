@@ -19,7 +19,7 @@ from .control import (BUCKET_FTC, BUCKET_N, BUCKET_PATH, BUCKET_VSC,
                       Retention, TickRow, run_skill)
 from .errors import (ErrorType, InapplicablePrimitive, ParseError,
                      SingularJacobian, SkillTimeout, UnresolvableGoal)
-from .model import AssemblyModel, read_json
+from .model import AssemblyModel, check_keys, read_json
 from .planner import Plan
 from .skills import (ControlMode, ExecState, SkillName, SkillPrimitive,
                      StepResult, flatten_plans, interpret)
@@ -69,25 +69,26 @@ class FaultSpec:
 
 def load_fault_specs(path) -> list[FaultSpec]:
     """The faults of a fault file.  Raises ParseError, with one line, if the
-    file is unreadable, is not JSON or holds anything but valid faults."""
+    file is unreadable, is not JSON or holds anything but valid faults, an
+    unknown key included."""
     doc = read_json(path, "bad fault specification")
     try:
         if not isinstance(doc, dict):
             raise ValueError("fault file must hold a JSON object")
+        check_keys(doc, ("faults",))
         faults = doc.get("faults", [])
         if not isinstance(faults, list):
             raise ValueError(f"faults must be a list of fault entries: {faults!r:.40}")
         specs = []
-        for f in faults:
+        for i, f in enumerate(faults):
             if not isinstance(f, dict):
                 raise ValueError(f"fault entry {f!r:.40} is not an object")
+            check_keys(f, ("kind", "repetition", "ap_index", "sigma"), f"faults[{i}]")
             for key in ("kind", "repetition"):
                 if key not in f:
                     raise ValueError(f"fault entry has no '{key}'")
-            specs.append(FaultSpec(kind=f["kind"], repetition=f["repetition"],
-                                   ap_index=f.get("ap_index"),
-                                   sigma=f.get("sigma", 6.0)))
-    except (TypeError, ValueError) as exc:
+            specs.append(FaultSpec(**f))
+    except (TypeError, ValueError, ParseError) as exc:
         raise ParseError(f"bad fault specification: {exc}") from None
     return specs
 

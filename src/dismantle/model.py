@@ -12,6 +12,7 @@ coordinates.  See ``docs/scenario_format.md`` for the full schema.
 
 from __future__ import annotations
 
+import difflib
 import json
 import math
 from dataclasses import dataclass, field
@@ -462,6 +463,18 @@ def read_json(path, what: str):
             return json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"{what}: {exc}") from None
+
+
+def check_keys(obj: dict, known: tuple[str, ...], field_name: str | None = None) -> None:
+    """Raise a one-line ParseError if ``obj`` has a key not in ``known``.  It
+    names the first such key, cut to 40 characters, the field path of
+    ``obj`` (none at the top level) and the closest known key, if any is
+    close."""
+    for key in obj:
+        if key not in known:
+            close = difflib.get_close_matches(key, known, n=1)
+            hint = f"; did you mean {close[0]!r}?" if close else ""
+            raise ParseError(f"unknown key {key!r:.40}{hint}", field=field_name)
 
 
 def load_model(path) -> AssemblyModel:

@@ -300,8 +300,17 @@ def test_bad_fault_field_exits_one(tmp_path, capsys, doc):
      "faults must be a list of fault entries: {'kind': 'tool_slip', 'repetition': 0}"),
     ({"faults": 5}, "faults must be a list of fault entries: 5"),
     (_one_fault({"kind": "tool_slip"}), "fault entry has no 'repetition'"),
+    (_one_fault({"kind": "force_noise", "repetition": 0, "sigm": 60}),
+     "unknown key 'sigm'; did you mean 'sigma'? (field: faults[0])"),
+    ({"falts": 1, "faults": [{"kind": "force_noise", "repetition": 0, "sigm": 60}]},
+     "unknown key 'falts'; did you mean 'faults'?"),
+    ({"faults": [{"kind": "tool_slip", "repetition": 0},
+                 {"kind": "tool_slip", "repetition": 1, "\n" * 100: 0}]},
+     # the key's repr, cut to 40 characters mid-escape, stays on one line
+     "unknown key '" + "\\n" * 19 + "\\ (field: faults[1])"),
 ], ids=["faults_empty_object", "faults_empty_str", "faults_entry_object",
-        "faults_int", "entry_without_repetition"])
+        "faults_int", "entry_without_repetition", "entry_key_sigm", "top_key_falts",
+        "long_newline_key"])
 def test_bad_fault_file_names_what_is_wrong(tmp_path, capsys, doc, message):
     faults = tmp_path / "faults.json"
     faults.write_text(json.dumps(doc))
