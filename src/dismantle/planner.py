@@ -5,14 +5,15 @@ screwed component is handled by a single twist primitive, whose execution
 unscrews, extracts and stores it; every other extraction is a pull (grasp and
 withdraw) followed by a put that releases the part at its storage pose.
 Assembly plans are the exact inverse of disassembly plans with move and put
-roles exchanged.
+roles exchanged and each pull's or twist's direction negated.
 
 The symbolic state is two sets over the model's relations: the removed
 components and the loose relations, screwed joints a twist has loosened.  A
 relation is live while neither of its components is removed, and a loose one
 constrains as a concentric fit.  A component is removable when its extraction
 space toward its live contacts is nonempty, and ``dspace.best_direction``, not
-the planner, chooses the direction it leaves in.  Mobility labels take no part
+the planner, chooses the direction it leaves in, which the pull or twist that
+removes it carries as its ``direction``.  Mobility labels take no part
 in planning; the mobility graph of a task comes from ``dspace.build_graph``.
 """
 
@@ -40,16 +41,20 @@ class MPKind(str, Enum):
 
 @dataclass(frozen=True)
 class ManipulationPrimitive:
+    """One plan step.  ``direction`` is the extraction direction chosen for a
+    pull or twist (3 floats), ``None`` on a move or put; equality ignores it."""
+
     kind: MPKind
     component: str
     tool: Tool
+    direction: tuple[float, float, float] | None = field(default=None, compare=False)
 
-    def to_json(self, direction=None) -> dict:
+    def to_json(self) -> dict:
         return {
             "kind": self.kind.value,
             "component": self.component,
             "tool": self.tool.value,
-            "direction": None if direction is None else [float(x) for x in direction],
+            "direction": None if self.direction is None else list(self.direction),
         }
 
     def __str__(self):
@@ -58,22 +63,20 @@ class ManipulationPrimitive:
 
 @dataclass(frozen=True)
 class Plan:
-    """Linear primitive sequence plus chosen extraction directions.
+    """Linear primitive sequence; each pull or twist carries its direction.
 
     ``assembly`` flags the execution direction; it decides the getObj rule
     during decomposition and the replay semantics of the transitions.
     """
 
     steps: tuple[ManipulationPrimitive, ...]
-    direction_hints: dict[int, np.ndarray] = field(default_factory=dict)
     assembly: bool = False
 
     def __len__(self):
         return len(self.steps)
 
     def to_json(self) -> list[dict]:
-        return [mp.to_json(self.direction_hints.get(i))
-                for i, mp in enumerate(self.steps)]
+        return [mp.to_json() for mp in self.steps]
 
 
 @dataclass(frozen=True)
@@ -239,7 +242,6 @@ def plan_disassembly(model: AssemblyModel, dirs: DirectionSet) -> Plan:
     held = Tool.NONE
 
     steps: list[ManipulationPrimitive] = []
-    hints: dict[int, np.ndarray] = {}
 
     while target not in state.removed:
         pool = [c.id for c in model.components
@@ -263,17 +265,18 @@ def plan_disassembly(model: AssemblyModel, dirs: DirectionSet) -> Plan:
 
         cid = chosen.component
         tool = model.tool_for(cid)
-        hints[len(steps)] = chosen.direction
+        direction = tuple(chosen.direction.tolist())
         # a twist extracts and stores the part; a pull needs a separate put
         kinds = (MPKind.TWIST,) if chosen.twist else (MPKind.PULL, MPKind.PUT)
         for kind in kinds:
-            mp = ManipulationPrimitive(kind, cid, tool)
+            mp = ManipulationPrimitive(kind, cid, tool,
+                                       None if kind is MPKind.PUT else direction)
             steps.append(mp)
             state = transition(state, mp, model, dirs)
         robot_pos = _rest_position(model, cid)
         held = tool
 
-    return Plan(steps=tuple(steps), direction_hints=hints, assembly=False)
+    return Plan(steps=tuple(steps), assembly=False)
 
 
 _INVERSE_KIND = {
@@ -286,12 +289,12 @@ _INVERSE_KIND = {
 
 def invert_plan(plan: Plan) -> Plan:
     """Reverse the step order, exchange move/put roles and flip directions."""
-    n = len(plan.steps)
     steps = tuple(
-        ManipulationPrimitive(_INVERSE_KIND[mp.kind], mp.component, mp.tool)
+        ManipulationPrimitive(_INVERSE_KIND[mp.kind], mp.component, mp.tool,
+                              None if mp.direction is None
+                              else tuple(-x for x in mp.direction))
         for mp in reversed(plan.steps))
-    hints = {n - 1 - i: -d for i, d in plan.direction_hints.items()}
-    return Plan(steps=steps, direction_hints=hints, assembly=not plan.assembly)
+    return Plan(steps=steps, assembly=not plan.assembly)
 
 
 def plan_task(model: AssemblyModel, dirs: DirectionSet) -> list[Plan]:

@@ -406,16 +406,11 @@ def _put_tool_ap(tool: Tool, model: AssemblyModel) -> SkillPrimitive:
                      ToolCommand(tool, ToolCmd.OPEN))
 
 
-def _default_axis(hint: np.ndarray | None) -> np.ndarray:
-    if hint is None:
-        return np.array([0.0, 0.0, 1.0])
-    return np.asarray(hint, dtype=float)
-
-
 def _process_aps(mp: ManipulationPrimitive, comp: Component, engage: Pose,
-                 assembly: bool, hint: np.ndarray | None) -> list[SkillPrimitive]:
-    """Process-step library keyed by (tool, semantic) and plan direction."""
-    axis = _default_axis(hint)
+                 assembly: bool) -> list[SkillPrimitive]:
+    """Process-step library keyed by (tool, semantic); ``mp.direction``, or
+    +z when it is None, is the axis of its force moves."""
+    axis = np.array((0.0, 0.0, 1.0) if mp.direction is None else mp.direction)
     aps: list[SkillPrimitive] = []
     if mp.tool is Tool.SCREWDRIVER:
         spin = ToolCmd.SPIN_CW if assembly else ToolCmd.SPIN_CCW
@@ -481,9 +476,9 @@ def _release(comp: Component, cursor: Pose, held_tool: Tool,
 def decompose(mp: ManipulationPrimitive,
               mp_next: ManipulationPrimitive | None,
               state: ExecState, model: AssemblyModel,
-              assembly: bool = False,
-              direction_hint: np.ndarray | None = None) -> list[SkillPrimitive]:
-    """Expand one manipulation primitive against the current state.
+              assembly: bool = False) -> list[SkillPrimitive]:
+    """Expand one manipulation primitive against the current state.  A pull
+    or twist takes the axis of its force-guarded step from ``mp.direction``.
 
     The expansion is static: the state evolution through the primitive
     (tool pickups, grasps) is predicted with the same update rules the
@@ -534,7 +529,7 @@ def decompose(mp: ManipulationPrimitive,
                        _feature_source(comp, model, assembly, state), cursor,
                        state, aps)
 
-    process = _process_aps(mp, comp, engage, assembly, direction_hint)
+    process = _process_aps(mp, comp, engage, assembly)
     aps.extend(process)
     if any(ap.process in ("grip", "unscrew") for ap in process):
         carried = comp.id
@@ -569,7 +564,6 @@ class StepResult:
 class TraceRecord:
     mp_index: int
     mp: ManipulationPrimitive
-    assembly: bool
     ap: SkillPrimitive
     result: StepResult
 
@@ -618,20 +612,17 @@ def apply_effect(ap: SkillPrimitive, state: ExecState, result: StepResult,
         state.object_poses[carried] = state.robot_pose.compose(grasp.inverse())
 
 
-def flatten_plans(plans: Plan | list[Plan]) -> list[tuple[Plan, int, ManipulationPrimitive]]:
+def flatten_plans(plans: Plan | list[Plan]) -> list[tuple[bool, ManipulationPrimitive]]:
+    """Every step of the plans in order, each with its plan's ``assembly``."""
     if isinstance(plans, Plan):
         plans = [plans]
-    flat = []
-    for plan in plans:
-        for i, mp in enumerate(plan.steps):
-            flat.append((plan, i, mp))
-    return flat
+    return [(plan.assembly, mp) for plan in plans for mp in plan.steps]
 
 
 def interpret(plans: Plan | list[Plan], state: ExecState, model: AssemblyModel,
               executor) -> ExecTrace:
-    """Run the plan: decompose each primitive against the live state and feed
-    the resulting skill primitives to the executor callback.
+    """Run the plan: decompose each primitive, with its own direction, against
+    the live state and feed the resulting skill primitives to the executor.
 
     The executor receives (skill_primitive, state) and returns a StepResult;
     state updates are applied after every execution, so later primitives
@@ -640,15 +631,12 @@ def interpret(plans: Plan | list[Plan], state: ExecState, model: AssemblyModel,
     """
     trace = ExecTrace()
     flat = flatten_plans(plans)
-    for k, (plan, i, mp) in enumerate(flat):
-        mp_next = flat[k + 1][2] if k + 1 < len(flat) else None
-        aps = decompose(mp, mp_next, state, model,
-                        assembly=plan.assembly,
-                        direction_hint=plan.direction_hints.get(i))
-        for ap in aps:
+    for k, (assembly, mp) in enumerate(flat):
+        mp_next = flat[k + 1][1] if k + 1 < len(flat) else None
+        for ap in decompose(mp, mp_next, state, model, assembly=assembly):
             result = executor(ap, state)
             apply_effect(ap, state, result, model)
-            trace.records.append(TraceRecord(k, mp, plan.assembly, ap, result))
+            trace.records.append(TraceRecord(k, mp, ap, result))
             if not result.ok:
                 trace.outcome = "failure"
                 trace.error = result.error

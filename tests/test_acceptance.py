@@ -120,9 +120,7 @@ def test_criterion_4_gold_decomposition(single_screw_model, dirs2k):
     streams = []
     for _ in range(2):
         state = ExecState.initial(single_screw_model, detection_noise=offsets)
-        aps = decompose(plans[0].steps[0], None, state,
-                        single_screw_model,
-                        direction_hint=plans[0].direction_hints[0])
+        aps = decompose(plans[0].steps[0], None, state, single_screw_model)
         streams.append("\n".join(ap.to_json_line() for ap in aps))
     names = [json.loads(line)["name"] for line in streams[0].splitlines()]
     assert names == GOLD
@@ -166,7 +164,7 @@ NEXT_CASES = {
 
 def test_criterion_5_rule_truth_table():
     t0 = time.perf_counter()
-    mp = ManipulationPrimitive(MPKind.PULL, "part", Tool.GRIPPER)
+    mp = ManipulationPrimitive(MPKind.PULL, "part", Tool.GRIPPER, (0.0, 0.0, 1.0))
     seen_true = {r: False for r in ("getTool", "putTool", "roughPos",
                                     "finePos", "putObj", "getObj")}
     seen_false = dict(seen_true)
@@ -208,8 +206,7 @@ def test_criterion_5_rule_truth_table():
         exp_put_obj = (mp_next is None) or (mp_next.component != "part")
         exp_put_tool = (mp_next is None) or (mp_next.tool is not Tool.GRIPPER)
 
-        aps = decompose(mp, mp_next, state, model, assembly=assembly,
-                        direction_hint=np.array([0.0, 0.0, 1.0]))
+        aps = decompose(mp, mp_next, state, model, assembly=assembly)
         names = [ap.name.value for ap in aps]
         got_get_tool = "getTool" in names
         got_get_obj = "getObj" in names
@@ -356,8 +353,9 @@ def test_criterion_9_plan_validity_property():
         twice = invert_plan(invert_plan(plan))
         assert twice.steps == plan.steps
         assert twice.assembly == plan.assembly
-        for k, v in plan.direction_hints.items():
-            assert np.allclose(twice.direction_hints[k], v)
+        for mp_twice, mp in zip(twice.steps, plan.steps):
+            if mp.direction is not None:
+                assert np.allclose(mp_twice.direction, mp.direction)
     _ok(9, "100 random feasible models replay cleanly and remove the target; "
            "invert o invert is the identity")
 

@@ -146,7 +146,7 @@ def test_put_requires_prior_removal(valve_model, dirs2k):
 def test_single_screw_plan_is_one_twist(single_screw_model, dirs2k):
     plan = plan_disassembly(single_screw_model, dirs2k)
     assert _kinds(plan) == [("twist", "screw_1")]
-    assert plan.direction_hints[0][2] > 0.99  # extraction points up
+    assert plan.steps[0].direction[2] > 0.99  # extraction points up
 
 
 def test_valve_plan_structure_and_count(valve_model, dirs2k):
@@ -208,10 +208,13 @@ def test_valve_plan_same_at_10k_and_1m(valve_model):
     fine = plan_task(valve_model, sample_sphere(1_000_000, 0))
     assert [(p.steps, p.assembly) for p in coarse] == [(p.steps, p.assembly) for p in fine]
     for a, b in zip(coarse, fine):
-        assert a.direction_hints.keys() == b.direction_hints.keys()
-        for k in a.direction_hints:
-            # hints are sampled directions: equal up to the 10k lattice spacing
-            assert a.direction_hints[k] @ b.direction_hints[k] >= np.cos(np.deg2rad(2.0))
+        assert ([mp.direction is None for mp in a.steps]
+                == [mp.direction is None for mp in b.steps])
+        for mp_a, mp_b in zip(a.steps, b.steps):
+            if mp_a.direction is None:
+                continue
+            # directions are sampled: equal up to the 10k lattice spacing
+            assert np.dot(mp_a.direction, mp_b.direction) >= np.cos(np.deg2rad(2.0))
 
 
 def test_plan_replays_cleanly(valve_model, single_screw_model, dirs2k):
@@ -233,8 +236,7 @@ def test_plan_deterministic(valve_model):
     a = plan_disassembly(valve_model, sample_sphere(3000, 9))
     b = plan_disassembly(valve_model, sample_sphere(3000, 9))
     assert a.steps == b.steps
-    assert all(np.array_equal(a.direction_hints[k], b.direction_hints[k])
-               for k in a.direction_hints)
+    assert [x.direction for x in a.steps] == [y.direction for y in b.steps]
 
 
 def test_twist_tool_respects_inference_map(valve_model, dirs2k):
@@ -300,8 +302,9 @@ def test_invert_is_involution(valve_model, dirs2k):
     twice = invert_plan(invert_plan(plan))
     assert twice.steps == plan.steps
     assert twice.assembly == plan.assembly
-    for k, v in plan.direction_hints.items():
-        assert np.allclose(twice.direction_hints[k], v)
+    for mp_twice, mp in zip(twice.steps, plan.steps):
+        if mp.direction is not None:
+            assert np.allclose(mp_twice.direction, mp.direction)
 
 
 def test_invert_swaps_roles_and_reverses(valve_model, dirs2k):
@@ -312,6 +315,18 @@ def test_invert_swaps_roles_and_reverses(valve_model, dirs2k):
     assert inv.steps[0].component == "valve_body"
     assert inv.steps[-1].kind is MPKind.TWIST        # re-tighten screw_1 last
     assert inv.steps[-1].component == "screw_1"
+
+
+def test_invert_negates_each_direction(valve_model, dirs2k):
+    # a pull or twist carries its direction, a put none; the inverse step
+    # goes back in along the negated direction, and a put's move carries none
+    plan = plan_disassembly(valve_model, dirs2k)
+    for mp, back in zip(reversed(plan.steps), invert_plan(plan).steps):
+        if mp.kind is MPKind.PUT:
+            assert mp.direction is None and back.direction is None
+        else:
+            assert len(mp.direction) == 3
+            assert back.direction == tuple(-x for x in mp.direction)
 
 
 def test_invert_empty_plan():

@@ -197,14 +197,26 @@ def test_gold_sequence_single_screw(single_screw_model, dirs2k):
     offs = detection_offsets(single_screw_model, 0, 0)
     state = ExecState.initial(single_screw_model, detection_noise=offs)
     mp = plans[0].steps[0]
-    aps = decompose(mp, None, state, single_screw_model,
-                    direction_hint=plans[0].direction_hints[0])
+    aps = decompose(mp, None, state, single_screw_model)
     assert [ap.name.value for ap in aps] == [
         "getTool", "roughPos", "finePos", "processObj",
         "roughPos", "putObj", "roughPos", "putTool"]
     assert aps[0].tool.tool is Tool.SCREWDRIVER
     assert aps[3].process == "unscrew"
     assert aps[3].tool.cmd is ToolCmd.SPIN_CCW
+
+
+def test_pull_extracts_along_its_own_direction(valve_model):
+    # the hose's guarded extraction pulls along the direction its pull
+    # carries, and along +z when it carries none
+    state = ExecState.initial(valve_model)
+    for direction, axis in (((1.0, 0.0, 0.0), [1.0, 0.0, 0.0]),
+                            (None, [0.0, 0.0, 1.0])):
+        mp = ManipulationPrimitive(MPKind.PULL, "hose", Tool.GRIPPER, direction)
+        extract = [ap for ap in decompose(mp, None, state, valve_model)
+                   if ap.process == "extract"]
+        assert len(extract) == 1
+        assert np.array_equal(extract[0].hm.contact_axis, axis)
 
 
 def test_move_at_goal_without_features_expands_empty():
@@ -376,11 +388,9 @@ def test_effects_of_individual_aps(valve_model, dirs2k):
     # step through manually to observe post-effects
     from dismantle.skills import apply_effect, flatten_plans, decompose
     flat = flatten_plans(plans)
-    for k, (plan, i, mp) in enumerate(flat):
-        mp_next = flat[k + 1][2] if k + 1 < len(flat) else None
-        for ap in decompose(mp, mp_next, state, valve_model,
-                            assembly=plan.assembly,
-                            direction_hint=plan.direction_hints.get(i)):
+    for k, (assembly, mp) in enumerate(flat):
+        mp_next = flat[k + 1][1] if k + 1 < len(flat) else None
+        for ap in decompose(mp, mp_next, state, valve_model, assembly=assembly):
             res = _dry_executor(ap, state)
             apply_effect(ap, state, res, valve_model)
             if ap.name is SkillName.GET_TOOL:
