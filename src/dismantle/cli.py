@@ -23,7 +23,7 @@ from .errors import (ParseError, PlanInfeasible, UnresolvableGoal,
 from .geometry import Pose
 from .metrics import (aggregate, detection_offsets, load_fault_specs,
                       run_experiment, write_tick_csv, RunResult)
-from .model import load_model, read_json
+from .model import check_keys, load_model, read_json
 from .planner import plan_task
 from .skills import (ExecState, SkillName, StepResult, StopKind, interpret)
 
@@ -145,6 +145,7 @@ def cmd_report(args) -> int:
         if not isinstance(doc, dict):
             raise ValueError("expected an object with mp_count and runs, "
                              f"not {doc!r:.40}")
+        check_keys(doc, ("mp_count", "runs"))
         for key in ("mp_count", "runs"):
             if key not in doc:
                 raise ValueError(f"the object has no {key} key")
@@ -153,8 +154,9 @@ def cmd_report(args) -> int:
             raise ValueError(f"mp_count must be an int >= 0: {mp_count!r:.40}")
         if not isinstance(runs, list):
             raise ValueError(f"runs must be a list of run entries: {runs!r:.40}")
-        report = aggregate([RunResult.from_json(e) for e in runs], mp_count)
-    except (TypeError, ValueError) as exc:
+        report = aggregate([RunResult.from_json(e, f"runs[{i}]")
+                            for i, e in enumerate(runs)], mp_count)
+    except (TypeError, ValueError, ParseError) as exc:
         raise ParseError(f"{what}: {exc}") from None
     print(report.format_table())
     return 0

@@ -16,17 +16,13 @@ class DismantleError(Exception):
 
 
 class ParseError(DismantleError):
-    """Scenario file is malformed (bad JSON, missing or mistyped field)."""
+    """An input file or option is malformed (bad JSON; an unknown, missing or
+    mistyped field)."""
 
-    def __init__(self, message, path=None, field=None):
-        self.path = path
-        self.field = field
-        detail = message
+    def __init__(self, message, field=None):
         if field is not None:
-            detail = f"{message} (field: {field})"
-        if path is not None:
-            detail = f"{path}: {detail}"
-        super().__init__(detail)
+            message = f"{message} (field: {field})"
+        super().__init__(message)
 
 
 class ValidationError(DismantleError):

@@ -240,11 +240,14 @@ class RunResult:
         }
 
     @classmethod
-    def from_json(cls, doc) -> "RunResult":
+    def from_json(cls, doc, field_name: str) -> "RunResult":
         """Inverse of ``to_json``; raises ValueError unless ``doc`` is a run
-        entry with exactly the four buckets."""
+        entry with exactly the four buckets, or a ParseError naming
+        ``field_name`` if it has a key ``to_json`` does not write."""
         if not isinstance(doc, dict):
             raise ValueError(f"run entry {doc!r:.40} is not an object")
+        check_keys(doc, ("repetition", "buckets", "outcome", "error", "message"),
+                   field_name)
         buckets = doc.get("buckets")
         if not isinstance(buckets, dict) or set(buckets) != set(BUCKETS):
             raise ValueError(f"run buckets must be exactly {', '.join(BUCKETS)}")

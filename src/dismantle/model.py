@@ -3,11 +3,13 @@
 A scenario file is a versioned JSON document with top-level keys
 ``format_version``, ``components``, ``relations``, ``tool_stations`` and
 ``target`` (plus optional ``robot_start``, ``reassemble``, ``tool_map`` and
-``vision_noise``).  Orientations are always unit quaternions ``[w, x, y, z]``;
-angles never appear in files.  Relation geometry (frame and direction) is
-written in the local frame of the relation's first component and transformed
-to the world frame at load time, so everything downstream works in world
-coordinates.  See ``docs/scenario_format.md`` for the full schema.
+``vision_noise``), and each of its objects holds only the keys the format
+lists: an unknown key is a parse error.  Orientations are always unit
+quaternions ``[w, x, y, z]``; angles never appear in files.  Relation
+geometry (frame and direction) is written in the local frame of the
+relation's first component and transformed to the world frame at load time,
+so everything downstream works in world coordinates.  See
+``docs/scenario_format.md`` for the full schema.
 """
 
 from __future__ import annotations
@@ -244,133 +246,137 @@ def contacts_of(model: AssemblyModel, component_id: str) -> list[SpatialRelation
 
 # ---------------------------------------------------------------- file I/O
 
-def _require(obj: dict, key: str, path: str):
+def _require(obj: dict, key: str):
     if key not in obj:
-        raise ParseError(f"missing required key '{key}'", path=path, field=key)
+        raise ParseError(f"missing required key '{key}'", field=key)
     return obj[key]
 
 
-def _number(value, path: str, field_name: str) -> float:
+def _number(value, field_name: str) -> float:
     """A JSON number (not a bool) as a float, else a ParseError naming the field."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             return float(value)
         except OverflowError:
             pass
-    raise ParseError(f"{value!r:.40} is not a number", path=path, field=field_name)
+    raise ParseError(f"{value!r:.40} is not a number", field=field_name)
 
 
-def _object(value, path: str, field_name: str) -> dict:
+def _object(value, field_name: str) -> dict:
     """A JSON object, else a ParseError naming the field."""
     if not isinstance(value, dict):
-        raise ParseError(f"{value!r:.40} is not an object", path=path, field=field_name)
+        raise ParseError(f"{value!r:.40} is not an object", field=field_name)
     return value
 
 
-def _object_list(doc: dict, key: str, path: str) -> list[dict]:
-    """The required list of JSON objects under ``key``."""
-    value = _require(doc, key, path)
+def _object_list(doc: dict, key: str, known: tuple[str, ...]) -> list[dict]:
+    """The required list under ``key`` of JSON objects whose keys are in
+    ``known``."""
+    value = _require(doc, key)
     if not isinstance(value, list):
-        raise ParseError(f"{value!r:.40} is not a list", path=path, field=key)
-    return [_object(entry, path, f"{key}[{i}]") for i, entry in enumerate(value)]
+        raise ParseError(f"{value!r:.40} is not a list", field=key)
+    for i, entry in enumerate(value):
+        check_keys(_object(entry, f"{key}[{i}]"), known, f"{key}[{i}]")
+    return value
 
 
-def _points(value, path: str, field_name: str) -> np.ndarray:
+def _points(value, field_name: str) -> np.ndarray:
     """A list of finite ``[x, y, z]`` numbers as an (n, 3) array, else a
     ParseError naming the field."""
     if not (isinstance(value, list)
             and all(isinstance(p, list) and len(p) == 3 for p in value)):
         raise ParseError(f"{value!r:.40} is not a list of [x, y, z] points",
-                         path=path, field=field_name)
-    pts = np.array([[_number(x, path, field_name) for x in p] for p in value])
+                         field=field_name)
+    pts = np.array([[_number(x, field_name) for x in p] for p in value])
     if not np.isfinite(pts).all():
-        raise ParseError("points must be finite", path=path, field=field_name)
-    return _bounded(pts.reshape(-1, 3), path, field_name)
+        raise ParseError("points must be finite", field=field_name)
+    return _bounded(pts.reshape(-1, 3), field_name)
 
 
-def _bounded(lengths: np.ndarray, path: str, field_name: str) -> np.ndarray:
+def _bounded(lengths: np.ndarray, field_name: str) -> np.ndarray:
     """``lengths``, else a ParseError if one exceeds ``MAX_LENGTH_M``."""
     if np.abs(lengths).max(initial=0.0) > MAX_LENGTH_M:
         raise ParseError(f"lengths must be at most {MAX_LENGTH_M:g} m",
-                         path=path, field=field_name)
+                         field=field_name)
     return lengths
 
 
-def _relation_pair(obj: dict, path: str) -> tuple[str, str]:
-    pair = _require(obj, "components", path)
+def _relation_pair(obj: dict) -> tuple[str, str]:
+    pair = _require(obj, "components")
     if not (isinstance(pair, list) and len(pair) == 2
             and all(isinstance(cid, str) for cid in pair)):
         raise ParseError("relation 'components' must be a pair of ids",
-                         path=path, field="relations[].components")
+                         field="relations[].components")
     return pair[0], pair[1]
 
 
-def _parse_pose(obj, path, field_name) -> Pose:
-    obj = _object(obj, path, field_name)
+def _parse_pose(obj, field_name) -> Pose:
+    obj = _object(obj, field_name)
+    check_keys(obj, ("position", "orientation"), field_name)
     parts = []
     for key, size in (("position", 3), ("orientation", 4)):
         if key not in obj:
-            raise ParseError(f"pose has no '{key}'", path=path, field=field_name)
+            raise ParseError(f"pose has no '{key}'", field=field_name)
         value = obj[key]
         if not (isinstance(value, list) and len(value) == size):
             raise ParseError(f"{key} {value!r:.40} is not a list of {size} numbers",
-                             path=path, field=field_name)
-        parts.append([_number(x, path, field_name) for x in value])
+                             field=field_name)
+        parts.append([_number(x, field_name) for x in value])
     try:
         pose = Pose(*parts)
     except ValueError as exc:
-        raise ParseError(f"bad pose: {exc}", path=path, field=field_name) from None
-    _bounded(pose.position, path, field_name)
+        raise ParseError(f"bad pose: {exc}", field=field_name) from None
+    _bounded(pose.position, field_name)
     return pose
 
 
-def _parse_component(obj: dict, path: str) -> Component:
-    cid = _require(obj, "id", path)
+def _parse_component(obj: dict) -> Component:
+    cid = _require(obj, "id")
     if not isinstance(cid, str):
-        raise ParseError(f"{cid!r:.40} is not a string", path=path,
-                         field="components[].id")
+        raise ParseError(f"{cid!r:.40} is not a string", field="components[].id")
     try:
-        semantic = Semantic(_require(obj, "semantic", path))
+        semantic = Semantic(_require(obj, "semantic"))
     except ValueError as exc:
-        raise ParseError(str(exc), path=path, field=f"components[{cid}].semantic") from None
-    pose = _parse_pose(_require(obj, "pose", path), path, f"components[{cid}].pose")
+        raise ParseError(str(exc), field=f"components[{cid}].semantic") from None
+    pose = _parse_pose(_require(obj, "pose"), f"components[{cid}].pose")
     grasp = IDENTITY
     if "grasp_offset" in obj:
-        grasp = _parse_pose(obj["grasp_offset"], path, f"components[{cid}].grasp_offset")
+        grasp = _parse_pose(obj["grasp_offset"], f"components[{cid}].grasp_offset")
     put_pose = None
     if obj.get("put_pose") is not None:
-        put_pose = _parse_pose(obj["put_pose"], path, f"components[{cid}].put_pose")
+        put_pose = _parse_pose(obj["put_pose"], f"components[{cid}].put_pose")
     features = obj.get("visual_features")
     if features is not None:
-        features = _points(features, path, f"components[{cid}].visual_features")
+        features = _points(features, f"components[{cid}].visual_features")
     return Component(id=cid, semantic=semantic, pose=pose, grasp_offset=grasp,
                      visual_features=features, put_pose=put_pose)
 
 
 def _parse_relation(obj: dict, pair: tuple[str, str],
-                    components: dict[str, Component], path: str) -> SpatialRelation:
+                    components: dict[str, Component]) -> SpatialRelation:
     try:
-        kind = RelationKind(_require(obj, "kind", path))
+        kind = RelationKind(_require(obj, "kind"))
     except ValueError as exc:
-        raise ParseError(str(exc), path=path, field="relations[].kind") from None
-    geo_obj = _object(_require(obj, "geometry", path), path, "relations[].geometry")
+        raise ParseError(str(exc), field="relations[].kind") from None
+    geo_obj = _object(_require(obj, "geometry"), "relations[].geometry")
+    check_keys(geo_obj, ("kind", "frame", "direction"), "relations[].geometry")
     try:
-        geo_kind = GeometryKind(_require(geo_obj, "kind", path))
+        geo_kind = GeometryKind(_require(geo_obj, "kind"))
     except ValueError as exc:
-        raise ParseError(str(exc), path=path, field="relations[].geometry.kind") from None
+        raise ParseError(str(exc), field="relations[].geometry.kind") from None
     frame_local = IDENTITY
     if "frame" in geo_obj:
-        frame_local = _parse_pose(geo_obj["frame"], path, "relations[].geometry.frame")
+        frame_local = _parse_pose(geo_obj["frame"], "relations[].geometry.frame")
     dir_field = "relations[].geometry.direction"
-    raw = _require(geo_obj, "direction", path)
+    raw = _require(geo_obj, "direction")
     if not isinstance(raw, list):
         raise ParseError("geometry direction must be a list of numbers",
-                         path=path, field=dir_field)
-    direction_local = np.array([_number(x, path, dir_field) for x in raw])
+                         field=dir_field)
+    direction_local = np.array([_number(x, dir_field) for x in raw])
     largest = np.abs(direction_local).max(initial=0.0)
     if direction_local.shape != (3,) or not 0.0 < largest < np.inf:
         raise ParseError("geometry direction must be a finite nonzero 3-vector",
-                         path=path, field=dir_field)
+                         field=dir_field)
     # scale by a power of two near the largest entry, so the norm cannot
     # overflow; the scaling is exact, so the unit vector keeps its bits
     direction_local = np.ldexp(direction_local, -math.frexp(largest)[1])
@@ -385,59 +391,71 @@ def _parse_relation(obj: dict, pair: tuple[str, str],
 
 
 def load_model_dict(doc: dict, path: str = "<dict>") -> AssemblyModel:
+    """The validated model of a scenario document.  A ParseError's one line
+    starts with ``path``; an unknown key of any object but the two maps
+    ``tool_stations`` and ``tool_map`` is one."""
+    try:
+        return _parse_model(doc)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
+def _parse_model(doc: dict) -> AssemblyModel:
     if not isinstance(doc, dict):
-        raise ParseError("scenario document must be a JSON object", path=path)
-    version = _require(doc, "format_version", path)
+        raise ParseError("scenario document must be a JSON object")
+    check_keys(doc, ("format_version", "components", "relations", "tool_stations",
+                     "target", "reassemble", "robot_start", "tool_map",
+                     "vision_noise"))
+    version = _require(doc, "format_version")
     if type(version) is not int or version != FORMAT_VERSION:
-        raise ParseError(f"unsupported format_version {version!r:.40}", path=path,
+        raise ParseError(f"unsupported format_version {version!r:.40}",
                          field="format_version")
-    components = [_parse_component(c, path)
-                  for c in _object_list(doc, "components", path)]
+    components = [_parse_component(c) for c in _object_list(
+        doc, "components", ("id", "semantic", "pose", "grasp_offset",
+                            "visual_features", "put_pose"))]
     comp_by_id: dict[str, Component] = {}
     for c in components:
         comp_by_id.setdefault(c.id, c)
 
-    relation_objs = _object_list(doc, "relations", path)
-    pairs = [_relation_pair(r, path) for r in relation_objs]
+    relation_objs = _object_list(doc, "relations", ("kind", "components", "geometry"))
+    pairs = [_relation_pair(r) for r in relation_objs]
     # unknown references caught with the offending id before any geometry
     for cid in (cid for pair in pairs for cid in pair):
         if cid not in comp_by_id:
             raise ValidationError("relation references unknown component",
                                   entity=cid)
-    relations = [_parse_relation(r, pair, comp_by_id, path)
+    relations = [_parse_relation(r, pair, comp_by_id)
                  for r, pair in zip(relation_objs, pairs)]
 
     stations = {}
-    for name, pose_obj in _object(_require(doc, "tool_stations", path), path,
+    for name, pose_obj in _object(_require(doc, "tool_stations"),
                                   "tool_stations").items():
-        stations[name] = _parse_pose(pose_obj, path, f"tool_stations.{name}")
+        stations[name] = _parse_pose(pose_obj, f"tool_stations.{name}")
 
     tool_map = dict(DEFAULT_TOOL_MAP)
-    for sem_name, tool_name in _object(doc.get("tool_map", {}), path,
-                                       "tool_map").items():
+    for sem_name, tool_name in _object(doc.get("tool_map", {}), "tool_map").items():
         try:
             tool_map[Semantic(sem_name)] = Tool(tool_name)
         except ValueError as exc:
-            raise ParseError(str(exc), path=path, field="tool_map") from None
+            raise ParseError(str(exc), field="tool_map") from None
 
-    vision_noise = _number(doc.get("vision_noise", 0.005), path, "vision_noise")
+    vision_noise = _number(doc.get("vision_noise", 0.005), "vision_noise")
     if not 0.0 <= vision_noise <= MAX_LENGTH_M:
         raise ParseError(f"vision_noise must be from 0 to {MAX_LENGTH_M:g} m",
-                         path=path, field="vision_noise")
+                         field="vision_noise")
 
     reassemble = doc.get("reassemble", False)
     if not isinstance(reassemble, bool):
-        raise ParseError(f"{reassemble!r:.40} is not true or false", path=path,
+        raise ParseError(f"{reassemble!r:.40} is not true or false",
                          field="reassemble")
 
     target = doc.get("target")
     if target is not None and not isinstance(target, str):
-        raise ParseError(f"{target!r:.40} is not a string", path=path,
-                         field="target")
+        raise ParseError(f"{target!r:.40} is not a string", field="target")
 
     robot_start = IDENTITY
     if "robot_start" in doc:
-        robot_start = _parse_pose(doc["robot_start"], path, "robot_start")
+        robot_start = _parse_pose(doc["robot_start"], "robot_start")
 
     model = AssemblyModel(
         components=tuple(components),

@@ -165,6 +165,14 @@ def _set_pose(key, value):
     return lambda doc: doc["components"][1]["pose"].update({key: value})
 
 
+def _rename(key, new_key, *where):
+    def edit(doc):
+        for step in where:
+            doc = doc[step]
+        doc[new_key] = doc.pop(key)
+    return edit
+
+
 @pytest.mark.parametrize("command", ["plan", "decompose", "simulate"])
 @pytest.mark.parametrize("edit, field", [
     (_set_relation_entry, "relations[0]"),
@@ -235,7 +243,10 @@ def test_mistyped_collection_is_parse_error(tmp_path, capsys, command, edit, fie
     (_set_pose("orientation", [1, 0, 0]),
      "orientation [1, 0, 0] is not a list of 4 numbers"),
     (lambda doc: doc["components"][1].update(pose=[1, 2]), "[1, 2] is not an object"),
-], ids=["position_int", "no_orientation", "short_orientation", "pose_list"])
+    (_rename("position", "positon", "components", 1, "pose"),
+     "unknown key 'positon'; did you mean 'position'?"),
+], ids=["position_int", "no_orientation", "short_orientation", "pose_list",
+        "unknown_key"])
 def test_malformed_pose_names_the_defect(tmp_path, capsys, edit, message):
     doc = json.loads((SCENARIOS / "single_screw.json").read_text())
     edit(doc)
@@ -244,6 +255,25 @@ def test_malformed_pose_names_the_defect(tmp_path, capsys, edit, message):
     code, out, err = _run(capsys, "plan", bad, "--samples", 500)
     assert code == 1 and out == ""
     assert err == f"error: {bad}: {message} (field: components[screw_1].pose)\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_rename("target", "targte"), "unknown key 'targte'; did you mean 'target'?"),
+    (_rename("grasp_offset", "grasp_ofset", "components", 1),
+     "unknown key 'grasp_ofset'; did you mean 'grasp_offset'? (field: components[1])"),
+    (_rename("geometry", "geometrie", "relations", 0),
+     "unknown key 'geometrie'; did you mean 'geometry'? (field: relations[0])"),
+    (lambda doc: doc["relations"][0]["geometry"].update(colour="red"),
+     "unknown key 'colour' (field: relations[].geometry)"),
+], ids=["top_level", "component", "relation", "geometry"])
+def test_unknown_scenario_key_is_parse_error(tmp_path, capsys, edit, message):
+    doc = json.loads((SCENARIOS / "single_screw.json").read_text())
+    edit(doc)
+    bad = tmp_path / "unknown_key.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "plan", bad, "--samples", 500)
+    assert code == 1 and out == ""
+    assert err == f"error: {bad}: {message}\n"
 
 
 def test_features_behind_camera_is_a_failure_row(tmp_path, capsys):
@@ -606,6 +636,9 @@ def test_report_on_corrupt_runs_fails_cleanly(tmp_path, capsys):
     ({"runs": 5}, "the object has no mp_count key"),
     ({"mp_count": 3}, "the object has no runs key"),
     ({"mp_count": 3, "runs": 5}, "runs must be a list of run entries: 5"),
+    ({"mp_count": 1, "runs": [], "extra": 1}, "unknown key 'extra'"),
+    ({"mp_count": 1, "runs": [{"repetition": 0, "mesage": ""}]},
+     "unknown key 'mesage'; did you mean 'message'? (field: runs[0])"),
 ])
 def test_report_names_what_is_wrong_with_runs_file(tmp_path, capsys, doc, says):
     (tmp_path / "runs.json").write_text(json.dumps(doc))
