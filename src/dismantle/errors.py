@@ -29,7 +29,6 @@ class ValidationError(DismantleError):
     """Scenario content violates a model invariant; names the offending entity."""
 
     def __init__(self, message, entity=None):
-        self.entity = entity
         if entity is not None:
             message = f"{message} (entity: {entity})"
         super().__init__(message)
@@ -37,7 +36,6 @@ class ValidationError(DismantleError):
 
 class UnknownComponent(DismantleError):
     def __init__(self, component_id):
-        self.component_id = component_id
         super().__init__(f"unknown component: {component_id}")
 
 
@@ -55,8 +53,6 @@ class InapplicablePrimitive(DismantleError):
     """A manipulation primitive cannot be applied in the current symbolic state."""
 
     def __init__(self, mp, reason):
-        self.mp = mp
-        self.reason = reason
         super().__init__(f"{mp} not applicable: {reason}")
 
 

@@ -8,8 +8,9 @@ lists: an unknown key is a parse error.  Orientations are always unit
 quaternions ``[w, x, y, z]``; angles never appear in files.  Relation
 geometry (frame and direction) is written in the local frame of the
 relation's first component and transformed to the world frame at load time,
-so everything downstream works in world coordinates.  See
-``docs/scenario_format.md`` for the full schema.
+so everything downstream works in world coordinates.  An error's one line
+starts with the file name and names a relation by index and a component by
+id once that is read.  See ``docs/scenario_format.md`` for the full schema.
 """
 
 from __future__ import annotations
@@ -246,9 +247,11 @@ def contacts_of(model: AssemblyModel, component_id: str) -> list[SpatialRelation
 
 # ---------------------------------------------------------------- file I/O
 
-def _require(obj: dict, key: str):
+def _require(obj: dict, key: str, at: str = ""):
+    """``obj[key]``, else a ParseError naming ``key`` below ``obj``'s path ``at``."""
     if key not in obj:
-        raise ParseError(f"missing required key '{key}'", field=key)
+        raise ParseError(f"missing required key '{key}'",
+                         field=f"{at}.{key}" if at else key)
     return obj[key]
 
 
@@ -269,15 +272,16 @@ def _object(value, field_name: str) -> dict:
     return value
 
 
-def _object_list(doc: dict, key: str, known: tuple[str, ...]) -> list[dict]:
+def _object_list(doc: dict, key: str, known: tuple[str, ...]) -> list[tuple[str, dict]]:
     """The required list under ``key`` of JSON objects whose keys are in
-    ``known``."""
+    ``known``, each with its field path ``key[i]``."""
     value = _require(doc, key)
     if not isinstance(value, list):
         raise ParseError(f"{value!r:.40} is not a list", field=key)
-    for i, entry in enumerate(value):
-        check_keys(_object(entry, f"{key}[{i}]"), known, f"{key}[{i}]")
-    return value
+    entries = [(f"{key}[{i}]", entry) for i, entry in enumerate(value)]
+    for at, entry in entries:
+        check_keys(_object(entry, at), known, at)
+    return entries
 
 
 def _points(value, field_name: str) -> np.ndarray:
@@ -301,15 +305,6 @@ def _bounded(lengths: np.ndarray, field_name: str) -> np.ndarray:
     return lengths
 
 
-def _relation_pair(obj: dict) -> tuple[str, str]:
-    pair = _require(obj, "components")
-    if not (isinstance(pair, list) and len(pair) == 2
-            and all(isinstance(cid, str) for cid in pair)):
-        raise ParseError("relation 'components' must be a pair of ids",
-                         field="relations[].components")
-    return pair[0], pair[1]
-
-
 def _parse_pose(obj, field_name) -> Pose:
     obj = _object(obj, field_name)
     check_keys(obj, ("position", "orientation"), field_name)
@@ -330,45 +325,57 @@ def _parse_pose(obj, field_name) -> Pose:
     return pose
 
 
-def _parse_component(obj: dict) -> Component:
-    cid = _require(obj, "id")
+def _parse_component(obj: dict, at: str) -> Component:
+    """The component of the entry ``obj`` at ``at``, its fields named by id."""
+    cid = _require(obj, "id", at)
     if not isinstance(cid, str):
-        raise ParseError(f"{cid!r:.40} is not a string", field="components[].id")
+        raise ParseError(f"{cid!r:.40} is not a string", field=f"{at}.id")
+    at = f"components[{cid}]"
     try:
-        semantic = Semantic(_require(obj, "semantic"))
+        semantic = Semantic(_require(obj, "semantic", at))
     except ValueError as exc:
-        raise ParseError(str(exc), field=f"components[{cid}].semantic") from None
-    pose = _parse_pose(_require(obj, "pose"), f"components[{cid}].pose")
+        raise ParseError(str(exc), field=f"{at}.semantic") from None
+    pose = _parse_pose(_require(obj, "pose", at), f"{at}.pose")
     grasp = IDENTITY
     if "grasp_offset" in obj:
-        grasp = _parse_pose(obj["grasp_offset"], f"components[{cid}].grasp_offset")
+        grasp = _parse_pose(obj["grasp_offset"], f"{at}.grasp_offset")
     put_pose = None
     if obj.get("put_pose") is not None:
-        put_pose = _parse_pose(obj["put_pose"], f"components[{cid}].put_pose")
+        put_pose = _parse_pose(obj["put_pose"], f"{at}.put_pose")
     features = obj.get("visual_features")
     if features is not None:
-        features = _points(features, f"components[{cid}].visual_features")
+        features = _points(features, f"{at}.visual_features")
     return Component(id=cid, semantic=semantic, pose=pose, grasp_offset=grasp,
                      visual_features=features, put_pose=put_pose)
 
 
-def _parse_relation(obj: dict, pair: tuple[str, str],
+def _parse_relation(obj: dict, at: str,
                     components: dict[str, Component]) -> SpatialRelation:
+    """The relation of the entry ``obj`` at ``at``, in world coordinates."""
+    pair = _require(obj, "components", at)
+    if not (isinstance(pair, list) and len(pair) == 2
+            and all(isinstance(cid, str) for cid in pair)):
+        raise ParseError("relation 'components' must be a pair of ids",
+                         field=f"{at}.components")
+    for cid in pair:
+        if cid not in components:
+            raise ValidationError("relation references unknown component", entity=cid)
     try:
-        kind = RelationKind(_require(obj, "kind"))
+        kind = RelationKind(_require(obj, "kind", at))
     except ValueError as exc:
-        raise ParseError(str(exc), field="relations[].kind") from None
-    geo_obj = _object(_require(obj, "geometry"), "relations[].geometry")
-    check_keys(geo_obj, ("kind", "frame", "direction"), "relations[].geometry")
+        raise ParseError(str(exc), field=f"{at}.kind") from None
+    geo = f"{at}.geometry"
+    geo_obj = _object(_require(obj, "geometry", at), geo)
+    check_keys(geo_obj, ("kind", "frame", "direction"), geo)
     try:
-        geo_kind = GeometryKind(_require(geo_obj, "kind"))
+        geo_kind = GeometryKind(_require(geo_obj, "kind", geo))
     except ValueError as exc:
-        raise ParseError(str(exc), field="relations[].geometry.kind") from None
+        raise ParseError(str(exc), field=f"{geo}.kind") from None
     frame_local = IDENTITY
     if "frame" in geo_obj:
-        frame_local = _parse_pose(geo_obj["frame"], "relations[].geometry.frame")
-    dir_field = "relations[].geometry.direction"
-    raw = _require(geo_obj, "direction")
+        frame_local = _parse_pose(geo_obj["frame"], f"{geo}.frame")
+    dir_field = f"{geo}.direction"
+    raw = _require(geo_obj, "direction", geo)
     if not isinstance(raw, list):
         raise ParseError("geometry direction must be a list of numbers",
                          field=dir_field)
@@ -391,13 +398,14 @@ def _parse_relation(obj: dict, pair: tuple[str, str],
 
 
 def load_model_dict(doc: dict, path: str = "<dict>") -> AssemblyModel:
-    """The validated model of a scenario document.  A ParseError's one line
-    starts with ``path``; an unknown key of any object but the two maps
-    ``tool_stations`` and ``tool_map`` is one."""
+    """The validated model of a scenario document.  A ParseError or
+    ValidationError is one line that starts with ``path``; an unknown key of
+    any object but the two maps ``tool_stations`` and ``tool_map`` is a
+    ParseError."""
     try:
         return _parse_model(doc)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    except (ParseError, ValidationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _parse_model(doc: dict) -> AssemblyModel:
@@ -410,22 +418,15 @@ def _parse_model(doc: dict) -> AssemblyModel:
     if type(version) is not int or version != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {version!r:.40}",
                          field="format_version")
-    components = [_parse_component(c) for c in _object_list(
+    components = [_parse_component(c, at) for at, c in _object_list(
         doc, "components", ("id", "semantic", "pose", "grasp_offset",
                             "visual_features", "put_pose"))]
     comp_by_id: dict[str, Component] = {}
     for c in components:
         comp_by_id.setdefault(c.id, c)
 
-    relation_objs = _object_list(doc, "relations", ("kind", "components", "geometry"))
-    pairs = [_relation_pair(r) for r in relation_objs]
-    # unknown references caught with the offending id before any geometry
-    for cid in (cid for pair in pairs for cid in pair):
-        if cid not in comp_by_id:
-            raise ValidationError("relation references unknown component",
-                                  entity=cid)
-    relations = [_parse_relation(r, pair, comp_by_id)
-                 for r, pair in zip(relation_objs, pairs)]
+    relations = [_parse_relation(r, at, comp_by_id) for at, r in _object_list(
+        doc, "relations", ("kind", "components", "geometry"))]
 
     stations = {}
     for name, pose_obj in _object(_require(doc, "tool_stations"),

@@ -177,13 +177,13 @@ def _rename(key, new_key, *where):
 @pytest.mark.parametrize("edit, field", [
     (_set_relation_entry, "relations[0]"),
     (_set_component_entry, "components[0]"),
-    (_set_geometry, "relations[].geometry"),
+    (_set_geometry, "relations[0].geometry"),
     (lambda doc: doc.update(relations="x"), "relations"),
     (lambda doc: doc.update(components={}), "components"),
     (lambda doc: doc.update(tool_stations=[1, 2]), "tool_stations"),
     (lambda doc: doc.update(tool_map=[1]), "tool_map"),
-    (_set_component_id([1]), "components[].id"),
-    (_set_component_id({}), "components[].id"),
+    (_set_component_id([1]), "components[0].id"),
+    (_set_component_id({}), "components[0].id"),
     (_set_features("x"), "components[screw_1].visual_features"),
     (_set_features([[0.01, 0.0], [0.0, 0.01, 0.0], [0.0, 0.0, 0.01]]),
      "components[screw_1].visual_features"),
@@ -191,9 +191,9 @@ def _rename(key, new_key, *where):
      "components[screw_1].visual_features"),
     (_set_features([[float("nan"), 0, 0], [0, 1, 0], [0, 0, 1]]),
      "components[screw_1].visual_features"),
-    (_set_pair(5), "relations[].components"),
-    (_set_pair(None), "relations[].components"),
-    (_set_pair([[1], "base"]), "relations[].components"),
+    (_set_pair(5), "relations[0].components"),
+    (_set_pair(None), "relations[0].components"),
+    (_set_pair([[1], "base"]), "relations[0].components"),
     (lambda doc: doc.update(reassemble="no"), "reassemble"),
     (_set_pose("position", ["0.3", "0", "0.02"]), "components[screw_1].pose"),
     (_set_pose("orientation", [True, False, False, False]),
@@ -210,9 +210,9 @@ def _rename(key, new_key, *where):
     (lambda doc: doc.update(format_version=1.0), "format_version"),
     (lambda doc: doc["components"][1].update(semantic="bolt"),
      "components[screw_1].semantic"),
-    (lambda doc: doc["relations"][0].update(kind="glued"), "relations[].kind"),
+    (lambda doc: doc["relations"][0].update(kind="glued"), "relations[0].kind"),
     (lambda doc: doc["relations"][0]["geometry"].update(kind="cone"),
-     "relations[].geometry.kind"),
+     "relations[0].geometry.kind"),
     (lambda doc: doc.update(tool_map={"screw": "hammer"}), "tool_map"),
     (lambda doc: doc.update(tool_map={"bolt": "gripper"}), "tool_map"),
 ], ids=["relation_entry", "component_entry", "geometry", "relations_str",
@@ -264,7 +264,7 @@ def test_malformed_pose_names_the_defect(tmp_path, capsys, edit, message):
     (_rename("geometry", "geometrie", "relations", 0),
      "unknown key 'geometrie'; did you mean 'geometry'? (field: relations[0])"),
     (lambda doc: doc["relations"][0]["geometry"].update(colour="red"),
-     "unknown key 'colour' (field: relations[].geometry)"),
+     "unknown key 'colour' (field: relations[0].geometry)"),
 ], ids=["top_level", "component", "relation", "geometry"])
 def test_unknown_scenario_key_is_parse_error(tmp_path, capsys, edit, message):
     doc = json.loads((SCENARIOS / "single_screw.json").read_text())
@@ -374,8 +374,26 @@ def test_validation_error_exit_code(tmp_path, capsys, command, edit, entity):
     bad.write_text(json.dumps(doc))
     code, out, err = _run(capsys, command, bad, "--samples", 500)
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
     assert f"(entity: {entity})" in err
+
+
+@pytest.mark.parametrize("edit, exit_code, message", [
+    (lambda doc: doc["relations"][3]["geometry"].update(kind="cone"), 1,
+     "'cone' is not a valid GeometryKind (field: relations[3].geometry.kind)"),
+    (lambda doc: doc["relations"][2].pop("kind"), 1,
+     "missing required key 'kind' (field: relations[2].kind)"),
+    (lambda doc: doc.update(target="ghost"), 2,
+     "target references unknown component (entity: ghost)"),
+], ids=["geometry_kind", "no_kind", "unknown_target"])
+def test_scenario_error_whole_line(tmp_path, capsys, edit, exit_code, message):
+    doc = json.loads((SCENARIOS / "valve.json").read_text())
+    edit(doc)
+    bad = tmp_path / "valve_copy.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "plan", bad, "--samples", 500)
+    assert code == exit_code and out == ""
+    assert err == f"error: {bad}: {message}\n"
 
 
 @pytest.mark.parametrize("target, shown", [

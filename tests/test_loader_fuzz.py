@@ -1,6 +1,7 @@
 """Bounded fuzz of the two loaders of outside input: mutated scenario and
 fault documents must either load or raise a ``DismantleError``, never any
-other exception (which the CLI would print as a traceback)."""
+other exception (which the CLI would print as a traceback).  A scenario's
+error is one line that starts with its file name."""
 
 from __future__ import annotations
 
@@ -43,10 +44,18 @@ def _slots(node, path=()):
         yield from _slots(child, path + (key,))
 
 
+def _key_names(docs):
+    """The names a renamed key may take: every key of ``docs``, so a value
+    can move to another field, and one that no document knows."""
+    return sorted({path[-1] for doc in docs for path in _slots(doc)
+                   if isinstance(path[-1], str)} | {"unknown"})
+
+
 @st.composite
 def _mutated(draw, docs):
     """One of ``docs`` after 1 to 3 edits: a value dropped, a value replaced
-    by one of ``ODD_VALUES``, or one of them inserted into a list."""
+    by one of ``ODD_VALUES``, one of them inserted into a list, or a key
+    renamed to another of the documents' keys."""
     doc = copy.deepcopy(draw(st.sampled_from(docs)))
     for _ in range(draw(st.integers(1, 3))):
         slots = list(_slots(doc))
@@ -57,11 +66,13 @@ def _mutated(draw, docs):
         for step in parent_path:
             parent = parent[step]
         value = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
-        edit = draw(st.sampled_from(["drop", "replace", "insert"]))
+        edit = draw(st.sampled_from(["drop", "replace", "insert", "rename"]))
         if edit == "drop":
             del parent[key]
         elif edit == "insert" and isinstance(parent, list):
             parent.insert(key, value)
+        elif edit == "rename" and isinstance(parent, dict):
+            parent[draw(st.sampled_from(_key_names(docs)))] = parent.pop(key)
         else:
             parent[key] = value
     return doc
@@ -72,8 +83,8 @@ def _mutated(draw, docs):
 def test_mutated_scenario_loads_or_raises_dismantle_error(doc):
     try:
         load_model_dict(doc, path="fuzz.json")
-    except DismantleError:
-        pass
+    except DismantleError as exc:
+        assert str(exc).startswith("fuzz.json: ") and "\n" not in str(exc)
 
 
 @FUZZ
