@@ -12,7 +12,7 @@ from .metrics import (FaultSpec, MetricsReport, execute_once, run_experiment)
 from .model import (AssemblyModel, Component, FeatureGeometry, RelationKind,
                     Semantic, SpatialRelation, Tool, contacts_of, load_model)
 from .planner import (ManipulationPrimitive, MPKind, Plan, invert_plan,
-                      plan_disassembly, plan_task, removable, transition)
+                      plan_disassembly, plan_task, transition)
 from .skills import (ExecState, HybridMove, SkillPrimitive, StopCondition,
                      ToolCommand, decompose, interpret)
 

@@ -23,8 +23,8 @@ whole pass has succeeded.  So a line is scored once per sphere, however
 often either side's space is asked for, and whichever test it needs.  A
 space is the AND of its packed entries, unpacked once and ANDed with the
 set's mask; a screwed contact makes it empty and nothing is scored.  The
-memo is shared by every set ``with_mask`` derives from the sphere, and lives
-as long as the sphere.  The sphere's directions are read-only, so a stored
+memo is shared by every space derived from the sphere, and lives as long as
+the sphere.  The sphere's directions are read-only, so a stored
 mask cannot go stale.
 
 Sampling the sphere and scoring it against a contact both run by chunks of
@@ -151,9 +151,6 @@ class DirectionSet:
 
     def is_full(self) -> bool:
         return bool(self.mask.all())
-
-    def with_mask(self, mask: np.ndarray) -> "DirectionSet":
-        return self._owning(frozen_copy(mask, dtype=bool))
 
     def _owning(self, mask: np.ndarray) -> "DirectionSet":
         """A set over this sample and memo that takes ``mask``, a fresh bool
@@ -568,9 +565,6 @@ class MobilityGraph:
 
     nodes: tuple[str, ...]
     edges: dict[tuple[str, str], MobilityLabel]
-
-    def label(self, a: str, b: str) -> MobilityLabel:
-        return self.edges[(a, b)]
 
 
 def build_graph(model: AssemblyModel, dirs: DirectionSet) -> MobilityGraph:

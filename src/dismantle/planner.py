@@ -10,11 +10,12 @@ roles exchanged and each pull's or twist's direction negated.
 The symbolic state is two sets over the model's relations: the removed
 components and the loose relations, screwed joints a twist has loosened.  A
 relation is live while neither of its components is removed, and a loose one
-constrains as a concentric fit.  A component is removable when its extraction
-space toward its live contacts is nonempty, and ``dspace.best_direction``, not
-the planner, chooses the direction it leaves in, which the pull or twist that
-removes it carries as its ``direction``.  Mobility labels take no part
-in planning; the mobility graph of a task comes from ``dspace.build_graph``.
+constrains as a concentric fit.  A component can be removed when its
+extraction space toward its live contacts is nonempty, and
+``dspace.best_direction``, not the planner, chooses the direction it leaves
+in, which the pull or twist that removes it carries as its ``direction``.
+Mobility labels take no part in planning; the mobility graph of a task comes
+from ``dspace.build_graph``.
 """
 
 from __future__ import annotations
@@ -111,16 +112,6 @@ def _oriented(state: SymbolicState, component_id: str) -> list:
 
 def initial_state(model: AssemblyModel) -> SymbolicState:
     return SymbolicState(model.relations, removed=frozenset(), loose=frozenset())
-
-
-def removable(state: SymbolicState, component_id: str,
-              dirs: DirectionSet) -> tuple[bool, np.ndarray | None]:
-    """Whether the aggregate space toward non-removed neighbors is nonempty."""
-    if component_id in state.removed:
-        raise InapplicablePrimitive(f"removable({component_id})",
-                                    "component already removed")
-    direction = best_direction(_oriented(state, component_id), dirs)
-    return direction is not None, direction
 
 
 def _has_screwed(state: SymbolicState, component_id: str) -> bool:

@@ -478,9 +478,9 @@ def test_warm_memo_changes_nothing(valve_model, which):
         assert _label_bits(label) == _label_bits(cold_graph.edges[pair]), pair
 
     # the memo belongs to one sphere: derived sets share it, new sets do not
-    assert warm.with_mask(warm.mask)._memo is warm._memo
+    assert space_from_contacts([], warm)._memo is warm._memo
     # the sphere's read-only sample is kept, not copied
-    assert warm.with_mask(warm.mask).directions is warm.directions
+    assert space_from_contacts([], warm).directions is warm.directions
     assert not warm.directions.base.flags.writeable
     assert DirectionSet(warm.directions, warm.mask)._memo == {}
 
@@ -642,7 +642,8 @@ def test_memo_entries_equal_packed_oracle_at_chunk_and_byte_edges(monkeypatch, n
                              (RelationKind.CONCENTRIC, cone)], dirs)
         _assert_memo_equals_oracle(dirs, (half, cone))
 
-    derived = dirs.with_mask(rng.random(n) < 0.7)
+    # a set over the sphere's sample and memo, as a space is
+    derived = dirs._owning(rng.random(n) < 0.7)
     for _ in range(12):
         contacts = [(_KINDS[int(rng.integers(0, 3))], random_unit(rng))
                     for _ in range(int(rng.integers(1, 5)))]
@@ -783,7 +784,7 @@ def test_space_keeps_its_unpacked_mask_without_a_copy():
 
 def test_classify_empty_is_fix(dirs10k):
     rel = _relation(RelationKind.PLANE_CONTACT, [0, 0, 1])
-    space = dirs10k.with_mask(np.zeros(dirs10k.n, dtype=bool))
+    space = DirectionSet(dirs10k.directions, np.zeros(dirs10k.n, dtype=bool))
     label = classify_sdof(space, [rel])
     assert label.value is Mobility.FIX and label.rot_axis is None
 
@@ -836,7 +837,7 @@ def test_classify_band_without_planes_is_degenerate(dirs10k):
     rel = _relation(RelationKind.CONCENTRIC, [0, 0, 1])
     band = np.abs(dirs10k.directions[:, 2]) <= 0.05
     with pytest.raises(DegenerateSpace):
-        classify_sdof(dirs10k.with_mask(band), [rel])
+        classify_sdof(DirectionSet(dirs10k.directions, band), [rel])
 
 
 def _classify_all_members(space, contacts):
@@ -939,7 +940,7 @@ def test_classify_cone_pretest_matches_full_pass(n):
                          _relation(RelationKind.PLANE_CONTACT, a)],
                         [_relation(RelationKind.PLANE_CONTACT, a)])
         for name, mask in masks.items():
-            space = dirs.with_mask(mask)
+            space = DirectionSet(dirs.directions, mask)
             for contacts in contact_sets:
                 expected = _outcome(_classify_all_members, space, contacts)
                 assert _outcome(classify_sdof, space, contacts) == expected, name
@@ -981,20 +982,20 @@ def test_build_graph_propagates_degenerate_with_pair(valve_model, dirs2k,
 
 def test_build_graph_valve(valve_model, dirs10k):
     g = build_graph(valve_model, dirs10k)
-    s1 = g.label("screw_1", "valve_body")
+    s1 = g.edges[("screw_1", "valve_body")]
     assert s1.value is Mobility.FIX and s1.rot_axis is not None
-    s2 = g.label("screw_2", "valve_body")
+    s2 = g.edges[("screw_2", "valve_body")]
     assert s2.value is Mobility.FIX
-    hose = g.label("hose", "valve_body")
+    hose = g.edges[("hose", "valve_body")]
     assert hose.value is Mobility.FITS
-    vb = g.label("valve_body", "base")
+    vb = g.edges[("valve_body", "base")]
     assert vb.value is Mobility.AGPP
 
 
 def test_graph_symmetric(valve_model, dirs10k):
     g = build_graph(valve_model, dirs10k)
     for (a, b), label in g.edges.items():
-        assert g.label(b, a) is label
+        assert g.edges[(b, a)] is label
 
 
 def test_graph_no_edge_without_relation(valve_model, dirs10k):

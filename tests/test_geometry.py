@@ -215,10 +215,6 @@ def test_large_orientation_entry_rejected_without_warning(orientation, message):
             Pose(np.zeros(3), orientation)
 
 
-def _with_mask(arr):
-    return DirectionSet(np.eye(3), np.ones(3, dtype=bool)).with_mask(arr).mask
-
-
 def _direction_set(arr):
     return DirectionSet(arr, np.ones(len(arr), dtype=bool)).directions
 
@@ -244,8 +240,8 @@ def _spatial_relation(arr):
 @pytest.mark.parametrize("build, arr", [
     (lambda a: Pose(a).position, np.array([0.1, 0.2, 0.3])),
     (lambda a: Pose(np.zeros(3), a).orientation, np.array([1.0, 0.0, 0.0, 0.0])),
-    (_with_mask, np.array([True, False, True])),
     (_direction_set, np.eye(3)),
+    (lambda a: DirectionSet(np.eye(3), a).mask, np.array([True, False, True])),
     (_hybrid_move, np.array([0.1, 0.2, 0.3, 0.0, 0.0, 0.1])),
     (_contact_axis, np.array([0.0, 0.0, -1.0])),
     (_stop_condition, np.array([0.1, 0.2, 0.3, 0.0, 0.0, 0.1])),
@@ -262,7 +258,7 @@ def _spatial_relation(arr):
     (lambda a: Component(id="c", semantic=Semantic.GENERIC_GRASPABLE,
                          visual_features=a).visual_features,
      np.array([[0.0, 0.0, 0.0], [0.01, 0.0, 0.0], [0.0, 0.01, 0.0]])),
-], ids=["pose.position", "pose.orientation", "with_mask", "direction_set",
+], ids=["pose.position", "pose.orientation", "direction_set", "direction_set.mask",
         "hybrid_move", "hybrid_move.contact_axis", "stop_condition", "wrench",
         "contact_plane.point", "contact_plane.normal", "retention.anchor",
         "retention.axis", "mobility_label", "feature_geometry", "spatial_relation",

@@ -16,7 +16,7 @@ from dismantle.model import (AssemblyModel, Component, FeatureGeometry,
 from dismantle.planner import (ManipulationPrimitive, MPKind, Plan,
                                SymbolicState, _oriented, initial_state,
                                invert_plan, plan_disassembly, plan_task,
-                               removable, replay, transition)
+                               replay, transition)
 
 
 def _kinds(plan):
@@ -27,20 +27,18 @@ def _kinds(plan):
 
 def test_screw_not_removable_while_screwed(valve_model, dirs2k):
     state = initial_state(valve_model)
-    ok, _ = removable(state, "screw_1", dirs2k)
-    assert not ok
+    assert best_direction(_oriented(state, "screw_1"), dirs2k) is None
 
 
 def test_valve_blocked_by_screws(valve_model, dirs2k):
     state = initial_state(valve_model)
-    ok, _ = removable(state, "valve_body", dirs2k)
-    assert not ok
+    assert best_direction(_oriented(state, "valve_body"), dirs2k) is None
 
 
 def test_hose_removable_along_axis(valve_model, dirs2k):
     state = initial_state(valve_model)
-    ok, direction = removable(state, "hose", dirs2k)
-    assert ok
+    direction = best_direction(_oriented(state, "hose"), dirs2k)
+    assert direction is not None
     assert direction[2] > 0.99  # out of the fit, away from the valve
 
 
@@ -53,8 +51,7 @@ def test_component_with_removed_neighbor_is_free(valve_model, dirs2k):
                                                     Tool.GRIPPER),
                        valve_model, dirs2k)
     # the hose's only neighbor is gone: anything goes
-    ok, direction = removable(state, "hose", dirs2k)
-    assert ok and direction is not None
+    assert best_direction(_oriented(state, "hose"), dirs2k) is not None
 
 
 # ------------------------------------------------------------- transitions
@@ -123,8 +120,7 @@ def test_valve_removable_after_screws_and_hose(valve_model, dirs2k):
                ManipulationPrimitive(MPKind.PULL, "hose", Tool.GRIPPER),
                ManipulationPrimitive(MPKind.PUT, "hose", Tool.GRIPPER)):
         state = transition(state, mp, valve_model, dirs2k)
-    ok, _ = removable(state, "valve_body", dirs2k)
-    assert ok
+    assert best_direction(_oriented(state, "valve_body"), dirs2k) is not None
 
 
 def test_pull_blocked_by_live_screws_inapplicable(valve_model, dirs2k):
@@ -276,9 +272,10 @@ def test_neighbor_of_target_beats_nearer_non_neighbor(dirs2k):
         [("target", "base", [0, 0, 1]), ("lid", "target", [0, 0, 1]),
          ("clip", "lid", [1, 0, 0])],
         target="target")
-    assert removable(initial_state(model), "clip", dirs2k)[0]
-    assert removable(initial_state(model), "lid", dirs2k)[0]
-    assert not removable(initial_state(model), "target", dirs2k)[0]
+    state = initial_state(model)
+    assert best_direction(_oriented(state, "clip"), dirs2k) is not None
+    assert best_direction(_oriented(state, "lid"), dirs2k) is not None
+    assert best_direction(_oriented(state, "target"), dirs2k) is None
     plan = plan_disassembly(model, dirs2k)
     assert _kinds(plan) == [("pull", "lid"), ("put", "lid"),
                             ("pull", "target"), ("put", "target")]
