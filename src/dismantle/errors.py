@@ -26,11 +26,12 @@ class ParseError(DismantleError):
 
 
 class ValidationError(DismantleError):
-    """Scenario content violates a model invariant; names the offending entity."""
+    """Scenario content violates a model invariant; names the offending
+    entity, cut to 40 characters."""
 
     def __init__(self, message, entity=None):
         if entity is not None:
-            message = f"{message} (entity: {entity})"
+            message = f"{message} (entity: {entity!s:.40})"
         super().__init__(message)
 
 

@@ -9,8 +9,8 @@ quaternions ``[w, x, y, z]``; angles never appear in files.  Relation
 geometry (frame and direction) is written in the local frame of the
 relation's first component and transformed to the world frame at load time,
 so everything downstream works in world coordinates.  An error's one line
-starts with the file name and names a relation by index and a component by
-id once that is read.  See ``docs/scenario_format.md`` for the full schema.
+starts with the file name and names a component or a relation by index.
+See ``docs/scenario_format.md`` for the full schema.
 """
 
 from __future__ import annotations
@@ -326,11 +326,10 @@ def _parse_pose(obj, field_name) -> Pose:
 
 
 def _parse_component(obj: dict, at: str) -> Component:
-    """The component of the entry ``obj`` at ``at``, its fields named by id."""
+    """The component of the entry ``obj`` at ``at``."""
     cid = _require(obj, "id", at)
     if not isinstance(cid, str):
         raise ParseError(f"{cid!r:.40} is not a string", field=f"{at}.id")
-    at = f"components[{cid}]"
     try:
         semantic = Semantic(_require(obj, "semantic", at))
     except ValueError as exc:

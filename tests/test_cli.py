@@ -90,7 +90,8 @@ def test_non_finite_pose_is_parse_error(tmp_path, capsys):
     assert "NaN" in bad.read_text()
     code, out, err = _run(capsys, "plan", bad, "--samples", 500)
     assert code == 1 and out == ""
-    assert err.count("\n") == 1 and "finite" in err and "screw_1" in err
+    assert err.count("\n") == 1 and "finite" in err
+    assert "(field: components[1].pose)" in err
 
 
 @pytest.mark.parametrize("direction", [[0, 0, 0], [float("nan"), 0, 1],
@@ -184,32 +185,32 @@ def _rename(key, new_key, *where):
     (lambda doc: doc.update(tool_map=[1]), "tool_map"),
     (_set_component_id([1]), "components[0].id"),
     (_set_component_id({}), "components[0].id"),
-    (_set_features("x"), "components[screw_1].visual_features"),
+    (_set_features("x"), "components[1].visual_features"),
     (_set_features([[0.01, 0.0], [0.0, 0.01, 0.0], [0.0, 0.0, 0.01]]),
-     "components[screw_1].visual_features"),
+     "components[1].visual_features"),
     (_set_features([["a", 0, 0], [0, 1, 0], [0, 0, 1]]),
-     "components[screw_1].visual_features"),
+     "components[1].visual_features"),
     (_set_features([[float("nan"), 0, 0], [0, 1, 0], [0, 0, 1]]),
-     "components[screw_1].visual_features"),
+     "components[1].visual_features"),
     (_set_pair(5), "relations[0].components"),
     (_set_pair(None), "relations[0].components"),
     (_set_pair([[1], "base"]), "relations[0].components"),
     (lambda doc: doc.update(reassemble="no"), "reassemble"),
-    (_set_pose("position", ["0.3", "0", "0.02"]), "components[screw_1].pose"),
+    (_set_pose("position", ["0.3", "0", "0.02"]), "components[1].pose"),
     (_set_pose("orientation", [True, False, False, False]),
-     "components[screw_1].pose"),
-    (_set_pose("position", [10 ** 400, 0, 0.02]), "components[screw_1].pose"),
+     "components[1].pose"),
+    (_set_pose("position", [10 ** 400, 0, 0.02]), "components[1].pose"),
     # finite, but its squared norm overflows
-    (_set_pose("orientation", [1e300, 1e300, 0, 0]), "components[screw_1].pose"),
+    (_set_pose("orientation", [1e300, 1e300, 0, 0]), "components[1].pose"),
     # finite, but beyond the length bound; these once overflowed in numpy
     (lambda doc: doc["components"][1]["visual_features"][0].__setitem__(0, 1e300),
-     "components[screw_1].visual_features"),
+     "components[1].visual_features"),
     (lambda doc: doc["robot_start"]["position"].__setitem__(0, -1e300), "robot_start"),
     (lambda doc: doc.update(vision_noise=1e300), "vision_noise"),
     (lambda doc: doc.update(format_version=True), "format_version"),
     (lambda doc: doc.update(format_version=1.0), "format_version"),
     (lambda doc: doc["components"][1].update(semantic="bolt"),
-     "components[screw_1].semantic"),
+     "components[1].semantic"),
     (lambda doc: doc["relations"][0].update(kind="glued"), "relations[0].kind"),
     (lambda doc: doc["relations"][0]["geometry"].update(kind="cone"),
      "relations[0].geometry.kind"),
@@ -254,7 +255,7 @@ def test_malformed_pose_names_the_defect(tmp_path, capsys, edit, message):
     bad.write_text(json.dumps(doc))
     code, out, err = _run(capsys, "plan", bad, "--samples", 500)
     assert code == 1 and out == ""
-    assert err == f"error: {bad}: {message} (field: components[screw_1].pose)\n"
+    assert err == f"error: {bad}: {message} (field: components[1].pose)\n"
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -378,18 +379,40 @@ def test_validation_error_exit_code(tmp_path, capsys, command, edit, entity):
     assert f"(entity: {entity})" in err
 
 
-@pytest.mark.parametrize("edit, exit_code, message", [
-    (lambda doc: doc["relations"][3]["geometry"].update(kind="cone"), 1,
+def _second_screw_1(doc):
+    """A second ``screw_1`` entry, whose position is [1, 2]."""
+    doc["components"].append(dict(doc["components"][1],
+                                  pose={"position": [1, 2],
+                                        "orientation": [1, 0, 0, 0]}))
+
+
+def _long_id_bolt(doc):
+    """The screw's id is 100,000 characters long and its semantic is bolt."""
+    doc["components"][1].update(id="s" * 100_000, semantic="bolt")
+
+
+@pytest.mark.parametrize("scenario, edit, exit_code, message", [
+    ("valve", lambda doc: doc["relations"][3]["geometry"].update(kind="cone"), 1,
      "'cone' is not a valid GeometryKind (field: relations[3].geometry.kind)"),
-    (lambda doc: doc["relations"][2].pop("kind"), 1,
+    ("valve", lambda doc: doc["relations"][2].pop("kind"), 1,
      "missing required key 'kind' (field: relations[2].kind)"),
-    (lambda doc: doc.update(target="ghost"), 2,
+    ("valve", lambda doc: doc.update(target="ghost"), 2,
      "target references unknown component (entity: ghost)"),
-], ids=["geometry_kind", "no_kind", "unknown_target"])
-def test_scenario_error_whole_line(tmp_path, capsys, edit, exit_code, message):
-    doc = json.loads((SCENARIOS / "valve.json").read_text())
+    # a component is named by its index, not by its id
+    ("single_screw", _second_screw_1, 1,
+     "position [1, 2] is not a list of 3 numbers (field: components[2].pose)"),
+    ("single_screw", _long_id_bolt, 1,
+     "'bolt' is not a valid Semantic (field: components[1].semantic)"),
+    # an entity is cut to 40 characters
+    ("single_screw", lambda doc: doc.update(target="t" * 100_000), 2,
+     f"target references unknown component (entity: {'t' * 40})"),
+], ids=["geometry_kind", "no_kind", "unknown_target", "duplicate_id_pose",
+        "long_id_semantic", "long_target"])
+def test_scenario_error_whole_line(tmp_path, capsys, scenario, edit, exit_code,
+                                   message):
+    doc = json.loads((SCENARIOS / f"{scenario}.json").read_text())
     edit(doc)
-    bad = tmp_path / "valve_copy.json"
+    bad = tmp_path / f"{scenario}_copy.json"
     bad.write_text(json.dumps(doc))
     code, out, err = _run(capsys, "plan", bad, "--samples", 500)
     assert code == exit_code and out == ""
