@@ -65,6 +65,10 @@ Classification first tests pairwise the members among every step-th
 direction, step = max(1, n // 256): two farther apart than one cone can hold
 prove the space is not a cone, so the principal-axis pass over all members
 runs only for spaces that may be one, fewer than two probes proving nothing.
+That axis is the members' folded mean, each turned to the side of the first
+and summed without BLAS, so a label's axis has the same bits under every
+BLAS kernel (``tests/test_dspace.py`` keeps the eigenvector axis as the
+oracle).
 """
 
 from __future__ import annotations
@@ -78,7 +82,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DegenerateSpace, UnknownComponent
-from .geometry import frozen_copy, quat_matrix, random_rotation
+from .geometry import frozen_copy, quat_matrix, random_rotation, vec_norm
 from .model import (AXIAL_KINDS, AssemblyModel, RelationKind, SpatialRelation,
                     contacts_of)
 
@@ -492,14 +496,16 @@ class MobilityLabel:
 
 
 def _principal_axis(points: np.ndarray) -> np.ndarray:
-    m = points.T @ points
-    _, vecs = np.linalg.eigh(m)
-    axis = vecs[:, -1]
+    """The unit rows' folded mean, with the canonical sign.  The sign of
+    p . p0 only decides which rows are negated: an axis is kept only if every
+    row lies within 7 degrees of it, and then |p . p0| >= cos 14 degrees."""
+    signs = np.where(points @ points[0] >= 0.0, 1.0, -1.0)
+    axis = (points * signs[:, None]).sum(axis=0)
     # canonical sign: largest-magnitude entry positive
     k = int(np.argmax(np.abs(axis)))
     if axis[k] < 0.0:
         axis = -axis
-    return axis / np.linalg.norm(axis)
+    return axis / vec_norm(axis)
 
 
 # Two members whose lines are more than 2 (EPS_CONE + CONE_SLACK) apart cannot
