@@ -245,10 +245,14 @@ def test_first_moved_skill_names_the_skill_and_what_moved():
     assert _first_moved_skill([entry], [entry, entry]) == "1 skills ran, now 2"
 
 
-def _single_screw_ticks() -> dict:
-    """``tick_sha256`` and ``skill_sha256`` of single_screw's repetition 0."""
+def _kernel_outputs() -> dict:
+    """``tick_sha256`` and ``skill_sha256`` of single_screw's repetition 0,
+    and the valve's mobility graph edges, axes included."""
     res, skills = _results("single_screw", 1)[0]
-    return {"tick_sha256": _tick_sha256(res), "skill_sha256": skills}
+    graph = build_graph(load_model(SCENARIOS / "valve.json"),
+                        sample_sphere(SAMPLES, SEED))
+    return {"tick_sha256": _tick_sha256(res), "skill_sha256": skills,
+            "valve_edges": _graph_summary(graph)["edges"]}
 
 
 def _cpu_has_avx2() -> bool:
@@ -264,8 +268,9 @@ def _cpu_has_avx2() -> bool:
 @pytest.mark.parametrize("coretype", ["Haswell", "Zen"])
 def test_ticks_do_not_depend_on_the_avx2_blas_kernels(coretype):
     """single_screw's repetition 0, with its visual-servoing skills, gives the
-    same tick and skill digests in a process that forces OpenBLAS's Haswell or
-    Zen kernels as in this one.
+    same tick and skill digests, and the valve's mobility graph the same
+    edges and axes, in a process that forces OpenBLAS's Haswell or Zen
+    kernels as in this one.
 
     ``OPENBLAS_CORETYPE`` picks the kernel set of an OpenBLAS that chooses its
     kernels at run time (a DYNAMIC_ARCH build, as numpy's wheels ship), as an
@@ -273,13 +278,13 @@ def test_ticks_do_not_depend_on_the_avx2_blas_kernels(coretype):
     OpenBLAS, the variable is ignored and both runs use the same kernels.
     """
     code = ("import json, test_reference_runs as t; "
-            "print(json.dumps(t._single_screw_ticks()))")
+            "print(json.dumps(t._kernel_outputs()))")
     env = dict(os.environ, OPENBLAS_CORETYPE=coretype, PYTHONPATH=os.pathsep.join(
         [str(SRC), str(HERE)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == _single_screw_ticks()
+    assert json.loads(proc.stdout) == _kernel_outputs()
 
 
 if __name__ == "__main__":
