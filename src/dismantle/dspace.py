@@ -24,8 +24,8 @@ often either side's space is asked for, and whichever test it needs.  A
 space is the AND of its packed entries, unpacked once and ANDed with the
 set's mask; a screwed contact makes it empty and nothing is scored.  The
 memo is shared by every space derived from the sphere, and lives as long as
-the sphere.  The sphere's directions are read-only, so a stored
-mask cannot go stale.
+the sphere.  The sphere's directions are read-only, so a stored mask cannot
+go stale.
 
 Sampling the sphere and scoring it against a contact both run by chunks of
 2^15 rows (``_by_chunks``), spread over the CPUs the process may run on: the
@@ -65,10 +65,9 @@ Classification first tests pairwise the members among every step-th
 direction, step = max(1, n // 256): two farther apart than one cone can hold
 prove the space is not a cone, so the principal-axis pass over all members
 runs only for spaces that may be one, fewer than two probes proving nothing.
-That axis is the members' folded mean, each turned to the side of the first
-and summed without BLAS, so a label's axis has the same bits under every
-BLAS kernel (``tests/test_dspace.py`` keeps the eigenvector axis as the
-oracle).
+That axis is the members' folded mean, summed without BLAS, so a label's
+axis has the same bits under every BLAS kernel (``tests/test_dspace.py``
+keeps the eigenvector axis as the oracle).
 """
 
 from __future__ import annotations
